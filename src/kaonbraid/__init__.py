@@ -25,13 +25,11 @@ from .errors import (  # noqa: F401
     DimensionError,
     DomainError,
     KaonbraidError,
-    NormalityError,
     ValidationError,
 )
 from .linalg import (  # noqa: F401
     is_hermitian,
     is_unitary,
-    matrix_exponential_normal,
     tensor_product,
 )
 from .oscillation import (  # noqa: F401

@@ -24,7 +24,14 @@ EXIT_CONFIG = 2
 
 
 def fmt(x) -> str:
-    """Canonical numeric formatting: 17 significant digits."""
+    """Canonical cell formatting: numbers to 17 significant digits, strings
+    verbatim."""
+    # floats (np.float64 included) are nearly every cell: test them first so
+    # the string branch adds no work to large numeric tables
+    if isinstance(x, float):
+        return format(float(x), ".17g")
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -96,6 +103,15 @@ FLAG_TYPES = {
 }
 
 
+def _coerce(kind, raw, where):
+    """kind(raw); a malformed value raises KaonbraidError naming where it came
+    from."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise KaonbraidError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
+
+
 def resolve(args) -> dict:
     """Merge defaults < config file < explicit flags."""
     cfg = dict(FLAG_DEFAULTS)
@@ -106,7 +122,7 @@ def resolve(args) -> dict:
             if key == "uncorrected_b":
                 cfg[key] = raw.lower() in ("1", "true", "yes")
             else:
-                cfg[key] = FLAG_TYPES.get(key, str)(raw)
+                cfg[key] = _coerce(FLAG_TYPES.get(key, str), raw, f"config key {key!r}")
     for key in FLAG_DEFAULTS:
         val = getattr(args, key, None)
         if key == "uncorrected_b":
@@ -182,7 +198,7 @@ def cmd_bell(cfg) -> int:
 def parse_state(text) -> states.TwoKaonState:
     if text in states.BASIS_LABELS:
         return states.canonical_basis()[states.BASIS_LABELS.index(text)]
-    parts = [float(p) for p in text.split(",")]
+    parts = [_coerce(float, p, "state") for p in text.split(",")]
     if len(parts) == 4:
         return states.TwoKaonState(parts)
     if len(parts) == 8:

@@ -5,9 +5,9 @@ even scalar envelope f(t) = 1/(1+t²):
 
     H±(t) = f(t)·H₀.
 
-All H(t) commute, so the exact propagator from t0 to t1 is
+All H(t) commute and H₀² = I, so the exact propagator from t0 to t1 is
 
-    U(t0, t1) = exp(-i·(arctan t1 - arctan t0)·H₀),
+    U(t0, t1) = exp(-i·α·H₀) = cos α·I - i·sin α·H₀,  α = arctan t1 - arctan t0,
 
 which also coincides with the relative action R̃(θ(t))·R̃(0)⁻¹ of the unitary
 spectral family (both equal exp(-θ·b̃²) since b̃⁴ = -I).
@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .braid import BraidSpec, SpectralPoint, unitary_braid, unitary_r
-from .linalg import matrix_exponential_normal
+from .errors import DomainError
 from .states import TwoKaonState
 
 
@@ -41,9 +41,14 @@ def hamiltonian_at(spec: BraidSpec, t: float) -> np.ndarray:
 
 
 def propagator(spec: BraidSpec, t0: float, t1: float) -> np.ndarray:
-    """Exact unitary propagator exp(-i·(arctan t1 - arctan t0)·H₀)."""
+    """Exact unitary propagator cos α·I - i·sin α·H₀, α = arctan t1 - arctan t0.
+
+    Infinite times are allowed (arctan ±∞ = ±π/2); NaN raises DomainError.
+    """
+    if math.isnan(t0) or math.isnan(t1):
+        raise DomainError(f"times must not be NaN: t0={t0}, t1={t1}")
     angle = math.atan(t1) - math.atan(t0)
-    return matrix_exponential_normal(-1j * angle * hamiltonian_generator(spec))
+    return math.cos(angle) * np.eye(4) - 1j * math.sin(angle) * hamiltonian_generator(spec)
 
 
 def evolve_state(

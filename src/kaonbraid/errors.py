@@ -9,10 +9,6 @@ class DimensionError(KaonbraidError):
     """Matrix/vector dimensions are unsupported or incompatible."""
 
 
-class NormalityError(KaonbraidError):
-    """Matrix exponential requested for a non-normal matrix."""
-
-
 class ValidationError(KaonbraidError):
     """An input value violates a documented precondition."""
 

@@ -1,21 +1,17 @@
-"""Small-dimension complex linear algebra: tensor products, adjoints,
-eigendecomposition-based matrix exponentials and norm-based predicates.
+"""Small-dimension complex linear algebra: tensor products, adjoints and
+norm-based predicates.
 
-Everything here works on plain numpy arrays of shape (d, d) or (d,) with
+Everything here works on plain numpy arrays of shape (d, d) with
 d in {2, 4, 8}.  All functions are pure; nothing mutates its inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionError, NormalityError
+from .errors import DimensionError
 
 ALLOWED_DIMS = (2, 4, 8)
-
-#: Tolerance for the normality precondition of matrix_exponential_normal.
-NORMALITY_TOL = 1e-10
 
 
 def as_matrix(m, dim: int | None = None) -> np.ndarray:
@@ -29,18 +25,6 @@ def as_matrix(m, dim: int | None = None) -> np.ndarray:
         raise DimensionError(f"expected dimension {dim}, got {a.shape[0]}")
     if not np.isfinite(a).all():
         raise DimensionError("matrix contains non-finite entries")
-    return a
-
-
-def as_vector(v, dim: int | None = None) -> np.ndarray:
-    """Validate and return v as a complex vector of an allowed dimension."""
-    a = np.asarray(v, dtype=complex).reshape(-1)
-    if a.shape[0] not in ALLOWED_DIMS:
-        raise DimensionError(f"unsupported vector dimension {a.shape[0]}")
-    if dim is not None and a.shape[0] != dim:
-        raise DimensionError(f"expected dimension {dim}, got {a.shape[0]}")
-    if not np.isfinite(a).all():
-        raise DimensionError("vector contains non-finite entries")
     return a
 
 
@@ -65,26 +49,6 @@ def tensor_product(a, b) -> np.ndarray:
             f"unsupported dimension {out_dim}"
         )
     return np.kron(a, b)
-
-
-def matrix_exponential_normal(m) -> np.ndarray:
-    """exp(m) for a normal matrix, via complex Schur decomposition.
-
-    For normal m the Schur form is diagonal, so m = Q diag(w) Q† and
-    exp(m) = Q diag(e^w) Q†.  The unitary conjugation keeps anti-Hermitian
-    generators mapping to unitaries at full precision, and degenerate
-    eigenspaces come out orthonormal automatically.
-
-    Raises NormalityError when ||m m† - m† m||_F exceeds the tolerance
-    (relative to the squared norm of m).
-    """
-    m = as_matrix(m)
-    md = m.conj().T
-    scale = max(frobenius(m) ** 2, 1.0)
-    if frobenius(m @ md - md @ m) > NORMALITY_TOL * scale:
-        raise NormalityError("matrix exponential requires a normal matrix")
-    t, q = scipy.linalg.schur(m, output="complex")
-    return q @ np.diag(np.exp(np.diag(t))) @ q.conj().T
 
 
 def unitarity_residual(m) -> float:

@@ -85,11 +85,6 @@ def evolve_kbar(params: KaonParams, t: float) -> FlavorAmplitudes:
     return FlavorAmplitudes((u_s - u_l) / 2.0, (u_s + u_l) / 2.0)
 
 
-def evolve_sl_states(params: KaonParams, t: float) -> tuple[complex, complex]:
-    """Overall factors U_S(t), U_L(t) multiplying the S and L eigenstates."""
-    return u_factors(params, t)
-
-
 def transition_probability(params: KaonParams, t: float, frm: str, to: str) -> float:
     """P(frm -> to) at time t, closed form.
 

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +53,13 @@ class TestConfig:
         code, _, _ = run_cli(capsys, "oscillate", "--steps", "1")
         assert code == 2
 
+    def test_malformed_number_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = abc\n")
+        code, _, err = run_cli(capsys, "oscillate", "--config", str(cfg))
+        assert code == 2
+        assert "'steps'" in err and "'abc'" in err
+
 
 class TestParseState:
     def test_label(self):
@@ -64,6 +73,11 @@ class TestParseState:
         s = 1 / math.sqrt(2)
         psi = parse_state(f"{s},0,0,0,0,0,0,{s}")
         assert psi.amplitudes[1] == 0 and abs(psi.amplitudes[3] - 1j * s) < 1e-15
+
+    def test_malformed_amplitude_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "evolve", "--state", "1,x,0,0")
+        assert code == 2
+        assert err.startswith("error:") and "'x'" in err
 
 
 class TestVerifyCommand:
@@ -84,6 +98,15 @@ class TestVerifyCommand:
         _, out1, _ = run_cli(capsys, "verify", "--seed", "17")
         _, out2, _ = run_cli(capsys, "verify", "--seed", "17")
         assert out1 == out2
+
+    def test_csv_out(self, tmp_path, capsys):
+        out_path = tmp_path / "r.csv"
+        code, _, _ = run_cli(capsys, "verify", "--seed", "0", "--out", str(out_path))
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        assert lines[0] == "check,metric,tol,passed"
+        assert len(lines) == 18
+        assert lines[1].startswith("braid_relation,")
 
 
 class TestTables:
@@ -157,6 +180,12 @@ class TestTables:
         for row in doc["rows"]:
             assert row[1:9] == [0, 0, 1, 0, 0, 0, 0, 0]
 
+    def test_evolve_rejects_nan_time(self, capsys):
+        code, out, err = run_cli(capsys, "evolve", "--t1", "nan")
+        assert code == 2
+        assert out == ""
+        assert "times must not be NaN" in err and "t1=nan" in err
+
     def test_rho_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "rho-report", "--t0", "0.5", "--t1", "5", "--steps", "10"
@@ -180,3 +209,11 @@ def test_json_numbers_round_trip(capsys):
     doc = json.loads(out)
     reparsed = json.loads(json.dumps(doc))
     assert reparsed == doc
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; a fresh interpreter must not pull it in
+    code = "import sys, kaonbraid.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

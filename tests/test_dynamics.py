@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kaonbraid.braid import BraidSpec
+from kaonbraid.braid import SIGNS, BraidSpec
 from kaonbraid.dynamics import (
     evolve_state,
     hamiltonian_action_report,
@@ -13,7 +16,7 @@ from kaonbraid.dynamics import (
     r_vs_hamiltonian_consistency,
     schrodinger_residual,
 )
-from kaonbraid.errors import ValidationError
+from kaonbraid.errors import DomainError, ValidationError
 from kaonbraid.linalg import hermiticity_residual, unitarity_residual
 from kaonbraid.states import TwoKaonState
 
@@ -111,6 +114,33 @@ class TestPropagator:
             a = math.atan(2.3) - math.atan(0.4)
             expected = math.cos(a) * np.eye(4) - 1j * math.sin(a) * h0
             assert np.linalg.norm(propagator(spec, 0.4, 2.3) - expected) < 1e-12
+
+    @settings(deadline=None)
+    @given(
+        sign=st.sampled_from(SIGNS),
+        phi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+        t0=st.floats(-1e6, 1e6),
+        t1=st.floats(-1e6, 1e6),
+    )
+    def test_against_scipy_expm(self, sign, phi, t0, t1):
+        # independent oracle: Pade scaling-and-squaring of -i·alpha·H0
+        spec = BraidSpec(sign, phi)
+        a = math.atan(t1) - math.atan(t0)
+        expected = scipy.linalg.expm(-1j * a * hamiltonian_generator(spec))
+        assert np.linalg.norm(propagator(spec, t0, t1) - expected) < 1e-12
+
+    def test_rejects_nan_times(self):
+        spec = BraidSpec("plus", 1.0)
+        for t0, t1 in ((0.0, math.nan), (math.nan, 1.0), (math.nan, math.nan)):
+            with pytest.raises(DomainError, match="NaN"):
+                propagator(spec, t0, t1)
+
+    def test_infinite_times_are_quarter_turns(self):
+        # arctan(+-inf) = +-pi/2, so U(0, inf) = -i·H0 and U(-inf, inf) = -I
+        spec = BraidSpec("minus", 0.7)
+        h0 = hamiltonian_generator(spec)
+        assert np.linalg.norm(propagator(spec, 0.0, math.inf) + 1j * h0) < 1e-15
+        assert np.linalg.norm(propagator(spec, -math.inf, math.inf) + np.eye(4)) < 1e-15
 
     def test_against_rk4_oracle(self):
         spec = BraidSpec("plus", 1.0)

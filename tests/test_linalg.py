@@ -1,26 +1,14 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
-from kaonbraid.errors import DimensionError, NormalityError
-from kaonbraid.linalg import (
-    dagger,
-    is_hermitian,
-    is_unitary,
-    matrix_exponential_normal,
-    tensor_product,
-)
+from kaonbraid.errors import DimensionError
+from kaonbraid.linalg import dagger, is_hermitian, is_unitary, tensor_product
 
 RNG = np.random.default_rng(42)
 
 
 def random_complex(dim):
     return RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
-
-
-def random_anti_hermitian(dim):
-    m = random_complex(dim)
-    return (m - m.conj().T) / 2.0
 
 
 class TestTensorProduct:
@@ -59,49 +47,6 @@ class TestTensorProduct:
             tensor_product(np.eye(4), np.eye(4))
         with pytest.raises(DimensionError):
             tensor_product(np.eye(8), np.eye(2))
-
-
-class TestMatrixExponential:
-    def test_exp_zero(self):
-        assert np.allclose(matrix_exponential_normal(np.zeros((4, 4))), np.eye(4))
-
-    def test_exp_scalar(self):
-        result = matrix_exponential_normal(1j * np.pi * np.eye(4))
-        assert np.linalg.norm(result + np.eye(4)) < 1e-12
-
-    def test_spectrum_mapping(self):
-        # Hermitian with spectrum {+1/2, -1/2}: exp(-i theta H) has eigenvalues
-        # e^{-+ i theta / 2}
-        h = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
-        theta = 0.83
-        result = matrix_exponential_normal(-1j * theta * h)
-        ev = np.sort(np.angle(np.linalg.eigvals(result)))
-        expected = np.sort([-theta / 2, theta / 2])
-        assert np.max(np.abs(ev - expected)) < 1e-12
-
-    def test_anti_hermitian_gives_unitary(self):
-        for dim in (2, 4, 8):
-            m = random_anti_hermitian(dim)
-            ok, res = is_unitary(matrix_exponential_normal(m), 1e-12)
-            assert ok, res
-
-    def test_inverse_pairing(self):
-        for _ in range(10):
-            m = random_anti_hermitian(4)
-            prod = matrix_exponential_normal(m) @ matrix_exponential_normal(-m)
-            assert np.linalg.norm(prod - np.eye(4)) < 1e-10
-
-    def test_against_scipy_expm(self):
-        # independent oracle: Pade scaling-and-squaring
-        for dim in (2, 4, 8):
-            m = random_anti_hermitian(dim)
-            diff = matrix_exponential_normal(m) - scipy.linalg.expm(m)
-            assert np.linalg.norm(diff) < 1e-12
-
-    def test_rejects_non_normal(self):
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(NormalityError):
-            matrix_exponential_normal(m)
 
 
 class TestPredicates:

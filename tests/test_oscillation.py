@@ -9,7 +9,6 @@ from kaonbraid.oscillation import (
     KaonParams,
     evolve_k,
     evolve_kbar,
-    evolve_sl_states,
     oscillation_curve,
     sl_basis,
     survival_probability,
@@ -85,11 +84,16 @@ class TestFlavorEvolution:
             assert a.c_k == b.c_kbar and a.c_kbar == b.c_k
 
     def test_sl_factors(self):
+        # U_S, U_L multiply the S and L components of the evolving state
         p = KaonParams()
         t = 1.5
-        u_s, u_l = evolve_sl_states(p, t)
+        u_s, u_l = u_factors(p, t)
         assert u_s == cmath.exp(-p.alpha_s * t)
         assert u_l == cmath.exp(-p.alpha_l * t)
+        s0, l0 = sl_basis(1.0, 0.0)
+        c_k, c_kbar = sl_basis(u_s * s0, u_l * l0)
+        a = evolve_k(p, t)
+        assert abs(c_k - a.c_k) < 1e-15 and abs(c_kbar - a.c_kbar) < 1e-15
 
     def test_long_time_l_dominance(self):
         p = KaonParams(gamma_s=1.0, gamma_l=0.01, m_s=0.0, m_l=0.5)
