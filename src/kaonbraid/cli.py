@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,66 +80,77 @@ def load_config_file(path) -> dict:
     return values
 
 
-FLAG_DEFAULTS = {
-    "sign": "plus",
-    "phi": 0.0,
-    "t0": 0.0,
-    "t1": 12.0,
-    "steps": 100,
-    "grid": 41,
-    "gamma_s": 1.0,
-    "gamma_l": 0.00175,
-    "dm": 0.474,
-    "format": "csv",
-    "out": None,
-    "seed": 0,
-    "tol": None,
-    "state": "KK",
-    "uncorrected_b": False,
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_finite = math.isfinite
+
+
+class Flag(NamedTuple):
+    """A CLI flag and config key; default False makes it a switch.  `parse` maps
+    text to a value or raises ValueError/KeyError; `check` (None: any) is `rule`."""
+
+    default: object
+    parse: Callable[[str], object]
+    check: Callable[[object], bool] | None
+    rule: str
+    help: str
+
+
+FLAGS = {
+    "sign": Flag("plus", str, braid.SIGNS.__contains__, "one of plus, minus", "braid matrix b±"),
+    "phi": Flag(0.0, float, _finite, "a finite number", "braid angle φ, q = e^(iφ)"),
+    "t0": Flag(0.0, float, _finite, "a finite number", "first time (rho-report: 0.5 if <= 0)"),
+    "t1": Flag(12.0, float, _finite, "a finite number", "last time"),
+    "steps": Flag(100, int, lambda v: v >= 2, "an integer >= 2", "points on the time grid"),
+    "grid": Flag(41, int, lambda v: v >= 2, "an integer >= 2", "points on the φ grid"),
+    "gamma_s": Flag(1.0, float, lambda v: _finite(v) and v >= 0, "a finite number >= 0", "γ_S"),
+    "gamma_l": Flag(0.00175, float, lambda v: _finite(v) and v >= 0, "a finite number >= 0",
+                    "γ_L"),
+    "dm": Flag(0.474, float, _finite, "a finite number", "mass difference Δm = m_L - m_S"),
+    "format": Flag("csv", str, ("csv", "json").__contains__, "one of csv, json", "table format"),
+    "out": Flag(None, str, None, "a path", "file for the table (None: stdout)"),
+    "seed": Flag(0, int, lambda v: v >= 0, "an integer >= 0", "seed of the verify inputs"),
+    "tol": Flag(None, float, lambda v: _finite(v) and v > 0, "a finite number > 0",
+                "one tolerance for every verify check (None: each check's own)"),
+    "state": Flag("KK", str, None, "text", "evolve: basis label, 4 real or 8 re,im amplitudes"),
+    "uncorrected_b": Flag(False, lambda s: _BOOLEANS[s.lower()], None,
+                          "one of 1, 0, true, false, yes, no", "use the misprinted braid matrix"),
 }
 
-FLAG_TYPES = {
-    "phi": float, "t0": float, "t1": float, "steps": int, "grid": int,
-    "gamma_s": float, "gamma_l": float, "dm": float, "seed": int, "tol": float,
-}
 
-
-def _coerce(kind, raw, where):
-    """kind(raw); a malformed value raises KaonbraidError naming where it came
-    from."""
+def flag_value(key, raw, where):
+    """Parse the text `raw` of flag `key` and check its rule; otherwise raise
+    KaonbraidError naming `where` the text came from and the text itself."""
+    flag = FLAGS[key]
     try:
-        return kind(raw)
-    except ValueError:
-        raise KaonbraidError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
+        value = flag.parse(raw)
+        if flag.check is None or flag.check(value):
+            return value
+    except (ValueError, KeyError):
+        pass
+    raise KaonbraidError(f"{where}: {raw!r} is not {flag.rule}")
 
 
 def resolve(args) -> dict:
-    """Merge defaults < config file < explicit flags."""
-    cfg = dict(FLAG_DEFAULTS)
+    """Merge defaults < config file < explicit flags, each text through flag_value."""
+    cfg = {key: flag.default for key, flag in FLAGS.items()}
     if args.config:
         for key, raw in load_config_file(args.config).items():
-            if key not in FLAG_DEFAULTS:
+            if key not in FLAGS:
                 raise KaonbraidError(f"unknown config key {key!r}")
-            if key == "uncorrected_b":
-                cfg[key] = raw.lower() in ("1", "true", "yes")
-            else:
-                cfg[key] = _coerce(FLAG_TYPES.get(key, str), raw, f"config key {key!r}")
-    for key in FLAG_DEFAULTS:
-        val = getattr(args, key, None)
-        if key == "uncorrected_b":
-            if val:
-                cfg[key] = True
-        elif val is not None:
-            cfg[key] = val
-    if cfg["sign"] not in braid.SIGNS:
-        raise KaonbraidError(f"sign must be one of {braid.SIGNS}")
-    if cfg["format"] not in ("csv", "json"):
-        raise KaonbraidError("format must be csv or json")
-    if cfg["steps"] < 2 or cfg["grid"] < 2:
-        raise KaonbraidError("steps and grid must be >= 2")
-    if cfg["tol"] is not None and cfg["tol"] <= 0:
-        raise KaonbraidError("tol must be > 0")
+            cfg[key] = flag_value(key, raw, f"config key {key!r}")
+    for key in FLAGS:
+        raw = getattr(args, key)
+        if raw is not None:
+            cfg[key] = flag_value(key, raw, "--" + key.replace("_", "-"))
     return cfg
+
+
+def linear_grid(lo, hi, n) -> list:
+    """n evenly spaced points from lo to hi; only a time range can overflow hi - lo."""
+    width = hi - lo
+    if not math.isfinite(width):
+        raise KaonbraidError(f"--t0 {lo!r} and --t1 {hi!r} are too far apart: t1 - t0 overflows")
+    return [lo + width * i / (n - 1) for i in range(n)]
 
 
 def _meta(cfg, command):
@@ -198,14 +210,15 @@ def cmd_bell(cfg) -> int:
 def parse_state(text) -> states.TwoKaonState:
     if text in states.BASIS_LABELS:
         return states.canonical_basis()[states.BASIS_LABELS.index(text)]
-    parts = [_coerce(float, p, "state") for p in text.split(",")]
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise KaonbraidError(f"state: {exc}") from None
     if len(parts) == 4:
         return states.TwoKaonState(parts)
     if len(parts) == 8:
         return states.TwoKaonState([complex(re, im) for re, im in zip(parts[::2], parts[1::2])])
-    raise KaonbraidError(
-        "state must be a basis label, 4 real amplitudes, or 8 re,im values"
-    )
+    raise KaonbraidError("state must be a basis label, 4 real amplitudes, or 8 re,im values")
 
 
 def cmd_evolve(cfg) -> int:
@@ -215,8 +228,7 @@ def cmd_evolve(cfg) -> int:
     columns = ["t", "re_a0", "im_a0", "re_a1", "im_a1", "re_a2", "im_a2",
                "re_a3", "im_a3", "norm"]
     rows = []
-    for i in range(steps):
-        t = t0 + (t1 - t0) * i / (steps - 1)
+    for t in linear_grid(t0, t1, steps):
         psi = dynamics.evolve_state(psi0, spec, t0, t)
         amps = [part for a in psi.amplitudes for part in (a.real, a.imag)]
         rows.append([t, *amps, float(np.linalg.norm(psi.vector))])
@@ -238,8 +250,7 @@ def cmd_sweep_phi(cfg) -> int:
     s_op, cp = states.strangeness_op(), states.cp_op()
     columns = ["phi", "c1", "c2", "c3", "c4", "corr_cp", "corr_s"]
     rows = []
-    for i in range(cfg["grid"]):
-        phi = 2.0 * math.pi * i / (cfg["grid"] - 1)
+    for phi in linear_grid(0.0, 2.0 * math.pi, cfg["grid"]):
         images = states.braid_action_images(BraidSpec(spec_sign, phi))
         deformed = states.deformed_bell(phi)
         rows.append([
@@ -264,7 +275,7 @@ def cmd_oscillate(cfg) -> int:
 def cmd_rho_report(cfg) -> int:
     spec = BraidSpec(cfg["sign"], cfg["phi"])
     t0 = cfg["t0"] if cfg["t0"] > 0 else 0.5
-    t_values = [t0 + (cfg["t1"] - t0) * i / (cfg["steps"] - 1) for i in range(cfg["steps"])]
+    t_values = linear_grid(t0, cfg["t1"], cfg["steps"])
     if any(t <= 0 for t in t_values):
         raise KaonbraidError("rho-report requires a positive t grid")
     columns = ["t", "is_scalar", "scalar", "closed_form", "printed_formula",
@@ -299,23 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-kaon braid dynamics: verification suites and tables.",
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--sign", choices=braid.SIGNS)
-    parser.add_argument("--phi", type=float)
-    parser.add_argument("--t0", type=float)
-    parser.add_argument("--t1", type=float)
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--grid", type=int)
-    parser.add_argument("--gamma-s", dest="gamma_s", type=float)
-    parser.add_argument("--gamma-l", dest="gamma_l", type=float)
-    parser.add_argument("--dm", type=float)
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--out")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--config")
-    parser.add_argument("--state", help="basis label or comma-separated amplitudes (evolve)")
-    parser.add_argument("--uncorrected-b", dest="uncorrected_b", action="store_true",
-                        help="diagnostic: use the misprinted braid matrix")
+    parser.add_argument("--config", help="flat key = value file; explicit flags take precedence")
+    for key, flag in FLAGS.items():
+        switch = {"action": "store_const", "const": "true"} if flag.default is False else {}
+        parser.add_argument("--" + key.replace("_", "-"), **switch,
+                            help=f"{flag.help}; {flag.rule}; default {flag.default}")
     return parser
 
 

@@ -117,17 +117,23 @@ def oscillation_curve(
 ) -> list[tuple[float, float, float, float]]:
     """Uniform table of (t, P_{K->K}, P_{K->K̄}, asymmetry) on [0, t_max].
 
-    asymmetry = (P_same - P_flip)/(P_same + P_flip).
+    asymmetry = (P_same - P_flip)/(P_same + P_flip) = cos(Δm·t)·sech(d) with
+    d = (γ_S - γ_L)·t/2, evaluated as sech(d) = 2e^{-|d|}/(1 + e^{-2|d|}): the
+    ratio is 0/0 once both probabilities underflow, and cosh overflows.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValidationError("t_max must be positive and finite")
     if steps < 2:
         raise ValidationError("steps must be >= 2")
+    if not math.isfinite(params.delta_m * t_max):
+        raise ValidationError(f"delta_m * t_max must be finite: {params.delta_m!r} * {t_max!r}")
+    dm, half_dgamma = params.delta_m, abs(params.gamma_s - params.gamma_l) / 2.0
     rows = []
     for i in range(steps):
         t = t_max * i / (steps - 1)
         p_same = transition_probability(params, t, "K", "K")
         p_flip = transition_probability(params, t, "K", "Kbar")
-        asym = (p_same - p_flip) / (p_same + p_flip)
+        e = math.exp(-half_dgamma * t)  # e^{-|d|}
+        asym = math.cos(dm * t) * (2.0 * e / (1.0 + e * e))
         rows.append((t, p_same, p_flip, asym))
     return rows

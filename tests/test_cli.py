@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from kaonbraid.cli import fmt, load_config_file, main, parse_state
+from kaonbraid.cli import build_parser, fmt, load_config_file, main, parse_state, resolve
+from kaonbraid.errors import KaonbraidError
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +53,18 @@ class TestConfig:
     def test_bad_flag_value(self, capsys):
         code, _, _ = run_cli(capsys, "oscillate", "--steps", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("text, value", [("yes", True), ("No", False), ("1", True),
+                                             ("FALSE", False), ("maybe", None)])
+    def test_boolean_spellings(self, tmp_path, text, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"uncorrected_b = {text}\n")
+        args = build_parser().parse_args(["verify", "--config", str(cfg)])
+        if value is None:
+            with pytest.raises(KaonbraidError, match=f"'uncorrected_b'.*'{text}'"):
+                resolve(args)
+        else:
+            assert resolve(args)["uncorrected_b"] is value
 
     def test_malformed_number_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -184,7 +197,29 @@ class TestTables:
         code, out, err = run_cli(capsys, "evolve", "--t1", "nan")
         assert code == 2
         assert out == ""
-        assert "times must not be NaN" in err and "t1=nan" in err
+        assert "--t1" in err and "'nan'" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["verify", "--seed", "-1"], ["--seed", "'-1'"]),
+        (["verify", "--tol", "nan"], ["--tol", "'nan'"]),
+        (["verify", "--tol", "inf"], ["--tol", "'inf'"]),
+        (["evolve", "--t1", "inf"], ["--t1", "'inf'"]),
+        (["rho-report", "--t1", "inf"], ["--t1", "'inf'"]),
+        (["evolve", "--t0=-1e308", "--t1=1e308"], ["--t0 -1e+308", "--t1 1e+308"]),
+        (["oscillate", "--dm", "1e300", "--t1", "1e10"], ["delta_m", "1e+300"]),
+    ])
+    def test_boundary_input_rejected(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert all(text in err for text in named), err
+
+    def test_oscillate_asymmetry_survives_underflow(self, capsys):
+        code, out, _ = run_cli(capsys, "oscillate", "--gamma-l", "1", "--t1", "2000")
+        assert code == 0
+        assert all(math.isfinite(float(line.split(",")[3]))
+                   for line in out.splitlines()[1:])
 
     def test_rho_report(self, capsys):
         code, out, _ = run_cli(

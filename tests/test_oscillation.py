@@ -174,6 +174,28 @@ class TestOscillationCurve:
         with pytest.raises(ValidationError):
             oscillation_curve(KaonParams(), -1.0, 10)
 
+    def test_asymmetry_is_ratio_of_probabilities(self):
+        for _ in range(10):
+            p = random_params()
+            for t, p_same, p_flip, asym in oscillation_curve(p, 20.0, 40):
+                assert asym == pytest.approx((p_same - p_flip) / (p_same + p_flip), abs=1e-12)
+
+    @pytest.mark.parametrize("params, t_max", [
+        (KaonParams(gamma_l=1.0), 2000.0),  # both probabilities underflow to 0
+        (KaonParams(), 5000.0),  # the ratio loses relative precision; cosh overflows
+    ])
+    def test_asymmetry_finite_at_long_times(self, params, t_max):
+        for t, _, _, asym in oscillation_curve(params, t_max, 200):
+            d = (params.gamma_s - params.gamma_l) * t / 2.0
+            sech = math.exp(math.log(2.0) - abs(d) - math.log1p(math.exp(-2.0 * abs(d))))
+            expected = math.cos(params.delta_m * t) * sech
+            assert math.isfinite(asym)
+            assert asym == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+    def test_rejects_overflowing_phase(self):
+        with pytest.raises(ValidationError, match="delta_m"):
+            oscillation_curve(KaonParams(m_l=1e300), 1e10, 3)
+
 
 def test_params_validation():
     with pytest.raises(ValidationError):
