@@ -23,8 +23,12 @@ CASES = {
     "evolve-amplitudes": ["evolve", "--phi", "2", "--t1", "3", "--steps", "4",
                           "--state", "0.5,0,0,0.5,0.5,0,0,-0.5"],
     "sweep-phi": ["sweep-phi", "--sign", "minus", "--phi", "1", "--grid", "5"],
+    # 64 points: enough cells that a one-ulp drift in the concurrence or the
+    # correlator arithmetic changes the bytes
+    "sweep-phi-64": ["sweep-phi", "--sign", "minus", "--grid", "64"],
     "rho-report": ["rho-report", "--phi", "0.3", "--t0", "0.5", "--t1", "5", "--steps", "4"],
     "rho-report-default-t0": ["rho-report", "--t1", "3", "--steps", "3"],
+    "rho-report-64": ["rho-report", "--phi", "1.3", "--t0", "0.1", "--t1", "50", "--steps", "64"],
     "oscillate": ["oscillate", "--t1", "20", "--steps", "7"],
 }
 
