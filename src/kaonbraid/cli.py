@@ -45,6 +45,8 @@ def _json_value(v) -> str:
 
     if isinstance(v, str):
         return json.dumps(v)
+    if v is None:
+        return "null"
     if isinstance(v, (bool, int, float, np.integer, np.floating, np.bool_)):
         return fmt(v)
     if isinstance(v, (list, tuple)):
@@ -154,9 +156,9 @@ def linear_grid(lo, hi, n) -> list:
 
 
 def _meta(cfg, command):
-    keys = ("sign", "phi", "t0", "t1", "steps", "grid", "gamma_s", "gamma_l", "dm", "seed")
+    """Command, version and every resolved flag but `out`, so the file says how it was made."""
     meta = {"command": command, "version": __version__}
-    meta.update({k: cfg[k] for k in keys})
+    meta.update({k: cfg[k] for k in FLAGS if k != "out"})
     return meta
 
 

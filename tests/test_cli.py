@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from kaonbraid.cli import build_parser, fmt, load_config_file, main, parse_state, resolve
+from kaonbraid.cli import FLAGS, build_parser, fmt, load_config_file, main, parse_state, resolve
 from kaonbraid.errors import KaonbraidError
 
 
@@ -121,6 +121,14 @@ class TestVerifyCommand:
         assert len(lines) == 18
         assert lines[1].startswith("braid_relation,")
 
+    def test_json_out_meta_echoes_every_flag(self, tmp_path, capsys):
+        out_path = tmp_path / "r.json"
+        code, _, _ = run_cli(capsys, "verify", "--format", "json", "--out", str(out_path))
+        assert code == 0
+        meta = json.loads(out_path.read_text())["meta"]
+        assert list(meta) == ["command", "version", *(k for k in FLAGS if k != "out")]
+        assert meta["tol"] is None and meta["uncorrected_b"] == 0
+
 
 class TestTables:
     def test_oscillate_csv_round_trip(self, tmp_path, capsys):
@@ -192,6 +200,11 @@ class TestTables:
         doc = json.loads(out)
         for row in doc["rows"]:
             assert row[1:9] == [0, 0, 1, 0, 0, 0, 0, 0]
+
+    def test_evolve_meta_names_the_state(self, capsys):
+        metas = [json.loads(run_cli(capsys, "evolve", "--steps", "2", "--state", label,
+                                    "--format", "json")[1])["meta"] for label in ("KK", "KKbar")]
+        assert [m["state"] for m in metas] == ["KK", "KKbar"]
 
     def test_evolve_rejects_nan_time(self, capsys):
         code, out, err = run_cli(capsys, "evolve", "--t1", "nan")
