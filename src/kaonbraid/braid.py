@@ -29,7 +29,8 @@ _I2 = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True)
 class BraidSpec:
-    """Sign variant (plus/minus) and deformation phase φ, canonicalized to [0, 2π)."""
+    """Sign variant (plus/minus) and deformation phase φ, canonicalized to [0, 2π);
+    an array of φ stands for the stack of specs sharing the sign."""
 
     sign: str
     phi: float = 0.0
@@ -37,13 +38,18 @@ class BraidSpec:
     def __post_init__(self):
         if self.sign not in SIGNS:
             raise ValidationError(f"sign must be one of {SIGNS}, got {self.sign!r}")
-        if not math.isfinite(self.phi):
+        phi = np.asarray(self.phi, dtype=float)
+        if not np.isfinite(phi).all():
             raise ValidationError("phi must be finite")
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
+        phi = phi if phi.ndim else float(phi)
+        object.__setattr__(self, "phi", phi % (2.0 * math.pi))
 
     @property
-    def q(self) -> complex:
-        return complex(math.cos(self.phi), math.sin(self.phi))
+    def q(self):
+        """e^{iφ}: a Python complex, or a complex array for an array of φ."""
+        if isinstance(self.phi, float):
+            return complex(math.cos(self.phi), math.sin(self.phi))
+        return np.cos(self.phi) + 1j * np.sin(self.phi)
 
     @property
     def sigma(self) -> int:
@@ -65,22 +71,26 @@ class SpectralPoint:
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
 
+# b±(φ) without its φ-dependent corners (1, 4) and (4, 1), keyed by (sigma, corrected)
+_FIXED = {(s, c): np.array([[1, 0, 0, 0], [0, 1, s, 0], [0, -s, 1, 0 if c else 1], [0, 0, 0, 1]],
+                           dtype=complex) for s in (1, -1) for c in (True, False)}
+
+
 def braid_matrix(spec: BraidSpec, corrected: bool = True) -> np.ndarray:
-    """The unnormalized 4x4 braid matrix b±(φ); satisfies b b† = 2I.
+    """The unnormalized 4x4 braid matrix b±(φ), or the (N, 4, 4) stack for an
+    array of φ; satisfies b b† = 2I.
 
     corrected=False reproduces the misprinted variant with a stray 1 at
     (3, 4), which fails the braid relation (diagnostic use only).
     """
-    q, s = spec.q, spec.sigma
-    return np.array(
-        [
-            [1, 0, 0, q],
-            [0, 1, s, 0],
-            [0, -s, 1, 0 if corrected else 1],
-            [-1 / q, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
+    q, shape = spec.q, getattr(spec.phi, "shape", ())
+    b = np.empty(shape + (4, 4), dtype=complex)
+    b[...] = _FIXED[spec.sigma, corrected]
+    b[..., 0, 3] = q
+    # Python's complex division: numpy's multiplies by a reciprocal and can
+    # differ in the last bit, so a stack would not match its specs one by one
+    b[..., 3, 0] = [-1 / z for z in q.tolist()] if shape else -1 / q
+    return b
 
 
 def unitary_braid(spec: BraidSpec) -> np.ndarray:
@@ -100,15 +110,17 @@ def check_braid_relation(spec: BraidSpec, corrected: bool = True) -> float:
     return braid_relation_residual(braid_matrix(spec, corrected=corrected))
 
 
-def yang_baxterize(spec: BraidSpec, x: float) -> np.ndarray:
+def yang_baxterize(spec: BraidSpec, x) -> np.ndarray:
     """R±(x) = b + x·λ₁λ₂·b⁻¹ with λ₁λ₂ = (1+i)(1-i) = 2; R(0) = b exactly.
 
-    Since b b† = 2I we have 2 b⁻¹ = b†, so R(x) = b + x b†.
+    Since b b† = 2I we have 2 b⁻¹ = b†, so R(x) = b + x b†.  An array of x
+    gives the (N, 4, 4) stack.
     """
-    if not math.isfinite(x) or x < 0:
+    x = np.asarray(x, dtype=float)
+    if not ((x >= 0) & (x < math.inf)).all():
         raise DomainError("spectral parameter x must be finite and >= 0")
     b = braid_matrix(spec)
-    return b + x * b.conj().T
+    return b + x[..., None, None] * b.conj().swapaxes(-1, -2)
 
 
 def check_qybe(spec: BraidSpec, x: float, y: float) -> float:
@@ -116,14 +128,9 @@ def check_qybe(spec: BraidSpec, x: float, y: float) -> float:
     if x < 0 or y < 0:
         raise DomainError("spectral parameters must be >= 0")
 
-    def r1(z):
-        return tensor_product(yang_baxterize(spec, z), _I2)
-
-    def r2(z):
-        return tensor_product(_I2, yang_baxterize(spec, z))
-
-    lhs = r1(x) @ r2(x * y) @ r1(y)
-    rhs = r2(y) @ r1(x * y) @ r2(x)
+    rx, ry, rxy = yang_baxterize(spec, [x, y, x * y])
+    lhs = tensor_product(rx, _I2) @ tensor_product(_I2, rxy) @ tensor_product(ry, _I2)
+    rhs = tensor_product(_I2, ry) @ tensor_product(rxy, _I2) @ tensor_product(_I2, rx)
     return frobenius(lhs - rhs)
 
 
@@ -136,27 +143,39 @@ def unitary_r(point: SpectralPoint, sign: str = "plus") -> np.ndarray:
     return math.cos(point.theta) * bt + math.sin(point.theta) * bt.conj().T
 
 
-def rho_check(spec: BraidSpec, t: float) -> tuple[bool, complex, float]:
+def _positive_t(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if not (t > 0).all():
+        raise DomainError(f"t must be > 0, got t = {float(t[~(t > 0)].flat[0])!r}")
+    return t
+
+
+def rho_check(spec: BraidSpec, t):
     """Inversion relation ϱ = R(t)·R(1/t) from the unnormalized R.
 
     Returns (is_scalar, scalar, residual) where scalar is the mean diagonal
     entry and residual = ||ϱ - scalar·I||_F.  The closed form is
-    ϱ = 2(t + 1/t)·I, independent of φ.
+    ϱ = 2(t + 1/t)·I, independent of φ.  A number t gives (bool, complex,
+    float); an array of t gives three arrays, and any t <= 0 raises.
     """
-    if t <= 0:
-        raise DomainError("rho_check requires t > 0")
-    rho = yang_baxterize(spec, t) @ yang_baxterize(spec, 1.0 / t)
-    scalar = complex(np.trace(rho)) / 4.0
-    residual = frobenius(rho - scalar * np.eye(4))
-    off = frobenius(rho - np.diag(np.diag(rho)))
-    spread = float(np.max(np.abs(np.diag(rho) - scalar)))
-    return (off < 1e-12 and spread < 1e-12), scalar, residual
+    t = _positive_t(t)
+    with np.errstate(over="ignore"):  # 1/t = inf, which yang_baxterize rejects
+        t_inv = 1.0 / t
+    rho = yang_baxterize(spec, t) @ yang_baxterize(spec, t_inv)
+    diag = np.diagonal(rho, axis1=-2, axis2=-1)
+    scalar = np.trace(rho, axis1=-2, axis2=-1) / 4.0
+    residual = frobenius(rho - scalar[..., None, None] * np.eye(4))
+    off = frobenius(rho - diag[..., None] * np.eye(4))
+    spread = np.max(np.abs(diag - scalar[..., None]), axis=-1)
+    ok = (off < 1e-12) & (spread < 1e-12)
+    return (ok, scalar, residual) if t.ndim else (bool(ok), complex(scalar), residual)
 
 
-def rho_printed_formula(spec: BraidSpec, t: float) -> complex:
+def rho_printed_formula(spec: BraidSpec, t):
     """The scalar q² + q⁻² - t - 1/t as printed in the source; kept for the
-    side-by-side discrepancy report (direct computation gives 2(t + 1/t))."""
-    if t <= 0:
-        raise DomainError("requires t > 0")
+    side-by-side discrepancy report (direct computation gives 2(t + 1/t)).
+    An array of t gives an array."""
+    t = _positive_t(t)
     q = spec.q
-    return q**2 + q**-2 - t - 1.0 / t
+    value = q**2 + q**-2 - t - 1.0 / t
+    return value if t.ndim else complex(value)

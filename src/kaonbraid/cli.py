@@ -142,17 +142,19 @@ def resolve(args) -> dict:
             cfg[key] = flag_value(key, raw, f"config key {key!r}")
     for key in FLAGS:
         raw = getattr(args, key)
+        if raw == []:  # argparse drops the text of "--flag=--" and hands over []
+            raw = "--"
         if raw is not None:
             cfg[key] = flag_value(key, raw, "--" + key.replace("_", "-"))
     return cfg
 
 
-def linear_grid(lo, hi, n) -> list:
+def linear_grid(lo, hi, n) -> np.ndarray:
     """n evenly spaced points from lo to hi; only a time range can overflow hi - lo."""
     width = hi - lo
     if not math.isfinite(width):
         raise KaonbraidError(f"--t0 {lo!r} and --t1 {hi!r} are too far apart: t1 - t0 overflows")
-    return [lo + width * i / (n - 1) for i in range(n)]
+    return lo + width * np.arange(n) / (n - 1)
 
 
 def _meta(cfg, command):
@@ -230,7 +232,7 @@ def cmd_evolve(cfg) -> int:
     columns = ["t", "re_a0", "im_a0", "re_a1", "im_a1", "re_a2", "im_a2",
                "re_a3", "im_a3", "norm"]
     rows = []
-    for t in linear_grid(t0, t1, steps):
+    for t in linear_grid(t0, t1, steps).tolist():
         psi = dynamics.evolve_state(psi0, spec, t0, t)
         amps = [part for a in psi.amplitudes for part in (a.real, a.imag)]
         rows.append([t, *amps, float(np.linalg.norm(psi.vector))])
@@ -248,20 +250,19 @@ def cmd_evolve(cfg) -> int:
 
 
 def cmd_sweep_phi(cfg) -> int:
-    spec_sign = cfg["sign"]
+    phi = linear_grid(0.0, 2.0 * math.pi, cfg["grid"])
+    # row i of b̃(φ) is the image of basis state i
+    images = braid.unitary_braid(BraidSpec(cfg["sign"], phi)).reshape(-1, 4)
+    deformed = states.deformed_bell(phi)
     s_op, cp = states.strangeness_op(), states.cp_op()
+    table = np.column_stack([
+        phi,
+        states.concurrence(images).reshape(-1, 4),
+        states.correlation(deformed, cp, cp),
+        states.correlation(deformed, s_op, s_op),
+    ])
     columns = ["phi", "c1", "c2", "c3", "c4", "corr_cp", "corr_s"]
-    rows = []
-    for phi in linear_grid(0.0, 2.0 * math.pi, cfg["grid"]):
-        images = states.braid_action_images(BraidSpec(spec_sign, phi))
-        deformed = states.deformed_bell(phi)
-        rows.append([
-            phi,
-            *(states.concurrence(img) for img in images),
-            states.correlation(deformed, cp, cp),
-            states.correlation(deformed, s_op, s_op),
-        ])
-    _emit(cfg, "sweep-phi", columns, rows)
+    _emit(cfg, "sweep-phi", columns, table.tolist())
     return EXIT_OK
 
 
@@ -276,23 +277,19 @@ def cmd_oscillate(cfg) -> int:
 
 def cmd_rho_report(cfg) -> int:
     spec = BraidSpec(cfg["sign"], cfg["phi"])
-    t0 = cfg["t0"] if cfg["t0"] > 0 else 0.5
-    t_values = linear_grid(t0, cfg["t1"], cfg["steps"])
-    if any(t <= 0 for t in t_values):
-        raise KaonbraidError("rho-report requires a positive t grid")
+    t = linear_grid(cfg["t0"] if cfg["t0"] > 0 else 0.5, cfg["t1"], cfg["steps"])
+    ok, scalar, _ = braid.rho_check(spec, t)
+    _, scalar_inv, _ = braid.rho_check(spec, 1.0 / t)
+    printed = braid.rho_printed_formula(spec, t)
+    gap, inversion = scalar - printed, scalar - scalar_inv
+    # np.hypot is Python's abs() of a complex bit for bit; np.abs is not
+    table = np.column_stack([
+        t, ok, scalar.real, 2.0 * (t + 1.0 / t), printed.real,
+        np.hypot(gap.real, gap.imag), np.hypot(inversion.real, inversion.imag),
+    ])
     columns = ["t", "is_scalar", "scalar", "closed_form", "printed_formula",
                "discrepancy", "inversion_symmetry"]
-    rows = []
-    for t in t_values:
-        ok, scalar, _ = braid.rho_check(spec, t)
-        _, scalar_inv, _ = braid.rho_check(spec, 1.0 / t)
-        printed = braid.rho_printed_formula(spec, t)
-        closed = 2.0 * (t + 1.0 / t)
-        rows.append([
-            t, int(ok), scalar.real, closed, printed.real,
-            abs(scalar - printed), abs(scalar - scalar_inv),
-        ])
-    _emit(cfg, "rho-report", columns, rows)
+    _emit(cfg, "rho-report", columns, table.tolist())
     return EXIT_OK
 
 

@@ -7,7 +7,6 @@ middle components the other way round are translated at the boundary.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,26 @@ BASIS_LABELS = ("KK", "KKbar", "KbarK", "KbarKbar")
 NORM_TOL = 1e-9
 
 _SQ2 = math.sqrt(2.0)
+
+
+def state_stack(psi) -> np.ndarray:
+    """Validate 4 amplitudes or an (N, 4) stack of them once, with TwoKaonState's
+    checks and messages; return the (N, 4) array.  A TwoKaonState is not rechecked.
+    (TwoKaonState keeps its own checks, which cost less on one vector: `evolve`
+    makes one state per time step.)"""
+    if isinstance(psi, TwoKaonState):
+        return psi.vector[None, :]
+    a = np.asarray(psi, dtype=complex)
+    if a.ndim not in (1, 2) or a.shape[-1] != 4:
+        raise ValidationError("a two-kaon state needs exactly 4 amplitudes")
+    a = a.reshape(-1, 4)
+    if not np.isfinite(a).all():
+        raise ValidationError("amplitudes must be finite")
+    norms = np.sqrt(np.vecdot(a, a).real)
+    off = np.abs(norms - 1.0) > NORM_TOL
+    if off.any():
+        raise ValidationError(f"state is not normalized: ||a|| = {norms[off][0]:.12g}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -98,10 +117,19 @@ def apply_rbar(coeffs, state: TwoKaonState) -> TwoKaonState:
     return TwoKaonState(rbar_matrix(coeffs) @ state.vector)
 
 
-def concurrence(state: TwoKaonState) -> float:
-    """C = 2|a0·a3 - a1·a2| in canonical order; 0 iff decomposable, 1 for Bell states."""
-    a0, a1, a2, a3 = state.amplitudes
-    return min(1.0, 2.0 * abs(a0 * a3 - a1 * a2))
+def concurrence(psi):
+    """C = 2|a0·a3 - a1·a2| in canonical order; 0 iff decomposable, 1 for Bell states.
+
+    A TwoKaonState gives a float; amplitudes (see state_stack) give an (N,) array.
+    """
+    a = state_stack(psi).T
+    re, im = a.real, a.imag
+    # a0·a3 - a1·a2 in real arithmetic, then np.hypot: numpy's complex multiply
+    # and complex abs (SIMD) can differ in the last bit from Python's
+    det_re = (re[0] * re[3] - im[0] * im[3]) - (re[1] * re[2] - im[1] * im[2])
+    det_im = (re[0] * im[3] + im[0] * re[3]) - (re[1] * im[2] + im[1] * re[2])
+    c = np.minimum(1.0, 2.0 * np.hypot(det_re, det_im))
+    return float(c[0]) if isinstance(psi, TwoKaonState) else c
 
 
 def is_separable(state: TwoKaonState, tol: float = 1e-9) -> bool:
@@ -124,9 +152,15 @@ def bell_quartet() -> list[TwoKaonState]:
     ]
 
 
-def deformed_bell(phi: float) -> TwoKaonState:
-    """(|KK⟩ + e^{iφ}|K̄K̄⟩)/√2: the φ-deformed first Bell state."""
-    return TwoKaonState([1 / _SQ2, 0, 0, cmath.exp(1j * phi) / _SQ2])
+def deformed_bell(phi):
+    """(|KK⟩ + e^{iφ}|K̄K̄⟩)/√2: the φ-deformed first Bell state, a TwoKaonState;
+    an array of φ gives the (N, 4) amplitude stack."""
+    phi = np.asarray(phi, dtype=float)
+    a = np.zeros(phi.shape + (4,), dtype=complex)
+    a[..., 0] = 1 / _SQ2
+    a[..., 3].real = np.cos(phi) / _SQ2
+    a[..., 3].imag = np.sin(phi) / _SQ2
+    return a if phi.ndim else TwoKaonState(a)
 
 
 def braid_action_images(spec: BraidSpec) -> list[TwoKaonState]:
@@ -166,12 +200,17 @@ def cp_s_eigentable() -> list[tuple[str, float, float]]:
     return table
 
 
-def correlation(state: TwoKaonState, op_a, op_b) -> float:
-    """⟨Ψ| A⊗B |Ψ⟩ for Hermitian single-kaon operators A, B."""
+def correlation(psi, op_a, op_b):
+    """⟨Ψ| A⊗B |Ψ⟩ for Hermitian single-kaon operators A, B.
+
+    A TwoKaonState gives a float; amplitudes (see state_stack) give an (N,) array.
+    """
     op_a = as_matrix(op_a, 2)
     op_b = as_matrix(op_b, 2)
     if hermiticity_residual(op_a) > 1e-12 or hermiticity_residual(op_b) > 1e-12:
         raise ValidationError("correlation requires Hermitian operators")
-    v = state.vector
-    value = complex(np.vdot(v, tensor_product(op_a, op_b) @ v))
-    return float(value.real)
+    v = state_stack(psi)
+    # stacked matmul, not einsum: each row then sums in np.vdot's order
+    w = tensor_product(op_a, op_b) @ v[:, :, None]
+    values = (v.conj()[:, None, :] @ w)[:, 0, 0].real
+    return float(values[0]) if isinstance(psi, TwoKaonState) else values

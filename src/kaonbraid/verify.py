@@ -214,13 +214,12 @@ def check_separability(seed: int) -> CheckResult:
 
 
 def check_deformation_sweep(grid: int = 41) -> CheckResult:
-    worst = 0.0
     s_op, cp = states.strangeness_op(), states.cp_op()
-    for phi in np.linspace(0.0, 2 * math.pi, grid):
-        psi = states.deformed_bell(phi)
-        worst = max(worst, abs(states.correlation(psi, cp, cp) - math.cos(phi)))
-        worst = max(worst, abs(states.correlation(psi, s_op, s_op) - 1.0))
-        worst = max(worst, abs(states.concurrence(psi) - 1.0))
+    phi = np.linspace(0.0, 2 * math.pi, grid)
+    psi = states.deformed_bell(phi)
+    worst = float(max(np.max(np.abs(states.correlation(psi, cp, cp) - np.cos(phi))),
+                      np.max(np.abs(states.correlation(psi, s_op, s_op) - 1.0)),
+                      np.max(np.abs(states.concurrence(psi) - 1.0))))
     return CheckResult(
         "deformation_sweep",
         worst,
@@ -232,12 +231,11 @@ def check_deformation_sweep(grid: int = 41) -> CheckResult:
 def check_rho() -> CheckResult:
     worst = 0.0
     notes = []
+    t = np.array([0.5, 1.0, 2.0, 5.0])
     for spec in _specs((0.0, 1.0, math.pi / 2)):
-        for t in (0.5, 1.0, 2.0, 5.0):
-            ok, scalar, residual = braid.rho_check(spec, t)
-            worst = max(worst, residual, abs(scalar - 2.0 * (t + 1.0 / t)))
-            if not ok:
-                worst = max(worst, 1.0)
+        ok, scalar, residual = braid.rho_check(spec, t)
+        gap = scalar - 2.0 * (t + 1.0 / t)
+        worst = max(worst, *residual, *np.hypot(gap.real, gap.imag), 0.0 if ok.all() else 1.0)
     printed = braid.rho_printed_formula(BraidSpec("plus", 0.0), 1.0)
     notes.append(f"computed 2(t+1/t); printed formula gives {printed.real:g} at t=1, phi=0")
     return CheckResult("rho_inversion", worst, 1e-12, "; ".join(notes))

@@ -218,8 +218,11 @@ class TestTables:
         (["verify", "--tol", "inf"], ["--tol", "'inf'"]),
         (["evolve", "--t1", "inf"], ["--t1", "'inf'"]),
         (["rho-report", "--t1", "inf"], ["--t1", "'inf'"]),
+        # the grid 0.5, -1.33, -3.17, -5 has non-positive t: rho_check rejects it whole
+        (["rho-report", "--t1", "-5", "--steps", "4"], ["t must be > 0", "-1.33"]),
         (["evolve", "--t0=-1e308", "--t1=1e308"], ["--t0 -1e+308", "--t1 1e+308"]),
         (["oscillate", "--dm", "1e300", "--t1", "1e10"], ["delta_m", "1e+300"]),
+        (["bell", "--dm=--"], ["--dm", "'--'"]),
     ])
     def test_boundary_input_rejected(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
