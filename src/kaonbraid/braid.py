@@ -30,10 +30,11 @@ _I2 = np.eye(2, dtype=complex)
 @dataclass(frozen=True)
 class BraidSpec:
     """Sign variant (plus/minus) and deformation phase φ, canonicalized to [0, 2π);
-    an array of φ stands for the stack of specs sharing the sign."""
+    an array of φ stands for the stack of specs sharing the sign.  Such a spec
+    can be neither hashed nor compared with ==."""
 
     sign: str
-    phi: float = 0.0
+    phi: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.sign not in SIGNS:
@@ -128,9 +129,14 @@ def check_qybe(spec: BraidSpec, x: float, y: float) -> float:
     if x < 0 or y < 0:
         raise DomainError("spectral parameters must be >= 0")
 
-    rx, ry, rxy = yang_baxterize(spec, [x, y, x * y])
-    lhs = tensor_product(rx, _I2) @ tensor_product(_I2, rxy) @ tensor_product(ry, _I2)
-    rhs = tensor_product(_I2, ry) @ tensor_product(rxy, _I2) @ tensor_product(_I2, rx)
+    def r1(z):
+        return tensor_product(yang_baxterize(spec, z), _I2)
+
+    def r2(z):
+        return tensor_product(_I2, yang_baxterize(spec, z))
+
+    lhs = r1(x) @ r2(x * y) @ r1(y)
+    rhs = r2(y) @ r1(x * y) @ r2(x)
     return frobenius(lhs - rhs)
 
 

@@ -136,6 +136,17 @@ def test_concurrence_invariant_under_local_unitaries(psi, u, v):
     assert np.max(np.abs(concurrence(rotated) - concurrence(psi))) <= 1e-12
 
 
+def test_phi_array_spec_is_a_stack_not_a_key():
+    """A spec over an array of φ cannot be hashed or reduce == to one bool, so
+    it cannot key a cache or a set; a spec over one φ can."""
+    stack = BraidSpec("plus", np.array([0.0, 1.0]))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(stack)
+    with pytest.raises(ValueError, match="ambiguous"):
+        stack == BraidSpec("plus", np.array([0.0, 1.0]))
+    assert {BraidSpec("plus", 1.0)} == {BraidSpec("plus", 1.0 + 2 * math.pi)}
+
+
 class TestValidation:
     @settings(deadline=None)
     @given(psi=state_stacks(), data=st.data(),
