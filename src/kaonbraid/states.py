@@ -122,14 +122,16 @@ def concurrence(psi):
     return float(c[0]) if isinstance(psi, TwoKaonState) else c
 
 
-def is_separable(state: TwoKaonState, tol: float = 1e-9) -> bool:
-    """True iff the concurrence is at most tol."""
-    return concurrence(state) <= tol
+def is_separable(psi, tol: float = 1e-9):
+    """True iff the concurrence is at most tol; a stack gives an (N,) bool array."""
+    return concurrence(psi) <= tol
 
 
-def schmidt_coefficients(state: TwoKaonState) -> np.ndarray:
-    """Singular values of the 2x2 amplitude matrix (independent separability oracle)."""
-    return np.linalg.svd(state.amplitude_matrix(), compute_uv=False)
+def schmidt_coefficients(psi) -> np.ndarray:
+    """Singular values of the 2x2 amplitude matrix (independent separability
+    oracle); a stack gives them row by row, (N, 2)."""
+    s = np.linalg.svd(state_stack(psi).reshape(-1, 2, 2), compute_uv=False)
+    return s[0] if isinstance(psi, TwoKaonState) else s
 
 
 def bell_quartet() -> list[TwoKaonState]:

@@ -31,6 +31,8 @@ from kaonbraid.states import (
     concurrence,
     correlation,
     deformed_bell,
+    is_separable,
+    schmidt_coefficients,
     state_stack,
 )
 
@@ -76,6 +78,17 @@ class TestStackEqualsRows:
             single = TwoKaonState(row)
             a0, a1, a2, a3 = single.amplitudes
             assert value == concurrence(single) == min(1.0, 2.0 * abs(a0 * a3 - a1 * a2))
+
+    @settings(deadline=None)
+    @given(psi=state_stacks())
+    def test_schmidt_coefficients_and_is_separable(self, psi):
+        stacked, separable = schmidt_coefficients(psi), is_separable(psi, 1e-8)
+        for row, s, sep in zip(psi, stacked, separable):
+            single = TwoKaonState(row)
+            reference = np.linalg.svd(row.reshape(2, 2), compute_uv=False)
+            assert np.array_equal(s, schmidt_coefficients(single))
+            assert np.array_equal(s, reference)
+            assert sep == is_separable(single, 1e-8)
 
     @settings(deadline=None)
     @given(psi=state_stacks(), op_a=hermitian_2x2(), op_b=hermitian_2x2())
