@@ -59,10 +59,6 @@ class TwoKaonState:
         """⟨self|other⟩."""
         return complex(np.vdot(self.vector, other.vector))
 
-    def amplitude_matrix(self) -> np.ndarray:
-        """2x2 matrix [[a0, a1], [a2, a3]]: first-kaon index = row."""
-        return self.vector.reshape(2, 2)
-
 
 def canonical_basis() -> list[TwoKaonState]:
     """The four coordinate states in canonical order."""
@@ -128,8 +124,8 @@ def is_separable(psi, tol: float = 1e-9):
 
 
 def schmidt_coefficients(psi) -> np.ndarray:
-    """Singular values of the 2x2 amplitude matrix (independent separability
-    oracle); a stack gives them row by row, (N, 2)."""
+    """Singular values of the amplitude matrix [[a0, a1], [a2, a3]] (first-kaon
+    index = row), an independent separability oracle; a stack gives (N, 2)."""
     s = np.linalg.svd(state_stack(psi).reshape(-1, 2, 2), compute_uv=False)
     return s[0] if isinstance(psi, TwoKaonState) else s
 
