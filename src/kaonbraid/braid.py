@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .linalg import frobenius, tensor_product
+from .linalg import elementwise, frobenius, tensor_product
 
 SIGNS = ("plus", "minus")
 
@@ -59,17 +59,21 @@ class BraidSpec:
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """Spectral parameter x >= 0 with derived angle θ = arctan x and phase φ."""
+    """Spectral parameter x >= 0 with derived angle θ = arctan x and phase φ;
+    arrays of x and φ that broadcast together stand for the grid of points
+    (as with BraidSpec, such a point can be neither hashed nor compared)."""
 
-    x: float
-    phi: float = 0.0
-    theta: float = field(init=False)
+    x: float | np.ndarray
+    phi: float | np.ndarray = 0.0
+    theta: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.x) or self.x < 0:
+        x = np.asarray(self.x, dtype=float)
+        if not ((x >= 0) & (x < math.inf)).all():
             raise DomainError("spectral parameter x must be finite and >= 0")
-        object.__setattr__(self, "theta", math.atan(self.x))
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
+        phi = np.asarray(self.phi, dtype=float)
+        object.__setattr__(self, "theta", elementwise(math.atan, self.x))
+        object.__setattr__(self, "phi", (phi if phi.ndim else float(phi)) % (2.0 * math.pi))
 
 
 # b±(φ) without its φ-dependent corners (1, 4) and (4, 1), keyed by (sigma, corrected)
@@ -90,7 +94,7 @@ def braid_matrix(spec: BraidSpec, corrected: bool = True) -> np.ndarray:
     b[..., 0, 3] = q
     # Python's complex division: numpy's multiplies by a reciprocal and can
     # differ in the last bit, so a stack would not match its specs one by one
-    b[..., 3, 0] = [-1 / z for z in q.tolist()] if shape else -1 / q
+    b[..., 3, 0] = np.reshape([-1 / z for z in q.ravel().tolist()], shape) if shape else -1 / q
     return b
 
 
@@ -124,29 +128,28 @@ def yang_baxterize(spec: BraidSpec, x) -> np.ndarray:
     return b + x[..., None, None] * b.conj().swapaxes(-1, -2)
 
 
-def check_qybe(spec: BraidSpec, x: float, y: float) -> float:
-    """Residual of R₁(x)R₂(xy)R₁(y) = R₂(y)R₁(xy)R₂(x) on (C²)⊗³."""
-    if x < 0 or y < 0:
+def check_qybe(spec: BraidSpec, x, y):
+    """Residual ||R₁(x)R₂(xy)R₁(y) - R₂(y)R₁(xy)R₂(x)||_F on (C²)⊗³; arrays of
+    x and y give the (N,) residuals, from one R stack per argument."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if (x < 0).any() or (y < 0).any():
         raise DomainError("spectral parameters must be >= 0")
-
-    def r1(z):
-        return tensor_product(yang_baxterize(spec, z), _I2)
-
-    def r2(z):
-        return tensor_product(_I2, yang_baxterize(spec, z))
-
-    lhs = r1(x) @ r2(x * y) @ r1(y)
-    rhs = r2(y) @ r1(x * y) @ r2(x)
+    r_x, r_y, r_xy = (yang_baxterize(spec, z) for z in (x, y, x * y))
+    lhs = tensor_product(r_x, _I2) @ tensor_product(_I2, r_xy) @ tensor_product(r_y, _I2)
+    rhs = tensor_product(_I2, r_y) @ tensor_product(r_xy, _I2) @ tensor_product(_I2, r_x)
     return frobenius(lhs - rhs)
 
 
 def unitary_r(point: SpectralPoint, sign: str = "plus") -> np.ndarray:
     """R̃±(θ, φ) = cosθ·b̃ + sinθ·b̃⁻¹, built from the unitary b̃ (b̃⁻¹ = b̃†).
 
-    Unitary for all (θ, φ); equals b̃ at θ = 0.
+    Unitary for all (θ, φ); equals b̃ at θ = 0.  A grid point gives the stack
+    of shape broadcast(θ, φ) + (4, 4), from one b̃ per φ.
     """
     bt = unitary_braid(BraidSpec(sign, point.phi))
-    return math.cos(point.theta) * bt + math.sin(point.theta) * bt.conj().T
+    cos, sin = (np.asarray(elementwise(f, point.theta))[..., None, None]
+                for f in (math.cos, math.sin))
+    return cos * bt + sin * bt.conj().swapaxes(-1, -2)
 
 
 def _positive_t(t) -> np.ndarray:
@@ -165,8 +168,10 @@ def rho_check(spec: BraidSpec, t):
     float); an array of t gives three arrays, and any t <= 0 raises.
     """
     t = _positive_t(t)
-    with np.errstate(over="ignore"):  # 1/t = inf, which yang_baxterize rejects
+    with np.errstate(over="ignore"):
         t_inv = 1.0 / t
+    if np.isinf(t_inv).any():
+        raise DomainError(f"t = {float(t[np.isinf(t_inv)].flat[0])!r} is too small: 1/t overflows")
     rho = yang_baxterize(spec, t) @ yang_baxterize(spec, t_inv)
     diag = np.diagonal(rho, axis1=-2, axis2=-1)
     scalar = np.trace(rho, axis1=-2, axis2=-1) / 4.0

@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__, braid, dynamics, oscillation, states, verify
 from .braid import BraidSpec
 from .errors import KaonbraidError
+from .linalg import frobenius
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -231,11 +232,10 @@ def cmd_evolve(cfg) -> int:
     t0, t1, steps = cfg["t0"], cfg["t1"], cfg["steps"]
     columns = ["t", "re_a0", "im_a0", "re_a1", "im_a1", "re_a2", "im_a2",
                "re_a3", "im_a3", "norm"]
-    rows = []
-    for t in linear_grid(t0, t1, steps).tolist():
-        psi = dynamics.evolve_state(psi0, spec, t0, t)
-        amps = [part for a in psi.amplitudes for part in (a.real, a.imag)]
-        rows.append([t, *amps, float(np.linalg.norm(psi.vector))])
+    t = linear_grid(t0, t1, steps)
+    psi = dynamics.propagator(spec, t0, t) @ psi0.vector
+    # a complex (N, 4) array read as float is (N, 8): re_a0, im_a0, re_a1, ...
+    table = np.column_stack([t, psi.view(float), frobenius(psi[:, None, :])])
     final = dynamics.evolve_state(psi0, spec, t0, t1)
     round_trip = dynamics.evolve_state(final, spec, t1, t0)
     extra = {
@@ -245,7 +245,7 @@ def cmd_evolve(cfg) -> int:
             psi0, spec, (t0 + t1) / 2.0 if t0 != t1 else t0, dt=1e-5
         ),
     }
-    _emit(cfg, "evolve", columns, rows, extra)
+    _emit(cfg, "evolve", columns, table.tolist(), extra)
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .braid import BraidSpec, SpectralPoint, unitary_braid, unitary_r
 from .errors import DomainError
+from .linalg import elementwise
 from .states import TwoKaonState
 
 
@@ -40,15 +41,21 @@ def hamiltonian_at(spec: BraidSpec, t: float) -> np.ndarray:
     return envelope(t) * hamiltonian_generator(spec)
 
 
-def propagator(spec: BraidSpec, t0: float, t1: float) -> np.ndarray:
+def propagator(spec: BraidSpec, t0: float, t1) -> np.ndarray:
     """Exact unitary propagator cos α·I - i·sin α·H₀, α = arctan t1 - arctan t0.
 
-    Infinite times are allowed (arctan ±∞ = ±π/2); NaN raises DomainError.
+    An array of t1 gives the (N, 4, 4) stack, from one H₀.  Infinite times are
+    allowed (arctan ±∞ = ±π/2); NaN raises DomainError.
     """
-    if math.isnan(t0) or math.isnan(t1):
-        raise DomainError(f"times must not be NaN: t0={t0}, t1={t1}")
-    angle = math.atan(t1) - math.atan(t0)
-    return math.cos(angle) * np.eye(4) - 1j * math.sin(angle) * hamiltonian_generator(spec)
+    t1 = np.asarray(t1, dtype=float)
+    nan = np.isnan(t1)
+    if math.isnan(t0) or nan.any():
+        raise DomainError(f"times must not be NaN: t0={t0}, t1={float(t1.flat[nan.argmax()])}")
+    # math, not numpy, per element: each row then has the bits of its own call
+    angle = elementwise(math.atan, t1) - math.atan(t0)
+    cos, sin = elementwise(math.cos, angle), elementwise(math.sin, angle)
+    h0 = hamiltonian_generator(spec)
+    return np.multiply.outer(cos, np.eye(4)) - np.multiply.outer(1j * sin, h0)
 
 
 def evolve_state(
@@ -65,9 +72,9 @@ def schrodinger_residual(
     trajectory starting from state0 at time 0."""
     if not 0 < dt <= 1e-3:
         raise ValueError("dt must satisfy 0 < dt <= 1e-3")
-    psi = lambda s: propagator(spec, 0.0, s) @ state0.vector
-    deriv = 1j * (psi(t + dt) - psi(t - dt)) / (2.0 * dt)
-    return float(np.linalg.norm(deriv - hamiltonian_at(spec, t) @ psi(t)))
+    ahead, behind, now = propagator(spec, 0.0, [t + dt, t - dt, t]) @ state0.vector
+    deriv = 1j * (ahead - behind) / (2.0 * dt)
+    return float(np.linalg.norm(deriv - hamiltonian_at(spec, t) @ now))
 
 
 def r_vs_hamiltonian_consistency(spec: BraidSpec, t: float) -> float:

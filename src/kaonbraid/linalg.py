@@ -2,7 +2,8 @@
 norm-based predicates.
 
 Everything here works on plain numpy arrays of shape (d, d) with
-d in {2, 4, 8}.  All functions are pure; nothing mutates its inputs.
+d in {2, 4, 8}, or on (N, d, d) stacks of them.  All functions are pure;
+nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -15,22 +16,38 @@ ALLOWED_DIMS = (2, 4, 8)
 
 
 def as_matrix(m, dim: int | None = None) -> np.ndarray:
-    """Validate and return m as a complex square matrix of an allowed dimension."""
+    """Validate and return m as a complex square matrix of an allowed dimension,
+    or as an (N, d, d) stack of them."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] not in ALLOWED_DIMS:
-        raise DimensionError(f"unsupported dimension {a.shape[0]}; allowed: {ALLOWED_DIMS}")
-    if dim is not None and a.shape[0] != dim:
-        raise DimensionError(f"expected dimension {dim}, got {a.shape[0]}")
+    d = a.shape[-1]
+    if d not in ALLOWED_DIMS:
+        raise DimensionError(f"unsupported dimension {d}; allowed: {ALLOWED_DIMS}")
+    if dim is not None and d != dim:
+        raise DimensionError(f"expected dimension {dim}, got {d}")
     if not np.isfinite(a).all():
         raise DimensionError("matrix contains non-finite entries")
     return a
 
 
+def elementwise(f, a):
+    """A math-module function f of each element of a: a float for a number,
+    an array of a's shape for an array.
+
+    numpy's ufuncs are not math's bit for bit (numpy 2.4.6, 400,000 uniform
+    draws: np.arctan differs from math.atan on 549 in [-10, 10], np.tan from
+    math.tan on 2,022 in [-π/2, π/2]), so angles that a stack must share with
+    its points taken one by one go through math."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0:
+        return f(a)
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
 def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return as_matrix(m).conj().swapaxes(-1, -2)
 
 
 def frobenius(m):
@@ -46,22 +63,24 @@ def frobenius(m):
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two matrices; the product dimension must be 4 or 8."""
+    """Kronecker product of two matrices, or of two (N, ·, ·) stacks pair by pair
+    (either side may be one matrix); the product dimension must be 4 or 8."""
     a = as_matrix(a)
     b = as_matrix(b)
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim not in (4, 8):
+    p, q = a.shape[-1], b.shape[-1]
+    if p * q not in (4, 8):
         raise DimensionError(
-            f"tensor product of dims {a.shape[0]} and {b.shape[0]} gives "
-            f"unsupported dimension {out_dim}"
+            f"tensor product of dims {p} and {q} gives unsupported dimension {p * q}"
         )
-    return np.kron(a, b)
+    # entry (i·q + k, j·q + l) is a_ij·b_kl, the one multiply np.kron makes
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (p * q, p * q))
 
 
-def unitarity_residual(m) -> float:
-    """||m m† - I||_F."""
+def unitarity_residual(m):
+    """||m m† - I||_F, or an (N,) array of them for an (N, d, d) stack."""
     m = as_matrix(m)
-    return frobenius(m @ m.conj().T - np.eye(m.shape[0]))
+    return frobenius(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-1]))
 
 
 def is_unitary(m, tol: float = 1e-12) -> tuple[bool, float]:
@@ -70,10 +89,10 @@ def is_unitary(m, tol: float = 1e-12) -> tuple[bool, float]:
     return r <= tol, r
 
 
-def hermiticity_residual(m) -> float:
-    """||m - m†||_F."""
+def hermiticity_residual(m):
+    """||m - m†||_F, or an (N,) array of them for an (N, d, d) stack."""
     m = as_matrix(m)
-    return frobenius(m - m.conj().T)
+    return frobenius(m - m.conj().swapaxes(-1, -2))
 
 
 def is_hermitian(m, tol: float = 1e-12) -> tuple[bool, float]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import braid, dynamics, oscillation, states
 from .braid import BraidSpec, SpectralPoint
-from .linalg import frobenius, hermiticity_residual, unitarity_residual
+from .linalg import elementwise, frobenius, hermiticity_residual, unitarity_residual
 
 PHI_SET = (0.0, math.pi / 7, math.pi / 3, 1.0, math.pi / 2, 2.5)
 QYBE_PHI_SET = (0.0, 1.1, math.pi / 2)
@@ -71,12 +71,9 @@ def check_qybe(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     draws = rng.uniform(0.0, 10.0, size=(100, 2))
     draws[draws == 0.0] = 10.0  # open interval (0, 10]
-    worst = 0.0
-    for sign in braid.SIGNS:
-        for phi in QYBE_PHI_SET:
-            spec = BraidSpec(sign, phi)
-            for x, y in draws:
-                worst = max(worst, braid.check_qybe(spec, x, y))
+    # one (sign, φ) at a time: each stack of 100 8x8 products stays small
+    worst = max(float(braid.check_qybe(spec, draws[:, 0], draws[:, 1]).max())
+                for spec in _specs(QYBE_PHI_SET))
     return CheckResult("qybe", worst, 1e-10, "100 seeded (x,y) per sign and phi")
 
 
@@ -91,13 +88,10 @@ def check_asymptotic() -> CheckResult:
 def check_unitarity_grid() -> CheckResult:
     thetas = np.linspace(0.0, math.pi / 2, 20, endpoint=False)
     phis = np.linspace(0.0, 2 * math.pi, 20, endpoint=False)
-    worst = 0.0
-    for sign in braid.SIGNS:
-        for th in thetas:
-            x = math.tan(th)
-            for ph in phis:
-                r = braid.unitary_r(SpectralPoint(x, ph), sign)
-                worst = max(worst, unitarity_residual(r))
+    # θ down, φ across; math.tan per element, as the points were built one by one
+    grid = SpectralPoint(elementwise(math.tan, thetas)[:, None], phis)
+    worst = max(float(unitarity_residual(braid.unitary_r(grid, sign)).max())
+                for sign in braid.SIGNS)
     return CheckResult("unitary_r_grid", worst, 1e-12, "20x20 (theta, phi) grid")
 
 
@@ -192,18 +186,23 @@ def check_eigentable() -> CheckResult:
     )
 
 
+def separability_states(rng, pairs: int) -> np.ndarray:
+    """(2·pairs, 4) seeded unit states: even rows products u⊗v of random
+    single-kaon states, odd rows generic.  One draw of 16 normals per pair,
+    the numbers and order of the draws of the rows taken one at a time."""
+    d = rng.normal(size=(pairs, 16))
+    u, v = d[:, 0:2] + 1j * d[:, 2:4], d[:, 4:6] + 1j * d[:, 6:8]
+    amp = d[:, 8:12] + 1j * d[:, 12:16]
+    u, v, amp = (z / frobenius(z[:, None, :])[:, None] for z in (u, v, amp))
+    psi = np.empty((2 * pairs, 4), dtype=complex)
+    psi[0::2] = (u[:, :, None] * v[:, None, :]).reshape(pairs, 4)
+    psi[1::2] = amp
+    return psi
+
+
 def check_separability(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
     tol = 1e-8
-    psi = np.empty((1000, 4), dtype=complex)
-    for i in range(1000):
-        if i % 2 == 0:
-            u = rng.normal(size=2) + 1j * rng.normal(size=2)
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            psi[i] = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v)).reshape(4)
-        else:
-            amp = rng.normal(size=4) + 1j * rng.normal(size=4)
-            psi[i] = amp / np.linalg.norm(amp)
+    psi = separability_states(np.random.default_rng(seed), 500)
     by_concurrence = states.is_separable(psi, tol)
     by_schmidt = states.schmidt_coefficients(psi)[:, 1] <= tol
     disagreements = np.count_nonzero(by_concurrence != by_schmidt)

@@ -220,6 +220,9 @@ class TestTables:
         (["rho-report", "--t1", "inf"], ["--t1", "'inf'"]),
         # the grid 0.5, -1.33, -3.17, -5 has non-positive t: rho_check rejects it whole
         (["rho-report", "--t1", "-5", "--steps", "4"], ["t must be > 0", "-1.33"]),
+        # 1/t overflows: the message names t, not the spectral parameter 1/t
+        (["rho-report", "--t0", "5e-324", "--t1", "1", "--steps", "3"],
+         ["t = 5e-324", "1/t overflows"]),
         (["evolve", "--t0=-1e308", "--t1=1e308"], ["--t0 -1e+308", "--t1 1e+308"]),
         (["oscillate", "--dm", "1e300", "--t1", "1e10"], ["delta_m", "1e+300"]),
         (["bell", "--dm=--"], ["--dm", "'--'"]),

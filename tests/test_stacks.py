@@ -2,9 +2,11 @@
 
 A stack of N states, spectral parameters, times or phases must give, row by
 row and bit for bit (compared with ==), what N single-point calls give, and
-the single-point calls must give what the per-row formulas the CLI used
-before (np.vdot, np.linalg.norm, complex scalar arithmetic) give.  The stack
-validator must reject a stack in which one row is bad.
+the single-point calls must give what the per-row formulas the library used
+before (np.kron, np.vdot, np.linalg.norm, math's angles, complex scalar
+arithmetic) give.  The stack validator must reject a stack in which one row
+is bad.  The algebra's own laws (QYBE, the propagator's group law) are
+checked over generated inputs to a tolerance.
 """
 
 import math
@@ -18,14 +20,18 @@ from hypothesis.extra import numpy as hnp
 from kaonbraid.braid import (
     SIGNS,
     BraidSpec,
+    SpectralPoint,
     braid_matrix,
+    check_qybe,
     rho_check,
     rho_printed_formula,
     unitary_braid,
+    unitary_r,
     yang_baxterize,
 )
+from kaonbraid.dynamics import hamiltonian_generator, propagator
 from kaonbraid.errors import DomainError, ValidationError
-from kaonbraid.linalg import frobenius
+from kaonbraid.linalg import frobenius, tensor_product, unitarity_residual
 from kaonbraid.states import (
     TwoKaonState,
     concurrence,
@@ -35,9 +41,13 @@ from kaonbraid.states import (
     schmidt_coefficients,
     state_stack,
 )
+from kaonbraid.verify import separability_states
 
 UNIT = st.floats(-1.0, 1.0)
 ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+SPECTRAL = st.floats(0.0, 10.0)
+TIME = st.floats(-1e3, 1e3) | st.sampled_from([math.inf, -math.inf])
+_I2 = np.eye(2, dtype=complex)
 
 
 @st.composite
@@ -67,6 +77,41 @@ def local_unitary(alpha, beta, gamma, theta):
 
 def spectral_values(min_value):
     return hnp.arrays(float, st.integers(1, 50), elements=st.floats(min_value, 1e3))
+
+
+def complex_stacks(n, d):
+    return hnp.arrays(complex, (n, d, d), elements=st.complex_numbers(max_magnitude=1e3))
+
+
+def qybe_reference(spec, x, y):
+    """The per-point QYBE residual as the library formed it before stacks."""
+    def r1(z):
+        return np.kron(yang_baxterize(spec, z), _I2)
+
+    def r2(z):
+        return np.kron(_I2, yang_baxterize(spec, z))
+
+    return float(np.linalg.norm(r1(x) @ r2(x * y) @ r1(y) - r2(y) @ r1(x * y) @ r2(x)))
+
+
+def propagator_reference(spec, t0, t1):
+    """The per-point propagator as the library formed it before stacks."""
+    angle = math.atan(t1) - math.atan(t0)
+    return math.cos(angle) * np.eye(4) - 1j * math.sin(angle) * hamiltonian_generator(spec)
+
+
+def separability_reference(rng, n):
+    """The per-row draws check_separability made before stacks."""
+    psi = np.empty((n, 4), dtype=complex)
+    for i in range(n):
+        if i % 2 == 0:
+            u = rng.normal(size=2) + 1j * rng.normal(size=2)
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            psi[i] = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v)).reshape(4)
+        else:
+            amp = rng.normal(size=4) + 1j * rng.normal(size=4)
+            psi[i] = amp / np.linalg.norm(amp)
+    return psi
 
 
 class TestStackEqualsRows:
@@ -139,6 +184,100 @@ class TestStackEqualsRows:
                         elements=st.complex_numbers(max_magnitude=1e3)))
     def test_frobenius(self, m):
         assert np.array_equal(frobenius(m), [float(np.linalg.norm(x)) for x in m])
+
+    @settings(deadline=None)
+    @given(data=st.data(), n=st.integers(1, 20), dims=st.sampled_from([(2, 2), (2, 4), (4, 2)]))
+    def test_tensor_product(self, data, n, dims):
+        a, b = (data.draw(complex_stacks(n, d)) for d in dims)
+        stacked = tensor_product(a, b)
+        left, right = tensor_product(a, b[0]), tensor_product(a[0], b)
+        for i in range(n):
+            reference = np.kron(a[i], b[i])
+            assert np.array_equal(stacked[i], reference)
+            assert np.array_equal(tensor_product(a[i], b[i]), reference)
+            assert np.array_equal(left[i], np.kron(a[i], b[0]))
+            assert np.array_equal(right[i], np.kron(a[0], b[i]))
+
+    @settings(deadline=None)
+    @given(data=st.data(), n=st.integers(1, 20), d=st.sampled_from([2, 4, 8]))
+    def test_unitarity_residual(self, data, n, d):
+        m = data.draw(complex_stacks(n, d))
+        stacked = unitarity_residual(m)
+        for row, value in zip(m, stacked):
+            reference = float(np.linalg.norm(row @ row.conj().T - np.eye(d)))
+            assert value == unitarity_residual(row) == reference
+
+    @settings(deadline=None)
+    @given(sign=st.sampled_from(SIGNS), phi=ANGLE,
+           xy=hnp.arrays(float, st.tuples(st.integers(1, 30), st.just(2)), elements=SPECTRAL))
+    def test_check_qybe(self, sign, phi, xy):
+        spec = BraidSpec(sign, phi)
+        stacked = check_qybe(spec, xy[:, 0], xy[:, 1])
+        for (x, y), value in zip(xy.tolist(), stacked):
+            assert value == check_qybe(spec, x, y) == qybe_reference(spec, x, y)
+
+    @settings(deadline=None)
+    @given(sign=st.sampled_from(SIGNS),
+           x=hnp.arrays(float, st.integers(1, 8), elements=st.floats(0.0, 1e3)),
+           phi=hnp.arrays(float, st.integers(1, 8), elements=ANGLE))
+    def test_unitary_r_grid(self, sign, x, phi):
+        grid = unitary_r(SpectralPoint(x[:, None], phi), sign)
+        assert grid.shape == (len(x), len(phi), 4, 4)
+        for i, xi in enumerate(x.tolist()):
+            theta = math.atan(xi)
+            for j, pj in enumerate(phi.tolist()):
+                # the point canonicalizes φ, then BraidSpec does again
+                bt = unitary_braid(BraidSpec(sign, pj % (2 * math.pi)))
+                reference = math.cos(theta) * bt + math.sin(theta) * bt.conj().T
+                assert np.array_equal(grid[i, j], unitary_r(SpectralPoint(xi, pj), sign))
+                assert np.array_equal(grid[i, j], reference)
+
+    @settings(deadline=None)
+    @given(sign=st.sampled_from(SIGNS), phi=ANGLE, t0=TIME,
+           t1=hnp.arrays(float, st.integers(1, 50), elements=TIME))
+    def test_propagator(self, sign, phi, t0, t1):
+        spec = BraidSpec(sign, phi)
+        stacked = propagator(spec, t0, t1)
+        for ti, u in zip(t1.tolist(), stacked):
+            assert np.array_equal(u, propagator(spec, t0, ti))
+            assert np.array_equal(u, propagator_reference(spec, t0, ti))
+
+    def test_propagator_angles_are_math_per_element(self):
+        # np.arctan differs from math.atan on 5 of these 5000 t (numpy 2.4.6)
+        t = np.random.default_rng(5).uniform(-10.0, 10.0, 5000)
+        spec = BraidSpec("plus", 0.3)
+        stacked = propagator(spec, 0.0, t)
+        assert all(np.array_equal(u, propagator_reference(spec, 0.0, ti))
+                   for ti, u in zip(t.tolist(), stacked))
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**63), pairs=st.integers(1, 50))
+    def test_separability_draws(self, seed, pairs):
+        stacked_rng, rows_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stacked = separability_states(stacked_rng, pairs)
+        assert np.array_equal(stacked, separability_reference(rows_rng, 2 * pairs))
+        # the same stream: both generators stand at the same draw afterwards
+        assert stacked_rng.normal() == rows_rng.normal()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 12345])
+def test_separability_draws_of_verify_seeds(seed):
+    stacked = separability_states(np.random.default_rng(seed), 500)
+    assert np.array_equal(stacked, separability_reference(np.random.default_rng(seed), 1000))
+
+
+@settings(deadline=None)
+@given(sign=st.sampled_from(SIGNS), phi=ANGLE, x=SPECTRAL, y=SPECTRAL)
+def test_qybe_holds(sign, phi, x, y):
+    assert check_qybe(BraidSpec(sign, phi), x, y) < 1e-10
+
+
+@settings(deadline=None)
+@given(sign=st.sampled_from(SIGNS), phi=ANGLE, t0=TIME, t1=TIME, t2=TIME)
+def test_propagator_group_law(sign, phi, t0, t1, t2):
+    spec = BraidSpec(sign, phi)
+    composed = propagator(spec, t1, t2) @ propagator(spec, t0, t1)
+    assert frobenius(composed - propagator(spec, t0, t2)) < 1e-12
 
 
 @settings(deadline=None)
