@@ -60,8 +60,9 @@ class BraidSpec:
 @dataclass(frozen=True)
 class SpectralPoint:
     """Spectral parameter x >= 0 with derived angle θ = arctan x and phase φ;
-    arrays of x and φ that broadcast together stand for the grid of points
-    (as with BraidSpec, such a point can be neither hashed nor compared)."""
+    an array of x and a 1-D array of φ that broadcast together stand for the
+    grid of points (as with BraidSpec, such a point can be neither hashed nor
+    compared)."""
 
     x: float | np.ndarray
     phi: float | np.ndarray = 0.0
@@ -94,7 +95,7 @@ def braid_matrix(spec: BraidSpec, corrected: bool = True) -> np.ndarray:
     b[..., 0, 3] = q
     # Python's complex division: numpy's multiplies by a reciprocal and can
     # differ in the last bit, so a stack would not match its specs one by one
-    b[..., 3, 0] = np.reshape([-1 / z for z in q.ravel().tolist()], shape) if shape else -1 / q
+    b[..., 3, 0] = [-1 / z for z in q.tolist()] if shape else -1 / q
     return b
 
 
@@ -135,6 +136,8 @@ def check_qybe(spec: BraidSpec, x, y):
     if (x < 0).any() or (y < 0).any():
         raise DomainError("spectral parameters must be >= 0")
     r_x, r_y, r_xy = (yang_baxterize(spec, z) for z in (x, y, x * y))
+    # stacked matmul makes the BLAS call of each 8x8 product taken alone;
+    # einsum sums in another order and differs in the last bit
     lhs = tensor_product(r_x, _I2) @ tensor_product(_I2, r_xy) @ tensor_product(r_y, _I2)
     rhs = tensor_product(_I2, r_y) @ tensor_product(r_xy, _I2) @ tensor_product(_I2, r_x)
     return frobenius(lhs - rhs)
@@ -171,7 +174,8 @@ def rho_check(spec: BraidSpec, t):
     with np.errstate(over="ignore"):
         t_inv = 1.0 / t
     if np.isinf(t_inv).any():
-        raise DomainError(f"t = {float(t[np.isinf(t_inv)].flat[0])!r} is too small: 1/t overflows")
+        tiny = float(t[np.isinf(t_inv)].flat[0])
+        raise DomainError(f"t = {tiny!r} is too small: 1/t overflows")
     rho = yang_baxterize(spec, t) @ yang_baxterize(spec, t_inv)
     diag = np.diagonal(rho, axis1=-2, axis2=-1)
     scalar = np.trace(rho, axis1=-2, axis2=-1) / 4.0
