@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .braid import (  # noqa: F401
     BraidSpec,
-    SpectralPoint,
     braid_matrix,
     check_braid_relation,
     check_qybe,
@@ -28,15 +27,12 @@ from .errors import (  # noqa: F401
     ValidationError,
 )
 from .linalg import (  # noqa: F401
-    is_hermitian,
-    is_unitary,
     tensor_product,
 )
 from .oscillation import (  # noqa: F401
     FlavorAmplitudes,
     KaonParams,
     evolve_k,
-    evolve_kbar,
     oscillation_curve,
     transition_probability,
 )

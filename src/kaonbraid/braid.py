@@ -15,7 +15,7 @@ behind a flag purely as a diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,9 @@ class BraidSpec:
         phi = np.asarray(self.phi, dtype=float)
         if not np.isfinite(phi).all():
             raise ValidationError("phi must be finite")
-        phi = phi if phi.ndim else float(phi)
-        object.__setattr__(self, "phi", phi % (2.0 * math.pi))
+        phi = (phi if phi.ndim else float(phi)) % (2.0 * math.pi)
+        # a tiny negative φ rounds φ mod 2π up to 2π itself
+        object.__setattr__(self, "phi", phi * (phi < 2.0 * math.pi))
 
     @property
     def q(self):
@@ -55,26 +56,6 @@ class BraidSpec:
     @property
     def sigma(self) -> int:
         return 1 if self.sign == "plus" else -1
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Spectral parameter x >= 0 with derived angle θ = arctan x and phase φ;
-    an array of x and a 1-D array of φ that broadcast together stand for the
-    grid of points (as with BraidSpec, such a point can be neither hashed nor
-    compared)."""
-
-    x: float | np.ndarray
-    phi: float | np.ndarray = 0.0
-    theta: float | np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if not ((x >= 0) & (x < math.inf)).all():
-            raise DomainError("spectral parameter x must be finite and >= 0")
-        phi = np.asarray(self.phi, dtype=float)
-        object.__setattr__(self, "theta", elementwise(math.atan, self.x))
-        object.__setattr__(self, "phi", (phi if phi.ndim else float(phi)) % (2.0 * math.pi))
 
 
 # b±(φ) without its φ-dependent corners (1, 4) and (4, 1), keyed by (sigma, corrected)
@@ -116,15 +97,20 @@ def check_braid_relation(spec: BraidSpec, corrected: bool = True) -> float:
     return braid_relation_residual(braid_matrix(spec, corrected=corrected))
 
 
+def _spectral_x(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not ((x >= 0) & (x < math.inf)).all():
+        raise DomainError("spectral parameter x must be finite and >= 0")
+    return x
+
+
 def yang_baxterize(spec: BraidSpec, x) -> np.ndarray:
     """R±(x) = b + x·λ₁λ₂·b⁻¹ with λ₁λ₂ = (1+i)(1-i) = 2; R(0) = b exactly.
 
     Since b b† = 2I we have 2 b⁻¹ = b†, so R(x) = b + x b†.  An array of x
     gives the (N, 4, 4) stack.
     """
-    x = np.asarray(x, dtype=float)
-    if not ((x >= 0) & (x < math.inf)).all():
-        raise DomainError("spectral parameter x must be finite and >= 0")
+    x = _spectral_x(x)
     b = braid_matrix(spec)
     return b + x[..., None, None] * b.conj().swapaxes(-1, -2)
 
@@ -133,8 +119,6 @@ def check_qybe(spec: BraidSpec, x, y):
     """Residual ||R₁(x)R₂(xy)R₁(y) - R₂(y)R₁(xy)R₂(x)||_F on (C²)⊗³; arrays of
     x and y give the (N,) residuals, from one R stack per argument."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if (x < 0).any() or (y < 0).any():
-        raise DomainError("spectral parameters must be >= 0")
     r_x, r_y, r_xy = (yang_baxterize(spec, z) for z in (x, y, x * y))
     # stacked matmul makes the BLAS call of each 8x8 product taken alone;
     # einsum sums in another order and differs in the last bit
@@ -143,15 +127,17 @@ def check_qybe(spec: BraidSpec, x, y):
     return frobenius(lhs - rhs)
 
 
-def unitary_r(point: SpectralPoint, sign: str = "plus") -> np.ndarray:
-    """R̃±(θ, φ) = cosθ·b̃ + sinθ·b̃⁻¹, built from the unitary b̃ (b̃⁻¹ = b̃†).
+def unitary_r(spec: BraidSpec, x) -> np.ndarray:
+    """R̃±(θ, φ) = cosθ·b̃ + sinθ·b̃⁻¹ with θ = arctan x, built from the unitary
+    b̃ (b̃⁻¹ = b̃†).
 
-    Unitary for all (θ, φ); equals b̃ at θ = 0.  A grid point gives the stack
-    of shape broadcast(θ, φ) + (4, 4), from one b̃ per φ.
+    Unitary for all x >= 0 and φ; equals b̃ at x = 0.  An array of x that
+    broadcasts against an array-φ spec gives the stack of shape
+    broadcast(x, φ) + (4, 4), from one b̃ per φ.
     """
-    bt = unitary_braid(BraidSpec(sign, point.phi))
-    cos, sin = (np.asarray(elementwise(f, point.theta))[..., None, None]
-                for f in (math.cos, math.sin))
+    theta = elementwise(math.atan, _spectral_x(x))
+    bt = unitary_braid(spec)
+    cos, sin = (np.asarray(elementwise(f, theta))[..., None, None] for f in (math.cos, math.sin))
     return cos * bt + sin * bt.conj().swapaxes(-1, -2)
 
 

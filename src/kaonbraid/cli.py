@@ -193,9 +193,7 @@ def cmd_verify(cfg) -> int:
         rows.append((r.name, r.metric, tol, int(ok)))
     print(f"{'OK' if all_pass else 'FAILED'}: {sum(r[3] for r in rows)}/{len(rows)} checks passed")
     if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
-            write_table(fh, ("check", "metric", "tol", "passed"), rows,
-                        _meta(cfg, "verify"), cfg["format"])
+        _emit(cfg, "verify", ("check", "metric", "tol", "passed"), rows)
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
 

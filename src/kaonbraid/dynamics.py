@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .braid import BraidSpec, SpectralPoint, unitary_braid, unitary_r
+from .braid import BraidSpec, unitary_braid, unitary_r
 from .errors import DomainError
 from .linalg import elementwise
 from .states import TwoKaonState
@@ -82,8 +82,7 @@ def r_vs_hamiltonian_consistency(spec: BraidSpec, t: float) -> float:
     against the Hamiltonian propagator."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    r_t = unitary_r(SpectralPoint(t, spec.phi), spec.sign)
-    r_0 = unitary_r(SpectralPoint(0.0, spec.phi), spec.sign)
+    r_t, r_0 = unitary_r(spec, [t, 0.0])
     relative = r_t @ r_0.conj().T
     return float(np.linalg.norm(relative - propagator(spec, 0.0, t)))
 

@@ -1,5 +1,5 @@
-"""Small-dimension complex linear algebra: tensor products, adjoints and
-norm-based predicates.
+"""Small-dimension complex linear algebra: tensor products and Frobenius
+residuals.
 
 Everything here works on plain numpy arrays of shape (d, d) with
 d in {2, 4, 8}, or on (N, d, d) stacks of them.  All functions are pure;
@@ -45,11 +45,6 @@ def elementwise(f, a):
     return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose (of each matrix of a stack)."""
-    return as_matrix(m).conj().swapaxes(-1, -2)
-
-
 def frobenius(m):
     """Frobenius norm of a matrix, or an (N,) array of them for an (N, d, d) stack.
 
@@ -83,19 +78,7 @@ def unitarity_residual(m):
     return frobenius(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-1]))
 
 
-def is_unitary(m, tol: float = 1e-12) -> tuple[bool, float]:
-    """Predicate plus residual: (||m m† - I||_F <= tol, residual)."""
-    r = unitarity_residual(m)
-    return r <= tol, r
-
-
 def hermiticity_residual(m):
     """||m - m†||_F, or an (N,) array of them for an (N, d, d) stack."""
     m = as_matrix(m)
     return frobenius(m - m.conj().swapaxes(-1, -2))
-
-
-def is_hermitian(m, tol: float = 1e-12) -> tuple[bool, float]:
-    """Predicate plus residual: (||m - m†||_F <= tol, residual)."""
-    r = hermiticity_residual(m)
-    return r <= tol, r

@@ -1,5 +1,5 @@
-"""Neutral-kaon mixing phenomenology: S/L basis, decaying evolution and
-flavor oscillation probabilities.
+"""Neutral-kaon mixing phenomenology: decaying evolution and flavor
+oscillation probabilities.
 
 Natural units (hbar = c = 1); rates and masses are user-supplied numbers per
 unit time.  The bundled default parameter set scales the short lifetime to
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
-
-_SQ2 = math.sqrt(2.0)
 
 FLAVORS = ("K", "Kbar")
 
@@ -58,14 +56,6 @@ class FlavorAmplitudes(NamedTuple):
     c_kbar: complex
 
 
-def sl_basis(c_k: complex, c_kbar: complex) -> tuple[complex, complex]:
-    """Flavor -> (S, L) amplitudes: |S⟩ = (|K⟩+|K̄⟩)/√2, |L⟩ = (|K⟩-|K̄⟩)/√2.
-
-    The transform is orthogonal and its own inverse.
-    """
-    return (c_k + c_kbar) / _SQ2, (c_k - c_kbar) / _SQ2
-
-
 def u_factors(params: KaonParams, t: float) -> tuple[complex, complex]:
     """Decaying phases U_{S,L}(t) = e^{-alpha_{S,L}·t} for t >= 0."""
     if t < 0:
@@ -77,12 +67,6 @@ def evolve_k(params: KaonParams, t: float) -> FlavorAmplitudes:
     """Flavor content at time t of a state that was |K⟩ at t = 0."""
     u_s, u_l = u_factors(params, t)
     return FlavorAmplitudes((u_s + u_l) / 2.0, (u_s - u_l) / 2.0)
-
-
-def evolve_kbar(params: KaonParams, t: float) -> FlavorAmplitudes:
-    """Flavor content at time t of a state that was |K̄⟩ at t = 0."""
-    u_s, u_l = u_factors(params, t)
-    return FlavorAmplitudes((u_s - u_l) / 2.0, (u_s + u_l) / 2.0)
 
 
 def transition_probability(params: KaonParams, t: float, frm: str, to: str) -> float:

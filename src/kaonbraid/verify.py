@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import braid, dynamics, oscillation, states
-from .braid import BraidSpec, SpectralPoint
+from .braid import BraidSpec
 from .linalg import elementwise, frobenius, hermiticity_residual, unitarity_residual
 
 PHI_SET = (0.0, math.pi / 7, math.pi / 3, 1.0, math.pi / 2, 2.5)
@@ -89,8 +89,8 @@ def check_unitarity_grid() -> CheckResult:
     thetas = np.linspace(0.0, math.pi / 2, 20, endpoint=False)
     phis = np.linspace(0.0, 2 * math.pi, 20, endpoint=False)
     # θ down, φ across; math.tan per element, as the points were built one by one
-    grid = SpectralPoint(elementwise(math.tan, thetas)[:, None], phis)
-    worst = max(float(unitarity_residual(braid.unitary_r(grid, sign)).max())
+    x = elementwise(math.tan, thetas)[:, None]
+    worst = max(float(unitarity_residual(braid.unitary_r(BraidSpec(sign, phis), x)).max())
                 for sign in braid.SIGNS)
     return CheckResult("unitary_r_grid", worst, 1e-12, "20x20 (theta, phi) grid")
 

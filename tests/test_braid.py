@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kaonbraid.braid import (
+    SIGNS,
     BraidSpec,
-    SpectralPoint,
     braid_matrix,
     check_braid_relation,
     check_qybe,
@@ -19,6 +21,10 @@ from kaonbraid.errors import DomainError, ValidationError
 from kaonbraid.linalg import unitarity_residual
 
 PHI_VALUES = [0.0, math.pi / 7, math.pi / 3, 1.0, math.pi / 2, 2.5]
+ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+# outside the spectral domain x >= 0, finite: a number, or one entry of an array
+BAD_X = {"negative": -1.0, "minus-inf": -math.inf, "nan": math.nan, "inf": math.inf,
+         "array-with-negative": np.array([0.5, -1.0])}
 
 
 def all_specs(phis=PHI_VALUES):
@@ -30,6 +36,14 @@ class TestBraidSpec:
         assert BraidSpec("plus", -math.pi).phi == pytest.approx(math.pi)
         assert BraidSpec("plus", 3 * math.pi).phi == pytest.approx(math.pi)
 
+    @given(phi=ANGLE)
+    @example(phi=-5e-324)
+    @example(phi=-1e-20)
+    def test_phi_in_half_open_range(self, phi):
+        # a tiny negative φ must not round up to 2π itself
+        assert 0.0 <= BraidSpec("plus", phi).phi < 2 * math.pi
+        assert 0.0 <= BraidSpec("plus", np.array([phi])).phi[0] < 2 * math.pi
+
     def test_rejects_bad_sign(self):
         with pytest.raises(ValidationError):
             BraidSpec("pm", 0.0)
@@ -37,19 +51,6 @@ class TestBraidSpec:
     def test_rejects_nonfinite_phi(self):
         with pytest.raises(ValidationError):
             BraidSpec("plus", math.inf)
-
-
-class TestSpectralPoint:
-    def test_theta_parametrization(self):
-        for x in (0.0, 0.5, 1.0, 7.3):
-            p = SpectralPoint(x, 0.3)
-            assert math.cos(p.theta) == pytest.approx(1.0 / math.sqrt(1 + x * x), abs=1e-15)
-            assert math.sin(p.theta) == pytest.approx(x / math.sqrt(1 + x * x), abs=1e-15)
-            assert 0.0 <= p.theta < math.pi / 2
-
-    def test_rejects_negative_x(self):
-        with pytest.raises(DomainError):
-            SpectralPoint(-1.0)
 
 
 class TestBraidMatrix:
@@ -153,6 +154,13 @@ class TestQybe:
                     x, y = rng.uniform(0.0, 10.0, 2)
                     assert check_qybe(spec, x, y) < 1e-10
 
+    @pytest.mark.parametrize("bad", BAD_X.values(), ids=BAD_X.keys())
+    def test_rejects_bad_x_or_y(self, bad):
+        spec = BraidSpec("plus", 0.0)
+        for x, y in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(DomainError, match="spectral parameter x must be finite and >= 0"):
+                check_qybe(spec, x, y)
+
     def test_degenerate_zero_reduces_to_braid_relation(self):
         spec = BraidSpec("minus", 1.0)
         assert check_qybe(spec, 0.0, 0.0) == pytest.approx(
@@ -161,21 +169,35 @@ class TestQybe:
 
 
 class TestUnitaryR:
-    def test_theta_zero_is_unitary_braid(self):
-        for sign in ("plus", "minus"):
-            for phi in (0.0, 1.0, 2.5):
-                r = unitary_r(SpectralPoint(0.0, phi), sign)
-                assert np.array_equal(r, unitary_braid(BraidSpec(sign, phi)))
+    @settings(deadline=None)
+    @given(sign=st.sampled_from(SIGNS), phi=ANGLE)
+    def test_theta_zero_is_unitary_braid(self, sign, phi):
+        spec = BraidSpec(sign, phi)
+        assert np.array_equal(unitary_r(spec, 0.0), unitary_braid(spec))
+
+    def test_theta_parametrization(self):
+        # θ = arctan x: cos θ = 1/√(1+x²), sin θ = x/√(1+x²)
+        for spec in all_specs():
+            bt = unitary_braid(spec)
+            for x in (0.0, 0.5, 1.0, 7.3):
+                cos, sin = 1.0 / math.sqrt(1 + x * x), x / math.sqrt(1 + x * x)
+                expected = cos * bt + sin * bt.conj().T
+                assert np.linalg.norm(unitary_r(spec, x) - expected) < 1e-15
+
+    @pytest.mark.parametrize("bad", BAD_X.values(), ids=BAD_X.keys())
+    def test_rejects_bad_x(self, bad):
+        with pytest.raises(DomainError, match="spectral parameter x must be finite and >= 0"):
+            unitary_r(BraidSpec("plus", 0.0), bad)
 
     def test_theta_pi4_phi_zero_is_identity(self):
-        r = unitary_r(SpectralPoint(1.0, 0.0), "plus")  # theta = pi/4
+        r = unitary_r(BraidSpec("plus", 0.0), 1.0)  # theta = pi/4
         assert np.linalg.norm(r - np.eye(4)) < 1e-15
 
     def test_unitary_on_grid(self):
         for sign in ("plus", "minus"):
             for theta in np.linspace(0.0, math.pi / 2, 20, endpoint=False):
                 for phi in np.linspace(0.0, 2 * math.pi, 20, endpoint=False):
-                    r = unitary_r(SpectralPoint(math.tan(theta), phi), sign)
+                    r = unitary_r(BraidSpec(sign, phi), math.tan(theta))
                     assert unitarity_residual(r) < 1e-12
 
 

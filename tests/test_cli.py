@@ -234,6 +234,12 @@ class TestTables:
         assert err.startswith("error:")
         assert all(text in err for text in named), err
 
+    def test_tiny_negative_phi_is_phi_zero(self, capsys):
+        # -1e-20 mod 2π rounds to 2π; it must give the bytes of φ = 0
+        tiny = run_cli(capsys, "evolve", "--phi=-1e-20", "--steps", "3")
+        assert tiny == run_cli(capsys, "evolve", "--phi", "0", "--steps", "3")
+        assert tiny[0] == 0
+
     def test_oscillate_asymmetry_survives_underflow(self, capsys):
         code, out, _ = run_cli(capsys, "oscillate", "--gamma-l", "1", "--t1", "2000")
         assert code == 0

@@ -8,9 +8,7 @@ from kaonbraid.errors import DomainError, ValidationError
 from kaonbraid.oscillation import (
     KaonParams,
     evolve_k,
-    evolve_kbar,
     oscillation_curve,
-    sl_basis,
     survival_probability,
     transition_probability,
     u_factors,
@@ -23,27 +21,6 @@ def random_params():
     gs, gl = RNG.uniform(0.0, 2.0, 2)
     ms, ml = RNG.uniform(-2.0, 2.0, 2)
     return KaonParams(gs, gl, ms, ml)
-
-
-class TestSlBasis:
-    def test_k_maps_to_equal_mixture(self):
-        c_s, c_l = sl_basis(1.0, 0.0)
-        assert c_s == pytest.approx(1 / math.sqrt(2))
-        assert c_l == pytest.approx(1 / math.sqrt(2))
-
-    def test_involution(self):
-        c_s, c_l = sl_basis(1 / math.sqrt(2), 1 / math.sqrt(2))
-        assert c_s == pytest.approx(1.0) and c_l == pytest.approx(0.0, abs=1e-15)
-        for _ in range(20):
-            ck, ckb = RNG.normal(size=2) + 1j * RNG.normal(size=2)
-            back = sl_basis(*sl_basis(ck, ckb))
-            assert abs(back[0] - ck) < 1e-12 and abs(back[1] - ckb) < 1e-12
-
-    def test_norm_preserved(self):
-        for _ in range(20):
-            ck, ckb = RNG.normal(size=2) + 1j * RNG.normal(size=2)
-            c_s, c_l = sl_basis(ck, ckb)
-            assert abs(abs(c_s) ** 2 + abs(c_l) ** 2 - abs(ck) ** 2 - abs(ckb) ** 2) < 1e-12
 
 
 class TestUFactors:
@@ -77,12 +54,6 @@ class TestFlavorEvolution:
         assert abs(amps.c_k) < 1e-12
         assert abs(amps.c_kbar) == pytest.approx(1.0)
 
-    def test_kbar_mirrors_k(self):
-        p = random_params()
-        for t in (0.0, 0.7, 3.0):
-            a, b = evolve_k(p, t), evolve_kbar(p, t)
-            assert a.c_k == b.c_kbar and a.c_kbar == b.c_k
-
     def test_sl_factors(self):
         # U_S, U_L multiply the S and L components of the evolving state
         p = KaonParams()
@@ -90,8 +61,9 @@ class TestFlavorEvolution:
         u_s, u_l = u_factors(p, t)
         assert u_s == cmath.exp(-p.alpha_s * t)
         assert u_l == cmath.exp(-p.alpha_l * t)
-        s0, l0 = sl_basis(1.0, 0.0)
-        c_k, c_kbar = sl_basis(u_s * s0, u_l * l0)
+        # |K⟩ = (|S⟩ + |L⟩)/√2, and back: c_K = (c_S + c_L)/√2, c_K̄ = (c_S - c_L)/√2
+        c_s, c_l = u_s / math.sqrt(2), u_l / math.sqrt(2)
+        c_k, c_kbar = (c_s + c_l) / math.sqrt(2), (c_s - c_l) / math.sqrt(2)
         a = evolve_k(p, t)
         assert abs(c_k - a.c_k) < 1e-15 and abs(c_kbar - a.c_kbar) < 1e-15
 

@@ -20,7 +20,6 @@ from hypothesis.extra import numpy as hnp
 from kaonbraid.braid import (
     SIGNS,
     BraidSpec,
-    SpectralPoint,
     braid_matrix,
     check_qybe,
     rho_check,
@@ -221,15 +220,14 @@ class TestStackEqualsRows:
            x=hnp.arrays(float, st.integers(1, 8), elements=st.floats(0.0, 1e3)),
            phi=hnp.arrays(float, st.integers(1, 8), elements=ANGLE))
     def test_unitary_r_grid(self, sign, x, phi):
-        grid = unitary_r(SpectralPoint(x[:, None], phi), sign)
+        grid = unitary_r(BraidSpec(sign, phi), x[:, None])
         assert grid.shape == (len(x), len(phi), 4, 4)
         for i, xi in enumerate(x.tolist()):
             theta = math.atan(xi)
             for j, pj in enumerate(phi.tolist()):
-                # the point canonicalizes φ, then BraidSpec does again
-                bt = unitary_braid(BraidSpec(sign, pj % (2 * math.pi)))
+                bt = unitary_braid(BraidSpec(sign, pj))
                 reference = math.cos(theta) * bt + math.sin(theta) * bt.conj().T
-                assert np.array_equal(grid[i, j], unitary_r(SpectralPoint(xi, pj), sign))
+                assert np.array_equal(grid[i, j], unitary_r(BraidSpec(sign, pj), xi))
                 assert np.array_equal(grid[i, j], reference)
 
     @settings(deadline=None)
