@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .linalg import elementwise, frobenius, tensor_product
+from .linalg import _nonnegative, elementwise, frobenius, tensor_product
 
 SIGNS = ("plus", "minus")
 
@@ -85,23 +85,12 @@ def unitary_braid(spec: BraidSpec) -> np.ndarray:
     return braid_matrix(spec) / math.sqrt(2.0)
 
 
-def braid_relation_residual(b: np.ndarray) -> float:
-    """||b₁b₂b₁ - b₂b₁b₂||_F on the 8-dimensional embedding b₁ = b⊗I, b₂ = I⊗b."""
-    b1 = tensor_product(b, _I2)
-    b2 = tensor_product(_I2, b)
+def check_braid_relation(spec: BraidSpec, corrected: bool = True):
+    """Braid-relation residual ||b₁b₂b₁ - b₂b₁b₂||_F of b±(φ) on the 8-dimensional
+    embedding b₁ = b⊗I, b₂ = I⊗b; an array-φ spec gives the (N,) residuals."""
+    b = braid_matrix(spec, corrected=corrected)
+    b1, b2 = tensor_product(b, _I2), tensor_product(_I2, b)
     return frobenius(b1 @ b2 @ b1 - b2 @ b1 @ b2)
-
-
-def check_braid_relation(spec: BraidSpec, corrected: bool = True) -> float:
-    """Braid-relation residual for b±(φ)."""
-    return braid_relation_residual(braid_matrix(spec, corrected=corrected))
-
-
-def _spectral_x(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not ((x >= 0) & (x < math.inf)).all():
-        raise DomainError("spectral parameter x must be finite and >= 0")
-    return x
 
 
 def yang_baxterize(spec: BraidSpec, x) -> np.ndarray:
@@ -110,7 +99,7 @@ def yang_baxterize(spec: BraidSpec, x) -> np.ndarray:
     Since b b† = 2I we have 2 b⁻¹ = b†, so R(x) = b + x b†.  An array of x
     gives the (N, 4, 4) stack.
     """
-    x = _spectral_x(x)
+    x = _nonnegative(x, "spectral parameter x")
     b = braid_matrix(spec)
     return b + x[..., None, None] * b.conj().swapaxes(-1, -2)
 
@@ -118,8 +107,12 @@ def yang_baxterize(spec: BraidSpec, x) -> np.ndarray:
 def check_qybe(spec: BraidSpec, x, y):
     """Residual ||R₁(x)R₂(xy)R₁(y) - R₂(y)R₁(xy)R₂(x)||_F on (C²)⊗³; arrays of
     x and y give the (N,) residuals, from one R stack per argument."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    r_x, r_y, r_xy = (yang_baxterize(spec, z) for z in (x, y, x * y))
+    x, y = (_nonnegative(z, "spectral parameter x") for z in (x, y))
+    with np.errstate(over="ignore"):
+        xy = x * y
+    if np.isinf(xy).any():
+        raise DomainError("x·y must be finite: the product of the spectral parameters overflows")
+    r_x, r_y, r_xy = (yang_baxterize(spec, z) for z in (x, y, xy))
     # stacked matmul makes the BLAS call of each 8x8 product taken alone;
     # einsum sums in another order and differs in the last bit
     lhs = tensor_product(r_x, _I2) @ tensor_product(_I2, r_xy) @ tensor_product(r_y, _I2)
@@ -135,7 +128,7 @@ def unitary_r(spec: BraidSpec, x) -> np.ndarray:
     broadcasts against an array-φ spec gives the stack of shape
     broadcast(x, φ) + (4, 4), from one b̃ per φ.
     """
-    theta = elementwise(math.atan, _spectral_x(x))
+    theta = elementwise(math.atan, _nonnegative(x, "spectral parameter x"))
     bt = unitary_braid(spec)
     cos, sin = (np.asarray(elementwise(f, theta))[..., None, None] for f in (math.cos, math.sin))
     return cos * bt + sin * bt.conj().swapaxes(-1, -2)

@@ -269,7 +269,7 @@ def cmd_oscillate(cfg) -> int:
         gamma_s=cfg["gamma_s"], gamma_l=cfg["gamma_l"], m_s=0.0, m_l=cfg["dm"]
     )
     curve = oscillation.oscillation_curve(params, cfg["t1"], cfg["steps"])
-    _emit(cfg, "oscillate", ["t", "p_k_to_k", "p_k_to_kbar", "asymmetry"], curve)
+    _emit(cfg, "oscillate", ["t", "p_k_to_k", "p_k_to_kbar", "asymmetry"], curve.tolist())
     return EXIT_OK
 
 

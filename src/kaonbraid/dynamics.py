@@ -21,8 +21,8 @@ import numpy as np
 
 from .braid import BraidSpec, unitary_braid, unitary_r
 from .errors import DomainError
-from .linalg import elementwise
-from .states import TwoKaonState
+from .linalg import _nonnegative, elementwise, frobenius
+from .states import TwoKaonState, state_stack
 
 
 def hamiltonian_generator(spec: BraidSpec) -> np.ndarray:
@@ -36,9 +36,10 @@ def envelope(t: float) -> float:
     return 1.0 / (1.0 + t * t)
 
 
-def hamiltonian_at(spec: BraidSpec, t: float) -> np.ndarray:
-    """H±(t) = f(t)·H₀; Hermitian for all t, equal at ±t."""
-    return envelope(t) * hamiltonian_generator(spec)
+def hamiltonian_at(spec: BraidSpec, t) -> np.ndarray:
+    """H±(t) = f(t)·H₀; Hermitian for all t, equal at ±t.  An array of t gives
+    the stack of shape t.shape + H₀.shape, from one H₀."""
+    return np.multiply.outer(envelope(np.asarray(t, dtype=float)), hamiltonian_generator(spec))
 
 
 def propagator(spec: BraidSpec, t0: float, t1) -> np.ndarray:
@@ -65,26 +66,33 @@ def evolve_state(
     return TwoKaonState(propagator(spec, t0, t1) @ state.vector)
 
 
-def schrodinger_residual(
-    state0: TwoKaonState, spec: BraidSpec, t: float, dt: float = 1e-5
-) -> float:
+def schrodinger_residual(state0, spec: BraidSpec, t, dt: float = 1e-5):
     """Central-difference check of i·dΨ/dt = H(t)·Ψ(t) along the propagated
-    trajectory starting from state0 at time 0."""
+    trajectory starting from state0 at time 0.
+
+    A TwoKaonState and a number t give a float; amplitudes (see state_stack)
+    give one residual per state and an array of t one per time, in an array
+    of shape (N,) + t.shape (t.shape for a TwoKaonState)."""
     if not 0 < dt <= 1e-3:
         raise ValueError("dt must satisfy 0 < dt <= 1e-3")
-    ahead, behind, now = propagator(spec, 0.0, [t + dt, t - dt, t]) @ state0.vector
+    psi, t = state_stack(state0), np.asarray(t, dtype=float)
+    # U @ (4, 1) column: numpy's matrix-vector path, as for one state vector
+    ahead, behind, now = (propagator(spec, 0.0, [t + dt, t - dt, t])[..., None, :, :]
+                          @ psi[:, :, None])[..., 0]
     deriv = 1j * (ahead - behind) / (2.0 * dt)
-    return float(np.linalg.norm(deriv - hamiltonian_at(spec, t) @ now))
+    drift = deriv - (hamiltonian_at(spec, t)[..., None, :, :] @ now[..., None])[..., 0]
+    residual = np.moveaxis(frobenius(drift[..., None, :]), -1, 0)
+    residual = residual[0] if isinstance(state0, TwoKaonState) else residual
+    return residual if residual.ndim else float(residual)
 
 
-def r_vs_hamiltonian_consistency(spec: BraidSpec, t: float) -> float:
+def r_vs_hamiltonian_consistency(spec: BraidSpec, t):
     """||R̃(θ(t))·R̃(0)⁻¹ - U(0, t)||_F: relative spectral-family evolution
-    against the Hamiltonian propagator."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    r_t, r_0 = unitary_r(spec, [t, 0.0])
-    relative = r_t @ r_0.conj().T
-    return float(np.linalg.norm(relative - propagator(spec, 0.0, t)))
+    against the Hamiltonian propagator, for a finite t >= 0; an array of t
+    gives an array."""
+    t = _nonnegative(t, "time t")
+    relative = unitary_r(spec, t) @ unitary_r(spec, 0.0).conj().T
+    return frobenius(relative - propagator(spec, 0.0, t))
 
 
 def hamiltonian_action_report(spec: BraidSpec) -> list[tuple[str, complex, complex]]:

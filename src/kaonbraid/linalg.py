@@ -8,9 +8,11 @@ nothing mutates its inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 
 ALLOWED_DIMS = (2, 4, 8)
 
@@ -43,6 +45,16 @@ def elementwise(f, a):
     if a.ndim == 0:
         return f(a)
     return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def _nonnegative(a, name: str) -> np.ndarray:
+    """a as a float array (0-d for a number); DomainError naming `name` and the
+    first bad element unless every element is finite and >= 0."""
+    a = np.asarray(a, dtype=float)
+    bad = ~((a >= 0) & (a < math.inf))
+    if bad.any():
+        raise DomainError(f"{name} must be finite and >= 0, got {float(a[bad].flat[0])!r}")
+    return a
 
 
 def frobenius(m):

@@ -14,7 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, ValidationError
+import numpy as np
+
+from .errors import ValidationError
+from .linalg import _nonnegative, elementwise
 
 FLAVORS = ("K", "Kbar")
 
@@ -57,9 +60,8 @@ class FlavorAmplitudes(NamedTuple):
 
 
 def u_factors(params: KaonParams, t: float) -> tuple[complex, complex]:
-    """Decaying phases U_{S,L}(t) = e^{-alpha_{S,L}·t} for t >= 0."""
-    if t < 0:
-        raise DomainError("time must be >= 0")
+    """Decaying phases U_{S,L}(t) = e^{-alpha_{S,L}·t} for finite t >= 0."""
+    t = float(_nonnegative(t, "time t"))
     return cmath.exp(-params.alpha_s * t), cmath.exp(-params.alpha_l * t)
 
 
@@ -69,37 +71,39 @@ def evolve_k(params: KaonParams, t: float) -> FlavorAmplitudes:
     return FlavorAmplitudes((u_s + u_l) / 2.0, (u_s - u_l) / 2.0)
 
 
-def transition_probability(params: KaonParams, t: float, frm: str, to: str) -> float:
-    """P(frm -> to) at time t, closed form.
+def transition_probability(params: KaonParams, t, frm: str, to: str):
+    """P(frm -> to) at time t, closed form; an array of t gives an array.
 
     P_same(t) = (e^{-γ_S t} + e^{-γ_L t} + 2 e^{-(γ_S+γ_L)t/2} cos Δm·t)/4,
-    P_flip(t) = same with the cosine term negated.
+    P_flip(t) = same with the cosine term negated.  Every t must be finite
+    and >= 0; exp and cos are math's per element (linalg.elementwise), so an
+    array gives the bits of its points taken one by one.
     """
     if frm not in FLAVORS or to not in FLAVORS:
         raise ValidationError(f"flavors must be in {FLAVORS}")
-    if t < 0:
-        raise DomainError("time must be >= 0")
-    es = math.exp(-params.gamma_s * t)
-    el = math.exp(-params.gamma_l * t)
-    cross = 2.0 * math.exp(-(params.gamma_s + params.gamma_l) * t / 2.0) * math.cos(
-        params.delta_m * t
-    )
+    t = _nonnegative(t, "time t")
+    gs, gl = params.gamma_s, params.gamma_l
+    # quiet, as Python floats are: γ·t and Δm·t may overflow, and inf·0 is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        es, el = elementwise(math.exp, -gs * t), elementwise(math.exp, -gl * t)
+        damp = elementwise(math.exp, -(gs + gl) * t / 2.0)
+        cross = 2.0 * damp * elementwise(math.cos, params.delta_m * t)
     if frm == to:
         return (es + el + cross) / 4.0
     return (es + el - cross) / 4.0
 
 
-def survival_probability(params: KaonParams, t: float) -> float:
-    """P(frm -> K) + P(frm -> K̄) = (e^{-γ_S t} + e^{-γ_L t})/2 for either flavor."""
-    if t < 0:
-        raise DomainError("time must be >= 0")
-    return (math.exp(-params.gamma_s * t) + math.exp(-params.gamma_l * t)) / 2.0
+def survival_probability(params: KaonParams, t):
+    """P(frm -> K) + P(frm -> K̄) = (e^{-γ_S t} + e^{-γ_L t})/2 for either flavor;
+    an array of t gives an array."""
+    t = _nonnegative(t, "time t")
+    with np.errstate(over="ignore"):
+        es, el = [elementwise(math.exp, -g * t) for g in (params.gamma_s, params.gamma_l)]
+    return (es + el) / 2.0
 
 
-def oscillation_curve(
-    params: KaonParams, t_max: float, steps: int
-) -> list[tuple[float, float, float, float]]:
-    """Uniform table of (t, P_{K->K}, P_{K->K̄}, asymmetry) on [0, t_max].
+def oscillation_curve(params: KaonParams, t_max: float, steps: int) -> np.ndarray:
+    """Uniform (steps, 4) table of (t, P_{K->K}, P_{K->K̄}, asymmetry) on [0, t_max].
 
     asymmetry = (P_same - P_flip)/(P_same + P_flip) = cos(Δm·t)·sech(d) with
     d = (γ_S - γ_L)·t/2, evaluated as sech(d) = 2e^{-|d|}/(1 + e^{-2|d|}): the
@@ -111,13 +115,10 @@ def oscillation_curve(
         raise ValidationError("steps must be >= 2")
     if not math.isfinite(params.delta_m * t_max):
         raise ValidationError(f"delta_m * t_max must be finite: {params.delta_m!r} * {t_max!r}")
-    dm, half_dgamma = params.delta_m, abs(params.gamma_s - params.gamma_l) / 2.0
-    rows = []
-    for i in range(steps):
-        t = t_max * i / (steps - 1)
-        p_same = transition_probability(params, t, "K", "K")
-        p_flip = transition_probability(params, t, "K", "Kbar")
-        e = math.exp(-half_dgamma * t)  # e^{-|d|}
-        asym = math.cos(dm * t) * (2.0 * e / (1.0 + e * e))
-        rows.append((t, p_same, p_flip, asym))
-    return rows
+    t = t_max * np.arange(steps) / (steps - 1)
+    half_dgamma = abs(params.gamma_s - params.gamma_l) / 2.0
+    with np.errstate(over="ignore"):
+        e = elementwise(math.exp, -half_dgamma * t)  # e^{-|d|}
+    asym = elementwise(math.cos, params.delta_m * t) * (2.0 * e / (1.0 + e * e))
+    p_same, p_flip = (transition_probability(params, t, "K", to) for to in FLAVORS)
+    return np.column_stack([t, p_same, p_flip, asym])

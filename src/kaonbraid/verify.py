@@ -36,20 +36,20 @@ class CheckResult:
 
 
 def _specs(phis=PHI_SET):
-    return [BraidSpec(sign, phi) for sign in braid.SIGNS for phi in phis]
+    """One spec per sign over the array of φ: the stacks the checks run on."""
+    return [BraidSpec(sign, np.array(phis)) for sign in braid.SIGNS]
 
 
 def check_braid_relation(uncorrected: bool = False) -> CheckResult:
-    worst = max(
-        braid.check_braid_relation(s, corrected=not uncorrected) for s in _specs()
-    )
+    worst = max(float(braid.check_braid_relation(s, corrected=not uncorrected).max())
+                for s in _specs())
     label = "uncorrected (3,4)=1 matrix" if uncorrected else "corrected matrix"
     return CheckResult("braid_relation", worst, 1e-12, label)
 
 
 def check_uncorrected_diagnostic() -> CheckResult:
     """The misprinted matrix must clearly fail the braid relation."""
-    least = min(braid.check_braid_relation(s, corrected=False) for s in _specs())
+    least = min(float(braid.check_braid_relation(s, corrected=False).min()) for s in _specs())
     # pass iff the minimum residual exceeds 0.1
     metric = 0.0 if least > 0.1 else 1.0
     return CheckResult(
@@ -62,7 +62,7 @@ def check_eigenvalues() -> CheckResult:
     worst = 0.0
     for spec in _specs():
         ev = np.linalg.eigvals(braid.braid_matrix(spec))
-        ev = ev[np.argsort(ev.imag)]
+        ev = np.take_along_axis(ev, np.argsort(ev.imag), axis=-1)
         worst = max(worst, float(np.max(np.abs(ev - expected))))
     return CheckResult("braid_eigenvalues", worst, 1e-10, "multiset {1+i, 1-i} twice")
 
@@ -72,16 +72,14 @@ def check_qybe(seed: int) -> CheckResult:
     draws = rng.uniform(0.0, 10.0, size=(100, 2))
     draws[draws == 0.0] = 10.0  # open interval (0, 10]
     # one (sign, φ) at a time: each stack of 100 8x8 products stays small
-    worst = max(float(braid.check_qybe(spec, draws[:, 0], draws[:, 1]).max())
-                for spec in _specs(QYBE_PHI_SET))
+    worst = max(float(braid.check_qybe(BraidSpec(sign, phi), draws[:, 0], draws[:, 1]).max())
+                for sign in braid.SIGNS for phi in QYBE_PHI_SET)
     return CheckResult("qybe", worst, 1e-10, "100 seeded (x,y) per sign and phi")
 
 
 def check_asymptotic() -> CheckResult:
-    worst = 0.0
-    for spec in _specs():
-        diff = braid.yang_baxterize(spec, 0.0) - braid.braid_matrix(spec)
-        worst = max(worst, float(np.max(np.abs(diff))))
+    worst = max(float(np.max(np.abs(braid.yang_baxterize(spec, 0.0) - braid.braid_matrix(spec))))
+                for spec in _specs())
     return CheckResult("asymptotic_r0_equals_b", worst, 0.0, "exact entrywise")
 
 
@@ -96,19 +94,16 @@ def check_unitarity_grid() -> CheckResult:
 
 
 def check_hamiltonian_hermitian() -> CheckResult:
-    worst = 0.0
-    for spec in _specs():
-        for t in (0.0, 0.5, -0.5, 1.0, -1.0, 10.0, -10.0):
-            worst = max(worst, hermiticity_residual(dynamics.hamiltonian_at(spec, t)))
+    t = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 10.0, -10.0])
+    worst = max(float(hermiticity_residual(dynamics.hamiltonian_at(spec, t)).max())
+                for spec in _specs())
     return CheckResult("hamiltonian_hermitian", worst, 1e-12)
 
 
 def check_hamiltonian_even() -> CheckResult:
-    worst = 0.0
-    for spec in _specs():
-        for t in (0.5, 1.0, 10.0):
-            diff = dynamics.hamiltonian_at(spec, t) - dynamics.hamiltonian_at(spec, -t)
-            worst = max(worst, float(np.max(np.abs(diff))))
+    t = np.array([0.5, 1.0, 10.0])
+    h = dynamics.hamiltonian_at
+    worst = max(float(np.max(np.abs(h(s, t) - h(s, -t)))) for s in _specs())
     return CheckResult("hamiltonian_even_in_t", worst, 0.0, "H(t) = H(-t) exactly")
 
 
@@ -117,40 +112,29 @@ def check_hamiltonian_t1_printed() -> CheckResult:
     worst = 0.0
     for spec in _specs():
         q, s = spec.q, spec.sigma
-        printed = (1j / 2) * np.array(
-            [[0, 0, 0, -q], [0, 0, -s, 0], [0, s, 0, 0], [1 / q, 0, 0, 0]],
-            dtype=complex,
-        )
-        worst = max(worst, float(np.max(np.abs(dynamics.hamiltonian_at(spec, 1.0) - printed))))
+        printed = np.zeros(q.shape + (4, 4), dtype=complex)
+        printed[:, 0, 3], printed[:, 1, 2], printed[:, 2, 1] = -q, -s, s
+        printed[:, 3, 0] = [1 / z for z in q.tolist()]  # Python's complex division
+        diff = dynamics.hamiltonian_at(spec, 1.0) - (1j / 2) * printed
+        worst = max(worst, float(np.max(np.abs(diff))))
     return CheckResult("hamiltonian_t1_printed_form", worst, 1e-14)
 
 
-def random_states(rng, n: int) -> list[states.TwoKaonState]:
-    out = []
-    for _ in range(n):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        out.append(states.TwoKaonState(v / np.linalg.norm(v)))
-    return out
-
-
 def check_schrodinger(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    spec_set = [BraidSpec("plus", 0.0), BraidSpec("minus", 1.0)]
-    for psi in random_states(rng, 10):
-        for t in (0.2, 0.5, 1.0, 2.0, 5.0):
-            for spec in spec_set:
-                worst = max(worst, dynamics.schrodinger_residual(psi, spec, t, dt=1e-5))
+    # 10 seeded unit states from one draw of 8 normals each: 4 real parts, then 4 imaginary
+    d = np.random.default_rng(seed).normal(size=(10, 8))
+    v = d[:, :4] + 1j * d[:, 4:]
+    psi = v / frobenius(v[:, None, :])[:, None]
+    t = np.array([0.2, 0.5, 1.0, 2.0, 5.0])
+    worst = max(float(dynamics.schrodinger_residual(psi, spec, t, dt=1e-5).max())
+                for spec in (BraidSpec("plus", 0.0), BraidSpec("minus", 1.0)))
     return CheckResult("schrodinger_residual", worst, 1e-6, "dt = 1e-5, 10 states x 5 times")
 
 
 def check_r_hamiltonian_consistency() -> CheckResult:
-    worst = 0.0
-    for sign in braid.SIGNS:
-        for phi in CONSISTENCY_PHI:
-            spec = BraidSpec(sign, phi)
-            for t in CONSISTENCY_T:
-                worst = max(worst, dynamics.r_vs_hamiltonian_consistency(spec, t))
+    t = np.array(CONSISTENCY_T)
+    worst = max(float(dynamics.r_vs_hamiltonian_consistency(BraidSpec(sign, phi), t).max())
+                for sign in braid.SIGNS for phi in CONSISTENCY_PHI)
     return CheckResult("r_vs_hamiltonian", worst, 1e-11)
 
 
@@ -231,29 +215,27 @@ def check_rho() -> CheckResult:
     notes = []
     t = np.array([0.5, 1.0, 2.0, 5.0])
     for spec in _specs((0.0, 1.0, math.pi / 2)):
-        ok, scalar, residual = braid.rho_check(spec, t)
-        gap = scalar - 2.0 * (t + 1.0 / t)
-        worst = max(worst, *residual, *np.hypot(gap.real, gap.imag), 0.0 if ok.all() else 1.0)
+        ok, scalar, residual = braid.rho_check(spec, t[:, None])
+        gap = scalar - 2.0 * (t[:, None] + 1.0 / t[:, None])
+        worst = max(worst, residual.max(), np.hypot(gap.real, gap.imag).max(),
+                    0.0 if ok.all() else 1.0)
     printed = braid.rho_printed_formula(BraidSpec("plus", 0.0), 1.0)
     notes.append(f"computed 2(t+1/t); printed formula gives {printed.real:g} at t=1, phi=0")
     return CheckResult("rho_inversion", worst, 1e-12, "; ".join(notes))
 
 
 def check_oscillation(seed: int) -> CheckResult:
-    worst = 0.0
     # pure-oscillation limit
     pure = oscillation.KaonParams(gamma_s=0.0, gamma_l=0.0, m_s=0.0, m_l=0.474)
-    for t, _, p_flip, _ in oscillation.oscillation_curve(pure, 12.0, 500):
-        worst = max(worst, abs(p_flip - math.sin(pure.delta_m * t / 2.0) ** 2))
+    t, _, p_flip, _ = oscillation.oscillation_curve(pure, 12.0, 500).T
+    worst = float(np.max(np.abs(p_flip - elementwise(math.sin, pure.delta_m * t / 2.0) ** 2)))
     # decaying defaults
     params = oscillation.KaonParams()
-    for t, p_same, p_flip, _ in oscillation.oscillation_curve(params, 12.0, 200):
-        if not (0.0 <= p_same <= 1.0 and 0.0 <= p_flip <= 1.0):
-            worst = max(worst, 1.0)
-        worst = max(worst, abs(p_same + p_flip - oscillation.survival_probability(params, t)))
-        flip_back = oscillation.transition_probability(params, t, "Kbar", "K")
-        if p_flip != flip_back:
-            worst = max(worst, 1.0)
+    t, p_same, p_flip, _ = oscillation.oscillation_curve(params, 12.0, 200).T
+    flip_back = oscillation.transition_probability(params, t, "Kbar", "K")
+    ok = ((0.0 <= p_same) & (p_same <= 1.0) & (0.0 <= p_flip) & (p_flip <= 1.0)).all()
+    total = np.abs(p_same + p_flip - oscillation.survival_probability(params, t)).max()
+    worst = max(worst, float(total), 0.0 if ok and (p_flip == flip_back).all() else 1.0)
     # amplitude path vs closed form on random parameter draws
     rng = np.random.default_rng(seed)
     for _ in range(50):

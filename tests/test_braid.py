@@ -161,6 +161,16 @@ class TestQybe:
             with pytest.raises(DomainError, match="spectral parameter x must be finite and >= 0"):
                 check_qybe(spec, x, y)
 
+    @pytest.mark.parametrize("x, y, message", [
+        (1e200, 1e200, "x·y must be finite"),  # both valid, the product overflows
+        (math.inf, 0.0, "spectral parameter x must be finite"),  # inf·0 would be nan
+        (np.array([1.0, 1e200]), np.array([1.0, 1e200]), "x·y must be finite"),
+    ])
+    def test_checks_x_and_y_before_forming_xy(self, x, y, message):
+        # under filterwarnings = error a numpy RuntimeWarning would surface instead
+        with pytest.raises(DomainError, match=message):
+            check_qybe(BraidSpec("plus", 0.0), x, y)
+
     def test_degenerate_zero_reduces_to_braid_relation(self):
         spec = BraidSpec("minus", 1.0)
         assert check_qybe(spec, 0.0, 0.0) == pytest.approx(

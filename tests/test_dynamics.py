@@ -225,6 +225,13 @@ class TestRVsHamiltonian:
         for spec in SPECS:
             assert r_vs_hamiltonian_consistency(spec, t) < 1e-11
 
+    @pytest.mark.parametrize("t, shown", [(-1.0, "-1.0"), (math.nan, "nan"), (math.inf, "inf")])
+    @pytest.mark.parametrize("form", ["number", "array"])
+    def test_rejects_bad_time(self, t, shown, form):
+        arg = t if form == "number" else np.array([1.0, t])
+        with pytest.raises(DomainError, match=f"time t must be finite and >= 0, got {shown}"):
+            r_vs_hamiltonian_consistency(BraidSpec("plus", 0.0), arg)
+
 
 def test_hamiltonian_action_report_flags_discrepancy():
     # the printed basis action differs from the computed one by a phase;

@@ -41,6 +41,11 @@ class TestUFactors:
         with pytest.raises(DomainError):
             u_factors(KaonParams(), -1.0)
 
+    @pytest.mark.parametrize("kernel", [u_factors, evolve_k])
+    def test_rejects_nan_time(self, kernel):
+        with pytest.raises(DomainError, match="time t must be finite and >= 0, got nan"):
+            kernel(KaonParams(), math.nan)
+
 
 class TestFlavorEvolution:
     def test_k_at_t_zero(self):
@@ -119,6 +124,24 @@ class TestTransitionProbability:
             assert transition_probability(p, t, "K", "Kbar") == pytest.approx(
                 abs(amps.c_kbar) ** 2, abs=1e-12
             )
+
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan])], ids=["number", "array"])
+    def test_rejects_nan_time(self, t):
+        for frm, to in (("K", "K"), ("K", "Kbar")):
+            with pytest.raises(DomainError, match="time t must be finite and >= 0, got nan"):
+                transition_probability(KaonParams(), t, frm, to)
+
+    @pytest.mark.parametrize("t", [math.inf, np.array([0.5, math.inf])], ids=["number", "array"])
+    def test_rejects_infinite_time(self, t):
+        with pytest.raises(DomainError, match="time t must be finite and >= 0, got inf"):
+            transition_probability(KaonParams(), t, "K", "K")
+        with pytest.raises(DomainError, match="time t must be finite and >= 0, got inf"):
+            survival_probability(KaonParams(), t)
+
+    def test_extreme_rates_stay_quiet(self):
+        # γ·t overflows: e^{-γt} is 0 with no numpy warning, as with Python floats
+        p = KaonParams(gamma_s=1e300)
+        assert transition_probability(p, np.array([0.0, 1e10]), "K", "K")[1] == 0.0
 
     def test_rejects_bad_flavor(self):
         with pytest.raises(ValidationError):

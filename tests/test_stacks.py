@@ -3,13 +3,15 @@
 A stack of N states, spectral parameters, times or phases must give, row by
 row and bit for bit (compared with ==), what N single-point calls give, and
 the single-point calls must give what the per-row formulas the library used
-before (np.kron, np.vdot, np.linalg.norm, math's angles, complex scalar
-arithmetic) give.  The stack validator must reject a stack in which one row
-is bad.  The algebra's own laws (QYBE, the propagator's group law) are
+before (np.kron, np.vdot, np.linalg.norm, math's angles, exponentials and
+cosines, complex scalar arithmetic) give.  The stack validator must reject a
+stack in which one row is bad.  The algebra's own laws (QYBE, the braid
+relation, the propagator's group law, P_same + P_flip = survival) are
 checked over generated inputs to a tolerance.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kaonbraid import dynamics
 from kaonbraid.braid import (
     SIGNS,
     BraidSpec,
     braid_matrix,
+    check_braid_relation,
     check_qybe,
     rho_check,
     rho_printed_formula,
@@ -28,9 +32,23 @@ from kaonbraid.braid import (
     unitary_r,
     yang_baxterize,
 )
-from kaonbraid.dynamics import hamiltonian_generator, propagator
+from kaonbraid.dynamics import (
+    envelope,
+    hamiltonian_at,
+    hamiltonian_generator,
+    propagator,
+    r_vs_hamiltonian_consistency,
+    schrodinger_residual,
+)
 from kaonbraid.errors import DomainError, ValidationError
 from kaonbraid.linalg import frobenius, tensor_product, unitarity_residual
+from kaonbraid.oscillation import (
+    FLAVORS,
+    KaonParams,
+    oscillation_curve,
+    survival_probability,
+    transition_probability,
+)
 from kaonbraid.states import (
     TwoKaonState,
     concurrence,
@@ -40,12 +58,16 @@ from kaonbraid.states import (
     schmidt_coefficients,
     state_stack,
 )
-from kaonbraid.verify import separability_states
+from kaonbraid.verify import check_schrodinger, separability_states
 
 UNIT = st.floats(-1.0, 1.0)
 ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
 SPECTRAL = st.floats(0.0, 10.0)
 TIME = st.floats(-1e3, 1e3) | st.sampled_from([math.inf, -math.inf])
+RATE = st.floats(0.0, 10.0)
+MASS = st.floats(-10.0, 10.0)
+SCHRODINGER_T = (0.2, 0.5, 1.0, 2.0, 5.0)
+SCHRODINGER_SPECS = (BraidSpec("plus", 0.0), BraidSpec("minus", 1.0))
 _I2 = np.eye(2, dtype=complex)
 
 
@@ -111,6 +133,60 @@ def separability_reference(rng, n):
             amp = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi[i] = amp / np.linalg.norm(amp)
     return psi
+
+
+def transition_reference(params, t, frm, to):
+    """The per-point closed form transition_probability evaluated before it took arrays."""
+    es = math.exp(-params.gamma_s * t)
+    el = math.exp(-params.gamma_l * t)
+    cross = 2.0 * math.exp(-(params.gamma_s + params.gamma_l) * t / 2.0) * math.cos(
+        params.delta_m * t
+    )
+    return (es + el + cross) / 4.0 if frm == to else (es + el - cross) / 4.0
+
+
+def oscillation_curve_reference(params, t_max, steps):
+    """The per-row table oscillation_curve built before it took arrays."""
+    dm, half_dgamma = params.delta_m, abs(params.gamma_s - params.gamma_l) / 2.0
+    rows = []
+    for i in range(steps):
+        t = t_max * i / (steps - 1)
+        p_same = transition_reference(params, t, "K", "K")
+        p_flip = transition_reference(params, t, "K", "Kbar")
+        e = math.exp(-half_dgamma * t)
+        asym = math.cos(dm * t) * (2.0 * e / (1.0 + e * e))
+        rows.append((t, p_same, p_flip, asym))
+    return rows
+
+
+def schrodinger_reference(state0, spec, t, dt):
+    """The per-point Schrödinger residual as schrodinger_residual formed it
+    before it took stacks."""
+    ahead, behind, now = propagator(spec, 0.0, [t + dt, t - dt, t]) @ state0.vector
+    deriv = 1j * (ahead - behind) / (2.0 * dt)
+    h = envelope(t) * hamiltonian_generator(spec)
+    return float(np.linalg.norm(deriv - h @ now))
+
+
+def r_vs_hamiltonian_reference(spec, t):
+    """The per-point consistency residual, from one two-row unitary_r call."""
+    r_t, r_0 = unitary_r(spec, [t, 0.0])
+    return float(np.linalg.norm(r_t @ r_0.conj().T - propagator(spec, 0.0, t)))
+
+
+def random_states_reference(rng, n):
+    """The per-state draws check_schrodinger made before stacks (the deleted
+    verify.random_states)."""
+    out = []
+    for _ in range(n):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        out.append(TwoKaonState(v / np.linalg.norm(v)))
+    return out
+
+
+@st.composite
+def kaon_params(draw):
+    return KaonParams(draw(RATE), draw(RATE), draw(MASS), draw(MASS))
 
 
 class TestStackEqualsRows:
@@ -240,6 +316,83 @@ class TestStackEqualsRows:
             assert np.array_equal(u, propagator(spec, t0, ti))
             assert np.array_equal(u, propagator_reference(spec, t0, ti))
 
+    @settings(deadline=None)
+    @given(params=kaon_params(),
+           t=hnp.arrays(float, st.integers(1, 50), elements=st.floats(0.0, 1e3)))
+    def test_transition_and_survival_probability(self, params, t):
+        for frm in FLAVORS:
+            for to in FLAVORS:
+                stacked = transition_probability(params, t, frm, to)
+                for ti, p in zip(t.tolist(), stacked):
+                    single = transition_probability(params, ti, frm, to)
+                    assert p == single == transition_reference(params, ti, frm, to)
+        survival = survival_probability(params, t)
+        for ti, s in zip(t.tolist(), survival):
+            reference = (math.exp(-params.gamma_s * ti) + math.exp(-params.gamma_l * ti)) / 2.0
+            assert s == survival_probability(params, ti) == reference
+
+    @settings(deadline=None)
+    @given(params=kaon_params(), t_max=st.floats(1e-3, 100.0), steps=st.integers(2, 300))
+    def test_oscillation_curve(self, params, t_max, steps):
+        curve = oscillation_curve(params, t_max, steps)
+        assert curve.shape == (steps, 4)
+        assert np.array_equal(curve, oscillation_curve_reference(params, t_max, steps))
+
+    @settings(deadline=None)
+    @given(sign=st.sampled_from(SIGNS), phi=ANGLE, psi=state_stacks(),
+           t=hnp.arrays(float, st.integers(1, 8), elements=st.floats(-50.0, 50.0)))
+    def test_schrodinger_residual(self, sign, phi, psi, t):
+        spec = BraidSpec(sign, phi)
+        stacked = schrodinger_residual(psi, spec, t)
+        assert stacked.shape == (len(psi), len(t))
+        h = hamiltonian_at(spec, t)
+        for j, tj in enumerate(t.tolist()):
+            assert np.array_equal(h[j], hamiltonian_at(spec, tj))
+            for i, row in enumerate(psi):
+                single = TwoKaonState(row)
+                reference = schrodinger_reference(single, spec, tj, 1e-5)
+                assert stacked[i, j] == schrodinger_residual(single, spec, tj) == reference
+
+    @settings(deadline=None)
+    @given(sign=st.sampled_from(SIGNS), phi=ANGLE,
+           t=hnp.arrays(float, st.integers(1, 50), elements=st.floats(0.0, 1e3)))
+    def test_r_vs_hamiltonian_consistency(self, sign, phi, t):
+        spec = BraidSpec(sign, phi)
+        stacked = r_vs_hamiltonian_consistency(spec, t)
+        for ti, value in zip(t.tolist(), stacked):
+            single = r_vs_hamiltonian_consistency(spec, ti)
+            assert value == single == r_vs_hamiltonian_reference(spec, ti)
+
+    @settings(deadline=None)
+    @given(sign=st.sampled_from(SIGNS), corrected=st.booleans(),
+           phi=hnp.arrays(float, st.integers(1, 50), elements=ANGLE))
+    def test_braid_relation(self, sign, corrected, phi):
+        stacked = check_braid_relation(BraidSpec(sign, phi), corrected)
+        singles = [check_braid_relation(BraidSpec(sign, p), corrected) for p in phi.tolist()]
+        assert np.array_equal(stacked, singles)
+
+    @settings(deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2**63))
+    def test_schrodinger_draws(self, seed):
+        """check_schrodinger hands one 10-state stack per spec to
+        schrodinger_residual: the states the old per-state loop drew, and a
+        worst residual equal to the per-point calls' worst."""
+        stacks = []
+
+        def spy(psi, *args, **kwargs):
+            stacks.append(psi)
+            return schrodinger_residual(psi, *args, **kwargs)
+
+        with mock.patch.object(dynamics, "schrodinger_residual", spy):
+            metric = check_schrodinger(seed).metric
+        reference = random_states_reference(np.random.default_rng(seed), 10)
+        assert len(stacks) == len(SCHRODINGER_SPECS)
+        for psi in stacks:
+            assert np.array_equal(psi, [state.vector for state in reference])
+        assert metric == max(schrodinger_residual(state, spec, t, dt=1e-5)
+                             for state in reference for t in SCHRODINGER_T
+                             for spec in SCHRODINGER_SPECS)
+
     def test_propagator_angles_are_math_per_element(self):
         # np.arctan differs from math.atan on 5 of these 5000 t (numpy 2.4.6)
         t = np.random.default_rng(5).uniform(-10.0, 10.0, 5000)
@@ -268,6 +421,20 @@ def test_separability_draws_of_verify_seeds(seed):
 @given(sign=st.sampled_from(SIGNS), phi=ANGLE, x=SPECTRAL, y=SPECTRAL)
 def test_qybe_holds(sign, phi, x, y):
     assert check_qybe(BraidSpec(sign, phi), x, y) < 1e-10
+
+
+@settings(deadline=None)
+@given(sign=st.sampled_from(SIGNS), phi=hnp.arrays(float, st.integers(1, 50), elements=ANGLE))
+def test_braid_relation_holds(sign, phi):
+    assert check_braid_relation(BraidSpec(sign, phi)).max() < 1e-12
+
+
+@settings(deadline=None)
+@given(params=kaon_params(),
+       t=hnp.arrays(float, st.integers(1, 50), elements=st.floats(0.0, 1e3)))
+def test_same_plus_flip_is_survival(params, t):
+    total = sum(transition_probability(params, t, "K", to) for to in FLAVORS)
+    assert np.max(np.abs(total - survival_probability(params, t))) <= 1e-12
 
 
 @settings(deadline=None)
