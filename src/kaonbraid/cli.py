@@ -2,8 +2,12 @@
 tables with deterministic CSV/JSON output.
 
 Numeric serialization is decimal with 17 significant digits ('%.17g'), so
-every value round-trips bit-exactly through the emitted files.  Exit codes:
-0 success, 1 verification failure, 2 configuration/validation error.
+every value round-trips bit-exactly through the emitted files.  A table
+command computes its table as one (N, k) float array, and write_table formats
+it CHUNK_ROWS rows at a time, through fmt, straight to the stream; only
+verify's report, whose rows start with a name, is written cell by cell.
+
+Exit codes: 0 success, 1 verification failure, 2 configuration/validation error.
 """
 
 from __future__ import annotations
@@ -25,15 +29,22 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 
 
+# rows per `%` operation: the text held at once (about 1 MB for evolve's 10
+# columns) stays the same however long the table is
+CHUNK_ROWS = 4096
+
+
 def fmt(x) -> str:
     """Canonical cell formatting: numbers to 17 significant digits, strings
-    verbatim."""
-    # floats (np.float64 included) are nearly every cell: test them first so
-    # the string branch adds no work to large numeric tables
+    verbatim.  An (n, k) float array gives n CSV lines of k cells, from one
+    `%` operation ('%.17g' % x and format(x, '.17g') are the same digits)."""
     if isinstance(x, float):
         return format(float(x), ".17g")
     if isinstance(x, str):
         return x
+    if isinstance(x, np.ndarray):
+        n, k = x.shape
+        return (",".join(["%.17g"] * k) + "\n") * n % tuple(x.ravel().tolist())
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -42,6 +53,7 @@ def fmt(x) -> str:
 
 
 def _json_value(v) -> str:
+    """JSON text of a meta value or a cell of verify's report."""
     import json
 
     if isinstance(v, str):
@@ -50,22 +62,34 @@ def _json_value(v) -> str:
         return "null"
     if isinstance(v, (bool, int, float, np.integer, np.floating, np.bool_)):
         return fmt(v)
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_value(x) for x in v) + "]"
-    if isinstance(v, dict):
-        items = (f"{_json_value(str(k))}: {_json_value(x)}" for k, x in v.items())
-        return "{" + ", ".join(items) + "}"
     raise TypeError(f"unserializable value {v!r}")
 
 
 def write_table(stream, columns, rows, meta, fmt_name):
-    if fmt_name == "csv":
-        stream.write(",".join(columns) + "\n")
-        for row in rows:
-            stream.write(",".join(fmt(v) for v in row) + "\n")
+    """Write a table in CSV or JSON.  `rows` is an (N, k) float array, written
+    CHUNK_ROWS rows at a time, or, for verify's report, whose rows start with
+    the check's name, a list of rows written cell by cell."""
+    csv = fmt_name == "csv"
+    if isinstance(rows, np.ndarray):
+        lines = (fmt(rows[i:i + CHUNK_ROWS]) for i in range(0, len(rows), CHUNK_ROWS))
+        # "a,b\nc,d\n" -> "[a, b], [c, d]"; no number's text holds "," or "\n"
+        chunks = lines if csv else (
+            "[" + text[:-1].replace(",", ", ").replace("\n", "], [") + "]" for text in lines)
+    elif csv:
+        chunks = ["".join(",".join(fmt(v) for v in row) + "\n" for row in rows)]
     else:
-        doc = {"meta": meta, "columns": list(columns), "rows": [list(r) for r in rows]}
-        stream.write(_json_value(doc) + "\n")
+        chunks = [", ".join("[" + ", ".join(map(_json_value, row)) + "]" for row in rows)]
+    if csv:
+        stream.write(",".join(columns) + "\n")
+        for chunk in chunks:
+            stream.write(chunk)
+        return
+    items = ", ".join(f"{_json_value(k)}: {_json_value(v)}" for k, v in meta.items())
+    stream.write(f'{{"meta": {{{items}}}, "columns": [{", ".join(map(_json_value, columns))}], '
+                 '"rows": [')
+    for i, chunk in enumerate(chunks):
+        stream.write(", " + chunk if i else chunk)
+    stream.write("]}\n")
 
 
 def load_config_file(path) -> dict:
@@ -206,7 +230,7 @@ def cmd_bell(cfg) -> int:
     for i, (psi, (_, s_eig, cp_eig)) in enumerate(zip(quartet, table), start=1):
         amps = [part for a in psi.amplitudes for part in (a.real, a.imag)]
         rows.append([i, *amps, states.concurrence(psi), s_eig, cp_eig])
-    _emit(cfg, "bell", columns, rows)
+    _emit(cfg, "bell", columns, np.array(rows, dtype=float))
     return EXIT_OK
 
 
@@ -243,7 +267,7 @@ def cmd_evolve(cfg) -> int:
             psi0, spec, (t0 + t1) / 2.0 if t0 != t1 else t0, dt=1e-5
         ),
     }
-    _emit(cfg, "evolve", columns, table.tolist(), extra)
+    _emit(cfg, "evolve", columns, table, extra)
     return EXIT_OK
 
 
@@ -260,7 +284,7 @@ def cmd_sweep_phi(cfg) -> int:
         states.correlation(deformed, s_op, s_op),
     ])
     columns = ["phi", "c1", "c2", "c3", "c4", "corr_cp", "corr_s"]
-    _emit(cfg, "sweep-phi", columns, table.tolist())
+    _emit(cfg, "sweep-phi", columns, table)
     return EXIT_OK
 
 
@@ -269,7 +293,7 @@ def cmd_oscillate(cfg) -> int:
         gamma_s=cfg["gamma_s"], gamma_l=cfg["gamma_l"], m_s=0.0, m_l=cfg["dm"]
     )
     curve = oscillation.oscillation_curve(params, cfg["t1"], cfg["steps"])
-    _emit(cfg, "oscillate", ["t", "p_k_to_k", "p_k_to_kbar", "asymmetry"], curve.tolist())
+    _emit(cfg, "oscillate", ["t", "p_k_to_k", "p_k_to_kbar", "asymmetry"], curve)
     return EXIT_OK
 
 
@@ -287,7 +311,7 @@ def cmd_rho_report(cfg) -> int:
     ])
     columns = ["t", "is_scalar", "scalar", "closed_form", "printed_formula",
                "discrepancy", "inversion_symmetry"]
-    _emit(cfg, "rho-report", columns, table.tolist())
+    _emit(cfg, "rho-report", columns, table)
     return EXIT_OK
 
 

@@ -33,7 +33,9 @@ def hamiltonian_generator(spec: BraidSpec) -> np.ndarray:
 
 def envelope(t: float) -> float:
     """f(t) = 1/(1+t²); even in t."""
-    return 1.0 / (1.0 + t * t)
+    # t² overflows for |t| > 1.3e154, and f is then 0, as with Python floats
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + t * t)
 
 
 def hamiltonian_at(spec: BraidSpec, t) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .linalg import _nonnegative, elementwise
 
 FLAVORS = ("K", "Kbar")
@@ -62,6 +62,9 @@ class FlavorAmplitudes(NamedTuple):
 def u_factors(params: KaonParams, t: float) -> tuple[complex, complex]:
     """Decaying phases U_{S,L}(t) = e^{-alpha_{S,L}·t} for finite t >= 0."""
     t = float(_nonnegative(t, "time t"))
+    for name, m in (("m_s", params.m_s), ("m_l", params.m_l)):
+        if not math.isfinite(m * t):
+            raise DomainError(f"{name}*t overflows: {name} = {m!r}, t = {t!r}")
     return cmath.exp(-params.alpha_s * t), cmath.exp(-params.alpha_l * t)
 
 
@@ -83,11 +86,17 @@ def transition_probability(params: KaonParams, t, frm: str, to: str):
         raise ValidationError(f"flavors must be in {FLAVORS}")
     t = _nonnegative(t, "time t")
     gs, gl = params.gamma_s, params.gamma_l
-    # quiet, as Python floats are: γ·t and Δm·t may overflow, and inf·0 is nan
+    # quiet, as Python floats are: γ·t and Δm·t may overflow, Δm itself may,
+    # and inf·0 is nan.  The halves of γ_S + γ_L are summed, as it may overflow
     with np.errstate(over="ignore", invalid="ignore"):
         es, el = elementwise(math.exp, -gs * t), elementwise(math.exp, -gl * t)
-        damp = elementwise(math.exp, -(gs + gl) * t / 2.0)
-        cross = 2.0 * damp * elementwise(math.cos, params.delta_m * t)
+        damp = elementwise(math.exp, -(gs / 2.0 + gl / 2.0) * t)
+        phase = params.delta_m * t
+    finite = np.isfinite(phase)
+    if not finite.all():
+        bad = float(t.flat[finite.argmin()])
+        raise DomainError(f"delta_m*t overflows: delta_m = {params.delta_m!r}, t = {bad!r}")
+    cross = 2.0 * damp * elementwise(math.cos, phase)
     if frm == to:
         return (es + el + cross) / 4.0
     return (es + el - cross) / 4.0

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -5,8 +6,20 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from kaonbraid.cli import FLAGS, build_parser, fmt, load_config_file, main, parse_state, resolve
+from kaonbraid.cli import (
+    CHUNK_ROWS,
+    FLAGS,
+    build_parser,
+    fmt,
+    load_config_file,
+    main,
+    parse_state,
+    resolve,
+    write_table,
+)
 from kaonbraid.errors import KaonbraidError
 
 
@@ -26,6 +39,59 @@ class TestFormatting:
         assert fmt(True) == "1"
         assert fmt(False) == "0"
         assert fmt(7) == "7"
+
+
+def reference_json_value(v) -> str:
+    """The per-cell JSON writer that the chunked one replaced."""
+    if isinstance(v, str):
+        return json.dumps(v)
+    if v is None:
+        return "null"
+    if isinstance(v, (bool, int, float)):
+        return fmt(v)
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(reference_json_value(x) for x in v) + "]"
+    items = (f"{reference_json_value(str(k))}: {reference_json_value(x)}" for k, x in v.items())
+    return "{" + ", ".join(items) + "}"
+
+
+def reference_write_table(stream, columns, rows, meta, fmt_name):
+    """The per-cell table writer that the chunked one replaced."""
+    if fmt_name == "csv":
+        stream.write(",".join(columns) + "\n")
+        for row in rows:
+            stream.write(",".join(fmt(v) for v in row) + "\n")
+    else:
+        doc = {"meta": meta, "columns": list(columns), "rows": [list(r) for r in rows]}
+        stream.write(reference_json_value(doc) + "\n")
+
+
+SPECIAL_CELLS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                 1.2345678901234567e300, -9.87654321e-300, 1.7976931348623157e308]
+
+
+class TestWriteTable:
+    # one row, both sides of the first chunk boundary, and two boundaries crossed
+    @pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                   2 * CHUNK_ROWS + 1])
+    # no shrinking: the bits come from a seed, so a smaller seed is no simpler
+    # table, and each attempt would rewrite up to 8,193 rows twice
+    @settings(max_examples=4, deadline=None, phases=[Phase.explicit, Phase.generate])
+    @given(k=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           cells=st.lists(st.floats() | st.sampled_from(SPECIAL_CELLS), min_size=1, max_size=40))
+    def test_chunked_matches_per_cell(self, n, k, seed, cells):
+        # arbitrary float64 bit patterns (every exponent, subnormals, nan
+        # payloads), with the drawn cells scattered over them
+        rng = np.random.default_rng(seed)
+        table = np.frombuffer(rng.bytes(8 * n * k), dtype=np.float64).reshape(n, k).copy()
+        table.ravel()[rng.integers(n * k, size=len(cells))] = cells
+        columns = [f"c{j}" for j in range(k)]
+        meta = {"command": "x", "tol": None, "switch": False, "steps": n, "phi": -0.0}
+        for fmt_name in ("csv", "json"):
+            chunked, per_cell = io.StringIO(), io.StringIO()
+            write_table(chunked, columns, table, meta, fmt_name)
+            reference_write_table(per_cell, columns, table.tolist(), meta, fmt_name)
+            assert chunked.getvalue() == per_cell.getvalue()
 
 
 class TestConfig:
@@ -205,6 +271,12 @@ class TestTables:
         metas = [json.loads(run_cli(capsys, "evolve", "--steps", "2", "--state", label,
                                     "--format", "json")[1])["meta"] for label in ("KK", "KKbar")]
         assert [m["state"] for m in metas] == ["KK", "KKbar"]
+
+    def test_evolve_huge_time_is_quiet(self, capsys):
+        # the midpoint residual evaluates f(5e199), whose t² overflows
+        code, out, err = run_cli(capsys, "evolve", "--t1", "1e200", "--steps", "3")
+        assert code == 0
+        assert out.startswith("t,re_a0") and err == ""
 
     def test_evolve_rejects_nan_time(self, capsys):
         code, out, err = run_cli(capsys, "evolve", "--t1", "nan")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kaonbraid.braid import SIGNS, BraidSpec
 from kaonbraid.dynamics import (
+    envelope,
     evolve_state,
     hamiltonian_action_report,
     hamiltonian_at,
@@ -56,6 +57,11 @@ class TestHamiltonian:
             h0 = hamiltonian_generator(spec)
             assert hermiticity_residual(h0) < 1e-12
             assert np.linalg.norm(h0 @ h0 - np.eye(4)) < 1e-12
+
+    @pytest.mark.parametrize("t", [np.float64(1e200), np.array([1e200])], ids=["number", "array"])
+    def test_envelope_overflow_is_quiet(self, t):
+        # t² overflows to inf and f(t) is 0, with no numpy warning (an error under pytest)
+        assert np.all(envelope(t) == 0.0)
 
     def test_t1_phi0_matrix(self):
         h = hamiltonian_at(BraidSpec("plus", 0.0), 1.0)

@@ -47,6 +47,12 @@ class TestUFactors:
             kernel(KaonParams(), math.nan)
 
 
+    def test_overflowing_phase_is_named(self):
+        # m_L·t = 1e309 overflows though t is finite; cmath.exp would raise a bare ValueError
+        with pytest.raises(DomainError, match=r"m_l\*t overflows: m_l = 10.0, t = 1e\+308"):
+            u_factors(KaonParams(m_l=10.0), 1e308)
+
+
 class TestFlavorEvolution:
     def test_k_at_t_zero(self):
         amps = evolve_k(KaonParams(), 0.0)
@@ -142,6 +148,14 @@ class TestTransitionProbability:
         # γ·t overflows: e^{-γt} is 0 with no numpy warning, as with Python floats
         p = KaonParams(gamma_s=1e300)
         assert transition_probability(p, np.array([0.0, 1e10]), "K", "K")[1] == 0.0
+
+    @pytest.mark.parametrize("t", [1e308, np.array([0.5, 1e308])], ids=["number", "array"])
+    def test_overflowing_phase_is_named(self, t):
+        # Δm·t = 1e309 overflows though t is finite; math.cos would raise a bare ValueError
+        for frm, to in (("K", "K"), ("K", "Kbar")):
+            with pytest.raises(DomainError,
+                               match=r"delta_m\*t overflows: delta_m = 10.0, t = 1e\+308"):
+                transition_probability(KaonParams(m_l=10.0), t, frm, to)
 
     def test_rejects_bad_flavor(self):
         with pytest.raises(ValidationError):
