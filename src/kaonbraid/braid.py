@@ -155,11 +155,20 @@ def rho_check(spec: BraidSpec, t):
     if np.isinf(t_inv).any():
         tiny = float(t[np.isinf(t_inv)].flat[0])
         raise DomainError(f"t = {tiny!r} is too small: 1/t overflows")
+    # each entry of R(t)·R(1/t), and the trace of ϱ, is at most 8·max(t, 1/t)
+    with np.errstate(over="ignore"):
+        huge = np.isinf(8.0 * np.maximum(t, t_inv))
+    if huge.any():
+        raise DomainError(f"t = {float(t[huge].flat[0])!r} is out of range: "
+                          "the trace of ϱ = 2(t + 1/t)·I overflows")
     rho = yang_baxterize(spec, t) @ yang_baxterize(spec, t_inv)
     diag = np.diagonal(rho, axis1=-2, axis2=-1)
     scalar = np.trace(rho, axis1=-2, axis2=-1) / 4.0
-    residual = frobenius(rho - scalar[..., None, None] * np.eye(4))
-    off = frobenius(rho - diag[..., None] * np.eye(4))
+    # beyond t or 1/t of about 1e154 the squares of ϱ's rounding error overflow:
+    # the residual then reads inf and is_scalar is False
+    with np.errstate(over="ignore"):
+        residual = frobenius(rho - scalar[..., None, None] * np.eye(4))
+        off = frobenius(rho - diag[..., None] * np.eye(4))
     spread = np.max(np.abs(diag - scalar[..., None]), axis=-1)
     ok = (off < 1e-12) & (spread < 1e-12)
     return (ok, scalar, residual) if t.ndim else (bool(ok), complex(scalar), residual)

@@ -4,8 +4,10 @@ tables with deterministic CSV/JSON output.
 Numeric serialization is decimal with 17 significant digits ('%.17g'), so
 every value round-trips bit-exactly through the emitted files.  A table
 command computes its table as one (N, k) float array, and write_table formats
-it CHUNK_ROWS rows at a time, through fmt, straight to the stream; only
-verify's report, whose rows start with a name, is written cell by cell.
+it CHUNK_ROWS rows at a time, through fmt, straight to the stream; fmt's numpy
+kernel writes each block's '%.17g' text byte for byte, KERNEL_CELLS cells per
+call.  Only verify's report, whose rows start with a name, is written cell by
+cell.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration/validation error.
 """
@@ -13,6 +15,8 @@ Exit codes: 0 success, 1 verification failure, 2 configuration/validation error.
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import math
 import sys
 from typing import Callable, NamedTuple
@@ -29,27 +33,178 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 
 
-# rows per `%` operation: the text held at once (about 1 MB for evolve's 10
+# rows written per fmt call: the text held at once (about 1 MB for evolve's 10
 # columns) stays the same however long the table is
 CHUNK_ROWS = 4096
+# cells per call of fmt's array kernel: its arrays (about 300 B a cell) stay
+# in cache; calls of 2,048, 8,192 and 16,384 cells were slower
+KERNEL_CELLS = 4096
 
 
-def fmt(x) -> str:
-    """Canonical cell formatting: numbers to 17 significant digits, strings
-    verbatim.  An (n, k) float array gives n CSV lines of k cells, from one
-    `%` operation ('%.17g' % x and format(x, '.17g') are the same digits)."""
+def fmt(x, sep=",", end="\n") -> str:
+    """Canonical cell formatting: numbers to 17 significant digits ('%.17g'),
+    strings verbatim.  An (n, k) float array gives n lines of k cells, each
+    cell followed by `sep`, or by `end` at the end of its line; a numpy kernel
+    (_cells) writes the same bytes as '%.17g' per cell."""
     if isinstance(x, float):
         return format(float(x), ".17g")
     if isinstance(x, str):
         return x
     if isinstance(x, np.ndarray):
         n, k = x.shape
-        return (",".join(["%.17g"] * k) + "\n") * n % tuple(x.ravel().tolist())
+        step = max(1, KERNEL_CELLS // k)
+        flat = np.ascontiguousarray(x, dtype=np.float64)
+        return b"".join(_cells(flat[i:i + step].ravel(), k, sep, end)
+                        for i in range(0, n, step)).decode("ascii")
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
+
+
+@functools.cache
+def _powers():
+    """Arrays (HI split in Dekker halves, HI, LO, EX), indexed by s + 310 for
+    s = -310 … 345, with 10**s = (HI + LO)·2**EX to about 2**-106 and HI in
+    [0.5, 1); built on first use from exact integers (int / int rounds
+    correctly)."""
+    table = []
+    for s in range(-310, 346):
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        ex = num.bit_length() - den.bit_length()
+        num, den = (num, den << ex) if ex >= 0 else (num << -ex, den)
+        if num >= den:
+            den, ex = den << 1, ex + 1
+        hi = num / den
+        table.append((hi, ((num << 53) - int(hi * 2**53) * den) / (den << 53), ex))
+    hi, lo, ex = (np.array(c) for c in zip(*table))
+    c = 134217729.0 * hi
+    return c - (c - hi), hi - (c - (c - hi)), hi, lo, ex
+
+
+@functools.cache
+def _quads():
+    """uint32 whose 4 bytes are the ASCII of '%04d' % i for i < 10,000, and
+    of '.000' at 10,000."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48
+    return np.append(digits.astype(np.uint8), np.frombuffer(b".000", np.uint8)).view(np.uint32)
+
+
+@functools.cache
+def _ends():
+    """(4, 10,000): the digits up to the last nonzero one of a 17-digit n
+    whose quad j + 1 is i ≠ 0 (4j + 1 + the digits of '%04d' % i up to its
+    last nonzero one), and 0 for i = 0."""
+    i = np.arange(10000)
+    last = 5 - (i % 10 == 0) - (i % 100 == 0) - (i % 1000 == 0)
+    return np.where(i > 0, np.arange(0, 16, 4)[:, None] + last, 0).astype(np.uint8)
+
+
+@functools.cache
+def _masks():
+    """uint32 masks of grid bytes 0…43, row 17·L + nd - 1 for layout L and nd
+    digits up to the last nonzero one: 0xFF keeps a byte, 0 drops it and '0'
+    writes a zero ('0' & any digit is '0').  L = 0 is exponent form, L = 1 … 21
+    fixed form with X = L - 5 and L = 22 a zero."""
+    ff, rows = b"\xff", []
+    for L in range(23):
+        X = L - 5
+        if L == 0:
+            head, first = ff, 1  # d.ddd
+        elif L == 22:
+            head, first = b"0", 17
+        elif X < 0:
+            head, first = b"0", 0  # 0.000ddd
+        else:
+            head, first = ff * (X + 1), X + 1  # ddd.ddd
+        zeros = ff * (-1 - X) if 0 < L < 5 else b""
+        for nd in range(1, 18):
+            dot = ff if nd > first else b"\0"
+            frac = b"\0" * first + ff * (nd - first)
+            rows.append(b"\0" * 3 + head.ljust(17, b"\0") + dot + zeros.ljust(3, b"\0")
+                        + b"\0" * 3 + frac.ljust(17, b"\0"))
+    return np.frombuffer(b"".join(rows), np.uint32).reshape(-1, 11)
+
+
+@functools.cache
+def _exponents():
+    """(634, 5) ASCII of 'e%+03d' % X at row X + 324, NUL-padded; row 633 empty."""
+    text = [b"e%+03d" % X for X in range(-324, 309)] + [b""]
+    return np.array(text, "S5").view(np.uint8).reshape(-1, 5)
+
+
+def _scaled(f, k, s):
+    """Nearest integer to f·2**k·10**s, and the fraction it drops, from a
+    double-double product (error below 1e-13 for results under 1e17)."""
+    hh, hl, hi, lo, ex = (np.take(a, s + 310) for a in _powers())
+    c = 134217729.0 * f
+    fh = c - (c - f)
+    fl = f - fh
+    p = f * hi
+    err = ((fh * hh - p) + fh * hl + fl * hh) + fl * hl
+    q = k + ex
+    tail = np.ldexp(err + f * lo, q)
+    r = np.rint(tail)
+    # p·2**q is at least 9e15 > 2**53, so it is already an integer
+    return np.ldexp(p, q).astype(np.int64) + r.astype(np.int64), tail - r
+
+
+def _cells(x, cols, sep, end) -> bytes:
+    """'%.17g' text of the flat cells x (whole rows of `cols`), each followed
+    by `sep`, or by `end` at the end of a row.
+
+    A cell x = ±n·10**(X-16), with n of 17 digits, is one row of a byte grid,
+    NUL wherever a character is absent: sign (byte 0), the integer digits
+    (3…19), '.' (20), leading zeros (21…23), the fraction digits (27…43),
+    'e', the exponent's sign and digits (44…48), then the separator.  Bytes
+    0…43 are the 17 digits rendered twice, with '.000' between, ANDed with a
+    mask for the cell's layout, so deleting the NULs shifts each into place.
+    Cells within 1e-6 of a rounding tie, inf and nan take '%.17g' itself."""
+    a = np.abs(x)
+    finite = (a > 0) & (a < np.inf)
+    v = np.where(finite, a, 1.0)
+    f, k = np.frexp(v)
+    e = np.floor(np.log10(v)).astype(np.int64)
+    n, frac = _scaled(f, k, 16 - e)
+    # log10 can be off by one next to a power of ten: n then has 16 or 18 digits
+    fix = (n < 10**16) | ((n == 10**16) & (frac < 0)) | (n > 10**17)
+    if fix.any():
+        e[fix] += np.where(n[fix] > 10**17, 1, -1)
+        n[fix], frac[fix] = _scaled(f[fix], k[fix], 16 - e[fix])
+    carry = n == 10**17  # rounding reached the next power of ten
+    n[carry] = 10**16
+    X = e + carry
+    # the first digit and four quads of n, twice, with '.000' (10,000) between
+    q = np.empty((len(x), 11), np.intp)
+    hi8, lo8 = np.divmod(n, 10**8)
+    np.divmod(hi8, 10**4, out=(hi8, q[:, 2]))
+    np.divmod(hi8, 10**4, out=(q[:, 0], q[:, 1]))
+    np.divmod(lo8, 10**4, out=(q[:, 3], q[:, 4]))
+    q[:, 5] = 10000
+    q[:, 6:] = q[:, :5]
+    ends = _ends()
+    nd = np.maximum(np.maximum(ends[0][q[:, 1]], ends[1][q[:, 2]]),
+                    np.maximum(ends[2][q[:, 3]], ends[3][q[:, 4]]))
+    np.maximum(nd, 1, out=nd)
+    expo = (X < -4) | (X >= 17)
+    layout = np.where(expo, 0, X + 5)
+    layout[a == 0] = 22
+    w = max(len(sep), len(end))
+    g = np.zeros((len(x), (52 + w) // 4), np.uint32)
+    np.bitwise_and(np.take(_quads(), q), np.take(_masks(), 17 * layout + nd - 1, axis=0),
+                   out=g[:, :11])
+    g = g.view(np.uint8)
+    g[:, 0] = np.signbit(x) * 45
+    i = np.flatnonzero(expo)
+    g[i, 44:49] = _exponents()[X[i] + 324]
+    back = ~np.isfinite(x) | (np.abs(np.abs(frac) - 0.5) < 1e-6)
+    if back.any():
+        text = [b"%.17g" % c for c in x[back].tolist()]
+        g[back, :49] = np.array(text, dtype="S49").view(np.uint8).reshape(-1, 49)
+    g[:, 49:49 + w] = np.frombuffer(sep.encode().ljust(w, b"\0"), np.uint8)
+    g[cols - 1::cols, 49:49 + w] = np.frombuffer(end.encode().ljust(w, b"\0"), np.uint8)
+    return g.tobytes().translate(None, b"\0")
 
 
 def _json_value(v) -> str:
@@ -71,10 +226,10 @@ def write_table(stream, columns, rows, meta, fmt_name):
     the check's name, a list of rows written cell by cell."""
     csv = fmt_name == "csv"
     if isinstance(rows, np.ndarray):
-        lines = (fmt(rows[i:i + CHUNK_ROWS]) for i in range(0, len(rows), CHUNK_ROWS))
-        # "a,b\nc,d\n" -> "[a, b], [c, d]"; no number's text holds "," or "\n"
-        chunks = lines if csv else (
-            "[" + text[:-1].replace(",", ", ").replace("\n", "], [") + "]" for text in lines)
+        blocks = (rows[i:i + CHUNK_ROWS] for i in range(0, len(rows), CHUNK_ROWS))
+        # JSON "a, b], [c, d], [" -> "[a, b], [c, d]"
+        chunks = (fmt(b) for b in blocks) if csv else (
+            "[" + fmt(b, ", ", "], [")[:-3] for b in blocks)
     elif csv:
         chunks = ["".join(",".join(fmt(v) for v in row) + "\n" for row in rows)]
     else:
@@ -95,15 +250,22 @@ def write_table(stream, columns, rows, meta, fmt_name):
 def load_config_file(path) -> dict:
     """Flat key = value file; keys mirror long flag names (dashes or underscores)."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise KaonbraidError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise KaonbraidError(f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} at offset "
+                             f"{exc.start}") from None
+    # newline=None reads \r\n and \r line ends as text-mode open() does
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise KaonbraidError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -127,8 +289,10 @@ FLAGS = {
     "phi": Flag(0.0, float, _finite, "a finite number", "braid angle φ, q = e^(iφ)"),
     "t0": Flag(0.0, float, _finite, "a finite number", "first time (rho-report: 0.5 if <= 0)"),
     "t1": Flag(12.0, float, _finite, "a finite number", "last time"),
-    "steps": Flag(100, int, lambda v: v >= 2, "an integer >= 2", "points on the time grid"),
-    "grid": Flag(41, int, lambda v: v >= 2, "an integer >= 2", "points on the φ grid"),
+    "steps": Flag(100, int, lambda v: 2 <= v <= 2**53, "an integer from 2 to 2**53",
+                  "points on the time grid"),
+    "grid": Flag(41, int, lambda v: 2 <= v <= 2**53, "an integer from 2 to 2**53",
+                 "points on the φ grid"),
     "gamma_s": Flag(1.0, float, lambda v: _finite(v) and v >= 0, "a finite number >= 0", "γ_S"),
     "gamma_l": Flag(0.00175, float, lambda v: _finite(v) and v >= 0, "a finite number >= 0",
                     "γ_L"),
@@ -175,10 +339,14 @@ def resolve(args) -> dict:
 
 
 def linear_grid(lo, hi, n) -> np.ndarray:
-    """n evenly spaced points from lo to hi; only a time range can overflow hi - lo."""
+    """n evenly spaced points from lo to hi; only a time range can overflow
+    hi - lo, or (hi - lo)·(n - 1) on the way to the last point."""
     width = hi - lo
     if not math.isfinite(width):
         raise KaonbraidError(f"--t0 {lo!r} and --t1 {hi!r} are too far apart: t1 - t0 overflows")
+    if not math.isfinite(width * (n - 1)):
+        raise KaonbraidError(f"--t0 {lo!r} and --t1 {hi!r} are too far apart for {n} steps: "
+                             "(t1 - t0)·(steps - 1) overflows")
     return lo + width * np.arange(n) / (n - 1)
 
 
@@ -346,6 +514,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg)
     except (KaonbraidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's text names the array's size and shape
+        print(f"error: the table does not fit in memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

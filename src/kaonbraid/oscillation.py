@@ -124,6 +124,9 @@ def oscillation_curve(params: KaonParams, t_max: float, steps: int) -> np.ndarra
         raise ValidationError("steps must be >= 2")
     if not math.isfinite(params.delta_m * t_max):
         raise ValidationError(f"delta_m * t_max must be finite: {params.delta_m!r} * {t_max!r}")
+    if not math.isfinite(t_max * (steps - 1)):
+        raise ValidationError(f"t_max {t_max!r} is too large for {steps} steps: "
+                              "t_max·(steps - 1) overflows")
     t = t_max * np.arange(steps) / (steps - 1)
     half_dgamma = abs(params.gamma_s - params.gamma_l) / 2.0
     with np.errstate(over="ignore"):

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -6,11 +7,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from kaonbraid import cli
 from kaonbraid.cli import (
     CHUNK_ROWS,
+    COMMANDS,
     FLAGS,
     build_parser,
     fmt,
@@ -39,6 +42,65 @@ class TestFormatting:
         assert fmt(True) == "1"
         assert fmt(False) == "0"
         assert fmt(7) == "7"
+
+
+def per_cell(block, sep=",", end="\n") -> str:
+    """The '%.17g'-per-cell text that fmt's array kernel must reproduce."""
+    return "".join(sep.join(format(v, ".17g") for v in row) + end for row in block.tolist())
+
+
+# exact ties of the 17th digit, which the kernel leaves to '%.17g': the exact
+# decimals of (2**17 + j)·2**-17 and m·2**-24 (odd j, m) have 18 digits, ending in 5
+TIES = np.array([*((2**17 + j) * 2.0**-17 for j in range(1, 200, 2)),
+                 *(m * 2.0**-24 for m in range(3, 17, 2))])
+_POWERS = [float(f"1e{p}") for p in range(-323, 309)]
+KERNEL_CASES = np.array([
+    *TIES,
+    # integer-valued floats near 1e20: the digits after the 17th are exact
+    *(1e20 + j * 16384.0 for j in range(-64, 64)),
+    # every power of ten with its neighbours: log10 is off by one here
+    *_POWERS, *np.nextafter(_POWERS, 0.0), *np.nextafter(_POWERS, math.inf),
+    # where %g switches between fixed and exponent form
+    np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e17, 0.0), 1e17,
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308,
+    # 17 nines round up to the next power of ten
+    9.9999999999999999e22, 0.99999999999999999, 99999999999999999.0,
+])
+
+
+class TestKernel:
+    # 1, 4,095, 4,097, 8,191, 8,192, 8,193 and 16,385 cells: one kernel call
+    # (KERNEL_CELLS = 4,096 cells at most), and two to five calls, the last
+    # one full or partial
+    @pytest.mark.parametrize("n, k", [(1, 1), (4095, 1), (4097, 1), (8191, 1), (2048, 4),
+                                      (2731, 3), (3277, 5)])
+    def test_matches_per_cell(self, n, k):
+        cells = np.concatenate([KERNEL_CASES, -KERNEL_CASES])
+        rng = np.random.default_rng(n)
+        block = rng.normal(size=n * k) * 10.0 ** rng.integers(-30, 30, size=n * k)
+        block[rng.permutation(n * k)[:len(cells)]] = cells[:n * k]
+        block = block.reshape(n, k)
+        assert fmt(block) == per_cell(block)
+        assert fmt(block, ", ", "], [") == per_cell(block, ", ", "], [")
+
+    def test_ties_take_the_per_cell_rounding(self, monkeypatch):
+        # a digit stage whose error flips an exact tie must not change the text
+        scaled = cli._scaled
+
+        def flipped(f, k, s):
+            n, frac = scaled(f, k, s)
+            step = np.sign(frac).astype(np.int64) * (np.abs(frac) == 0.5)
+            return n + step, frac - step
+
+        monkeypatch.setattr(cli, "_scaled", flipped)
+        block = np.concatenate([TIES, -TIES]).reshape(-1, 1)
+        assert fmt(block) == per_cell(block)
+
+    def test_random_bit_patterns(self):
+        # every exponent, subnormals and nan payloads
+        rng = np.random.default_rng(2024)
+        block = np.frombuffer(rng.bytes(8 * 200_000), np.float64).reshape(-1, 8)
+        assert fmt(block) == per_cell(block)
 
 
 def reference_json_value(v) -> str:
@@ -131,6 +193,14 @@ class TestConfig:
                 resolve(args)
         else:
             assert resolve(args)["uncorrected_b"] is value
+
+    def test_not_utf8_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"steps = 3\n\xff\xfe = 2\n")
+        code, out, err = run_cli(capsys, "oscillate", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(cfg) in err
+        assert "0xff" in err and "offset 10" in err
 
     def test_malformed_number_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -278,6 +348,13 @@ class TestTables:
         assert code == 0
         assert out.startswith("t,re_a0") and err == ""
 
+    def test_rho_report_huge_time_is_quiet(self, capsys):
+        # the squares in ϱ's residual overflow; the table is still written
+        code, out, err = run_cli(capsys, "rho-report", "--phi", "0.3", "--t0", "1e200",
+                                 "--t1", "2e307", "--steps", "3")
+        assert code == 0
+        assert len(out.splitlines()) == 4 and err == ""
+
     def test_evolve_rejects_nan_time(self, capsys):
         code, out, err = run_cli(capsys, "evolve", "--t1", "nan")
         assert code == 2
@@ -298,6 +375,19 @@ class TestTables:
         (["evolve", "--t0=-1e308", "--t1=1e308"], ["--t0 -1e+308", "--t1 1e+308"]),
         (["oscillate", "--dm", "1e300", "--t1", "1e10"], ["delta_m", "1e+300"]),
         (["bell", "--dm=--"], ["--dm", "'--'"]),
+        # (t1 - t0)·(steps - 1) overflows though t1 - t0 does not
+        (["evolve", "--t0", "1e300", "--t1", "1e308", "--steps", "3"],
+         ["--t0 1e+300", "--t1 1e+308", "overflows"]),
+        (["oscillate", "--t1", "1e308", "--steps", "3"], ["1e+308", "overflows"]),
+        (["rho-report", "--t0", "1e300", "--t1", "1e308", "--steps", "3"],
+         ["--t0 1e+300", "--t1 1e+308", "overflows"]),
+        # the trace of ϱ = 2(t + 1/t)·I overflows, at t and at 1/t
+        (["rho-report", "--t0", "4e307", "--t1", "4e307", "--steps", "2"],
+         ["t = 4e+307", "overflows"]),
+        (["rho-report", "--t0", "1e-308", "--t1", "1", "--steps", "2"],
+         ["t = 1e-308", "overflows"]),
+        # np.arange(2**63 - 1) is an empty array, not an error
+        (["oscillate", f"--steps={2**63 - 1}"], ["--steps", "2 to 2**53"]),
     ])
     def test_boundary_input_rejected(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
@@ -305,6 +395,14 @@ class TestTables:
         assert out == ""
         assert err.startswith("error:")
         assert all(text in err for text in named), err
+
+    # a table this large fails to allocate at once, touching no memory
+    @pytest.mark.parametrize("argv", [["oscillate", "--steps", str(10**15)],
+                                      ["sweep-phi", "--grid", str(10**15)]])
+    def test_table_too_large_for_memory(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "memory" in err and str(10**15) in err
 
     def test_tiny_negative_phi_is_phi_zero(self, capsys):
         # -1e-20 mod 2π rounds to 2π; it must give the bytes of φ = 0
@@ -349,3 +447,67 @@ def test_cli_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_builds_no_format_table():
+    # the formatting kernel's tables are built on first use, not at import
+    code = ("import kaonbraid.cli as c; print([f.cache_info().currsize for f in "
+            "(c._powers, c._quads, c._ends, c._masks, c._exponents)])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0]"
+
+
+# Flag text for the CLI fuzz: the edges of float parsing and random junk
+JUNK = st.text(max_size=10)
+NUMBER = st.one_of(st.floats().map(repr), st.sampled_from(["1e308", "-1e308", "5e-324"]), JUNK)
+FUZZ_VALUES = {
+    "sign": st.sampled_from(["plus", "minus"]) | JUNK,
+    "phi": NUMBER, "t0": NUMBER, "t1": NUMBER, "gamma_s": NUMBER, "gamma_l": NUMBER,
+    "dm": NUMBER, "tol": NUMBER,
+    # 10**15 rows fail to allocate at once; a size that could be allocated is never drawn
+    "steps": st.integers(2, 64).map(str) | st.just(str(10**15)) | JUNK,
+    "grid": st.integers(2, 64).map(str) | st.just(str(10**15)) | JUNK,
+    "format": st.sampled_from(["csv", "json"]) | JUNK,
+    "seed": st.integers(0, 2**32).map(str) | JUNK,
+    "state": st.sampled_from(["KK", "KKbar", "KbarK", "KbarKbar"])
+    | st.lists(NUMBER, min_size=4, max_size=8).map(",".join) | JUNK,
+    "uncorrected_b": st.sampled_from(["1", "0", "yes", "no"]) | JUNK,
+}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(COMMANDS)),
+       flags=st.dictionaries(st.sampled_from(sorted(FUZZ_VALUES)), st.none(), max_size=5).flatmap(
+           lambda keys: st.fixed_dictionaries({k: FUZZ_VALUES[k] for k in keys})),
+       config=st.none() | st.binary(max_size=40) | st.dictionaries(
+           st.sampled_from(sorted(FUZZ_VALUES)), st.none(), max_size=3).flatmap(
+           lambda keys: st.fixed_dictionaries({k: FUZZ_VALUES[k] for k in keys})),
+       out=st.sampled_from([None, "table.csv", "table.json"]))
+def test_cli_fuzz_exits_0_1_or_2(tmp_path, command, flags, config, out):
+    argv = [command]
+    for key, text in flags.items():
+        if key == "uncorrected_b":
+            argv.append("--uncorrected-b")
+        else:
+            argv.append(f"--{key.replace('_', '-')}={text}")
+    if config is not None:
+        path = tmp_path / "fuzz.cfg"
+        if isinstance(config, bytes):
+            path.write_bytes(config)
+        else:
+            path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), "utf-8")
+        argv.append(f"--config={path}")
+    if out is not None:
+        argv.append(f"--out={tmp_path / out}")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv itself
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
+    assert code != 1 or command == "verify", argv
+    assert code != 2 or stderr.getvalue().startswith("error:"), (argv, stderr.getvalue())
