@@ -145,7 +145,8 @@ def rho_check(spec: BraidSpec, t):
     """Inversion relation ϱ = R(t)·R(1/t) from the unnormalized R.
 
     Returns (is_scalar, scalar, residual) where scalar is the mean diagonal
-    entry and residual = ||ϱ - scalar·I||_F.  The closed form is
+    entry and residual = ||ϱ - scalar·I||_F; is_scalar holds when ϱ's
+    off-diagonal norm and diagonal spread are below 1e-12·|scalar|.  The closed form is
     ϱ = 2(t + 1/t)·I, independent of φ.  A number t gives (bool, complex,
     float); an array of t gives three arrays, and any t <= 0 raises.
     """
@@ -170,7 +171,9 @@ def rho_check(spec: BraidSpec, t):
         residual = frobenius(rho - scalar[..., None, None] * np.eye(4))
         off = frobenius(rho - diag[..., None] * np.eye(4))
     spread = np.max(np.abs(diag - scalar[..., None]), axis=-1)
-    ok = (off < 1e-12) & (spread < 1e-12)
+    # relative to |ϱ| >= 4, which grows like t + 1/t: so does its rounding error
+    tol = 1e-12 * np.abs(scalar)
+    ok = (off < tol) & (spread < tol)
     return (ok, scalar, residual) if t.ndim else (bool(ok), complex(scalar), residual)
 
 

@@ -9,7 +9,6 @@ chosen as a well-conditioned configuration default, not derived values.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,20 +23,26 @@ FLAVORS = ("K", "Kbar")
 
 @dataclass(frozen=True)
 class KaonParams:
-    """Decay rates and masses of the short/long eigenstates."""
+    """Decay rates and masses of the short/long eigenstates.
 
-    gamma_s: float = 1.0
-    gamma_l: float = 0.00175
-    m_s: float = 0.0
-    m_l: float = 0.474
+    A field may be an array: a stack of parameter sets that broadcasts against
+    t.  Numbers stay as given, so a single set keeps its bits."""
+
+    gamma_s: float | np.ndarray = 1.0
+    gamma_l: float | np.ndarray = 0.00175
+    m_s: float | np.ndarray = 0.0
+    m_l: float | np.ndarray = 0.474
 
     def __post_init__(self):
         for name in ("gamma_s", "gamma_l", "m_s", "m_l"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValidationError(f"{name} must be finite")
-        if self.gamma_s < 0 or self.gamma_l < 0:
-            raise ValidationError("decay rates must be >= 0")
+            v = np.asarray(getattr(self, name), dtype=float)
+            rate = name.startswith("gamma")
+            bad = ~((v >= 0) & (v < math.inf)) if rate else ~np.isfinite(v)
+            if bad.any():
+                rule = "finite and >= 0" if rate else "finite"
+                raise ValidationError(f"{name} must be {rule}, got {float(v[bad].flat[0])!r}")
+            if v.ndim:
+                object.__setattr__(self, name, v)
 
     @property
     def alpha_s(self) -> complex:
@@ -53,36 +58,67 @@ class KaonParams:
 
 
 class FlavorAmplitudes(NamedTuple):
-    """Amplitudes on (|K⟩, |K̄⟩) at a given time."""
+    """Amplitudes on (|K⟩, |K̄⟩) at a given time, or arrays of them."""
 
-    c_k: complex
-    c_kbar: complex
-
-
-def u_factors(params: KaonParams, t: float) -> tuple[complex, complex]:
-    """Decaying phases U_{S,L}(t) = e^{-alpha_{S,L}·t} for finite t >= 0."""
-    t = float(_nonnegative(t, "time t"))
-    for name, m in (("m_s", params.m_s), ("m_l", params.m_l)):
-        if not math.isfinite(m * t):
-            raise DomainError(f"{name}*t overflows: {name} = {m!r}, t = {t!r}")
-    return cmath.exp(-params.alpha_s * t), cmath.exp(-params.alpha_l * t)
+    c_k: complex | np.ndarray
+    c_kbar: complex | np.ndarray
 
 
-def evolve_k(params: KaonParams, t: float) -> FlavorAmplitudes:
-    """Flavor content at time t of a state that was |K⟩ at t = 0."""
+def _finite_phase(name: str, m, t, phase) -> None:
+    """DomainError naming `name` = m and the first t at which m·t overflowed."""
+    finite = np.isfinite(phase)
+    if not finite.all():
+        i = finite.argmin()
+        m, t = (float(np.broadcast_to(a, finite.shape).flat[i]) for a in (m, t))
+        raise DomainError(f"{name}*t overflows: {name} = {m!r}, t = {t!r}")
+
+
+def u_factors(params: KaonParams, t):
+    """Decaying phases U_{S,L}(t) = e^{-alpha_{S,L}·t} for finite t >= 0.
+
+    A number t and a single parameter set give two complex numbers; arrays
+    give two complex arrays of their broadcast shape.  Each factor is
+    l·cos y + i·l·sin y with l = e^{-(γ/2)·t} and y = -(m + 0)·t, math's exp,
+    cos and sin per element: cmath.exp's formula for a real part <= 0, on the
+    parts Python's complex product -alpha·t gives (m + 0 turns -0.0 into 0.0).
+    """
+    t = _nonnegative(t, "time t")
+    masses = (params.m_s, params.m_l)
+    with np.errstate(over="ignore"):
+        phases = [-(m + 0.0) * t for m in masses]
+        decays = [elementwise(math.exp, -(g / 2.0) * t) for g in (params.gamma_s, params.gamma_l)]
+    for name, m, y in zip(("m_s", "m_l"), masses, phases):
+        _finite_phase(name, m, t, y)
+    factors = []
+    for length, y in zip(decays, phases):
+        parts = [length * elementwise(f, y) for f in (math.cos, math.sin)]
+        # re + 1j·im would turn a -0.0 part into 0.0
+        u = np.stack(parts, axis=-1).view(complex)[..., 0]
+        factors.append(u if u.ndim else complex(u))
+    return tuple(factors)
+
+
+def evolve_k(params: KaonParams, t) -> FlavorAmplitudes:
+    """Flavor content at time t of a state that was |K⟩ at t = 0; arrays of t
+    or stacked parameters give arrays of amplitudes."""
     u_s, u_l = u_factors(params, t)
     return FlavorAmplitudes((u_s + u_l) / 2.0, (u_s - u_l) / 2.0)
 
 
-def transition_probability(params: KaonParams, t, frm: str, to: str):
-    """P(frm -> to) at time t, closed form; an array of t gives an array.
+def transition_probability(params: KaonParams, t, frm: str, to):
+    """P(frm -> to) at time t, closed form; arrays of t or stacked parameters
+    give an array of their broadcast shape.
 
     P_same(t) = (e^{-γ_S t} + e^{-γ_L t} + 2 e^{-(γ_S+γ_L)t/2} cos Δm·t)/4,
-    P_flip(t) = same with the cosine term negated.  Every t must be finite
-    and >= 0; exp and cos are math's per element (linalg.elementwise), so an
-    array gives the bits of its points taken one by one.
+    P_flip(t) = same with the cosine term negated.  `to` may also be a
+    sequence of flavors, such as FLAVORS: the result then gains a last axis,
+    one column per flavor, all from one evaluation of the exponentials and
+    the cosine.  Every t must be finite and >= 0; exp and cos are math's per
+    element (linalg.elementwise), so an array gives the bits of its points
+    taken one by one.
     """
-    if frm not in FLAVORS or to not in FLAVORS:
+    flavors = (to,) if isinstance(to, str) else tuple(to)
+    if frm not in FLAVORS or not flavors or not set(flavors) <= set(FLAVORS):
         raise ValidationError(f"flavors must be in {FLAVORS}")
     t = _nonnegative(t, "time t")
     gs, gl = params.gamma_s, params.gamma_l
@@ -92,19 +128,15 @@ def transition_probability(params: KaonParams, t, frm: str, to: str):
         es, el = elementwise(math.exp, -gs * t), elementwise(math.exp, -gl * t)
         damp = elementwise(math.exp, -(gs / 2.0 + gl / 2.0) * t)
         phase = params.delta_m * t
-    finite = np.isfinite(phase)
-    if not finite.all():
-        bad = float(t.flat[finite.argmin()])
-        raise DomainError(f"delta_m*t overflows: delta_m = {params.delta_m!r}, t = {bad!r}")
+    _finite_phase("delta_m", params.delta_m, t, phase)
     cross = 2.0 * damp * elementwise(math.cos, phase)
-    if frm == to:
-        return (es + el + cross) / 4.0
-    return (es + el - cross) / 4.0
+    columns = [(es + el + cross) / 4.0 if frm == f else (es + el - cross) / 4.0 for f in flavors]
+    return columns[0] if isinstance(to, str) else np.stack(columns, axis=-1)
 
 
 def survival_probability(params: KaonParams, t):
     """P(frm -> K) + P(frm -> K̄) = (e^{-γ_S t} + e^{-γ_L t})/2 for either flavor;
-    an array of t gives an array."""
+    arrays of t or stacked parameters give an array."""
     t = _nonnegative(t, "time t")
     with np.errstate(over="ignore"):
         es, el = [elementwise(math.exp, -g * t) for g in (params.gamma_s, params.gamma_l)]
@@ -117,7 +149,10 @@ def oscillation_curve(params: KaonParams, t_max: float, steps: int) -> np.ndarra
     asymmetry = (P_same - P_flip)/(P_same + P_flip) = cos(Δm·t)·sech(d) with
     d = (γ_S - γ_L)·t/2, evaluated as sech(d) = 2e^{-|d|}/(1 + e^{-2|d|}): the
     ratio is 0/0 once both probabilities underflow, and cosh overflows.
+    The table is of one parameter set: a stacked KaonParams raises.
     """
+    if any(np.ndim(v) for v in (params.gamma_s, params.gamma_l, params.m_s, params.m_l)):
+        raise ValidationError("oscillation_curve takes one parameter set, not a stack")
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValidationError("t_max must be positive and finite")
     if steps < 2:
@@ -132,5 +167,4 @@ def oscillation_curve(params: KaonParams, t_max: float, steps: int) -> np.ndarra
     with np.errstate(over="ignore"):
         e = elementwise(math.exp, -half_dgamma * t)  # e^{-|d|}
     asym = elementwise(math.cos, params.delta_m * t) * (2.0 * e / (1.0 + e * e))
-    p_same, p_flip = (transition_probability(params, t, "K", to) for to in FLAVORS)
-    return np.column_stack([t, p_same, p_flip, asym])
+    return np.column_stack([t, transition_probability(params, t, "K", FLAVORS), asym])

@@ -355,6 +355,14 @@ class TestTables:
         assert code == 0
         assert len(out.splitlines()) == 4 and err == ""
 
+    @pytest.mark.parametrize("phi, t", [("0.3", "1e4"), ("0", "1e6"), ("0.3", "1e100")])
+    def test_rho_report_scalar_at_large_time(self, capsys, phi, t):
+        code, out, _ = run_cli(capsys, "rho-report", "--phi", phi, "--t0", t, "--t1", t,
+                               "--steps", "2")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["1", "1"]
+
     def test_evolve_rejects_nan_time(self, capsys):
         code, out, err = run_cli(capsys, "evolve", "--t1", "nan")
         assert code == 2

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from kaonbraid import oscillation
 from kaonbraid.errors import DomainError, ValidationError
 from kaonbraid.oscillation import (
+    FLAVORS,
     KaonParams,
     evolve_k,
     oscillation_curve,
@@ -205,9 +207,104 @@ class TestOscillationCurve:
         with pytest.raises(ValidationError, match="delta_m"):
             oscillation_curve(KaonParams(m_l=1e300), 1e10, 3)
 
+    def test_rejects_a_parameter_stack(self):
+        with pytest.raises(ValidationError, match="one parameter set"):
+            oscillation_curve(KaonParams(m_l=np.array([0.4, 0.5])), 12.0, 10)
+
 
 def test_params_validation():
     with pytest.raises(ValidationError):
         KaonParams(gamma_s=-1.0)
     with pytest.raises(ValidationError):
         KaonParams(m_l=math.nan)
+
+
+class TestParameterStacks:
+    def test_number_fields_stay_as_given(self):
+        p = KaonParams(1.0, 0.5, 0.0, 0.474)
+        assert all(type(v) is float for v in (p.gamma_s, p.gamma_l, p.m_s, p.m_l))
+
+    def test_array_fields_broadcast_against_t(self):
+        p = KaonParams(gamma_s=np.array([1.0, 2.0]), m_l=[0.4, 0.5])
+        amps = evolve_k(p, np.array([1.0, 2.0]))
+        assert amps.c_k.shape == amps.c_kbar.shape == (2,)
+        assert transition_probability(p, 1.5, "K", "K").shape == (2,)
+        assert transition_probability(p, np.array([[1.0], [2.0]]), "K", FLAVORS).shape == (2, 2, 2)
+
+    @pytest.mark.parametrize("name, value, rule", [
+        ("gamma_s", math.nan, "finite and >= 0"),
+        ("gamma_l", -2.0, "finite and >= 0"),
+        ("gamma_l", math.inf, "finite and >= 0"),
+        ("m_s", math.inf, "finite"),
+        ("m_l", math.nan, "finite"),
+    ])
+    def test_bad_element_is_named(self, name, value, rule):
+        with pytest.raises(ValidationError, match=f"{name} must be {rule}, got {value!r}"):
+            KaonParams(**{name: np.array([0.5, value, 1.0])})
+
+    def test_overflowing_phase_names_the_broadcast_t(self):
+        # m_L·t overflows only at (m_L = 10, t = 1e308), flat index 3 of the
+        # broadcast (2, 2) phase: t itself has two elements
+        p = KaonParams(m_l=np.array([[1.0], [10.0]]))
+        t = np.array([1.0, 1e308])
+        with pytest.raises(DomainError, match=r"m_l\*t overflows: m_l = 10.0, t = 1e\+308"):
+            u_factors(p, t)
+        with pytest.raises(DomainError,
+                           match=r"delta_m\*t overflows: delta_m = 10.0, t = 1e\+308"):
+            transition_probability(p, t, "K", FLAVORS)
+
+
+class TestFlavorStack:
+    def test_columns_follow_the_flavors(self):
+        p, t = KaonParams(), np.linspace(0.0, 10.0, 7)
+        for frm in FLAVORS:
+            stacked = transition_probability(p, t, frm, ("Kbar", "K", "Kbar"))
+            assert stacked.shape == (7, 3)
+            for j, to in enumerate(("Kbar", "K", "Kbar")):
+                assert np.array_equal(stacked[:, j], transition_probability(p, t, frm, to))
+
+    def test_number_t_gives_one_row(self):
+        stacked = transition_probability(KaonParams(), 2.0, "K", FLAVORS)
+        assert stacked.shape == (2,)
+        assert stacked.tolist() == [transition_probability(KaonParams(), 2.0, "K", to)
+                                    for to in FLAVORS]
+
+    @pytest.mark.parametrize("to", [(), ("K", "B")])
+    def test_rejects_bad_sequences(self, to):
+        with pytest.raises(ValidationError):
+            transition_probability(KaonParams(), 1.0, "K", to)
+
+
+class TestPassCounts:
+    """exp and cos each take one math pass (linalg.elementwise) over the
+    whole array: the curve and the oscillation check share them across
+    flavors and parameter sets instead of repeating them."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        real = getattr(oscillation, name)
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oscillation, name, spy)
+        return calls
+
+    def test_curve(self, monkeypatch):
+        passes = self.counted(monkeypatch, "elementwise")
+        transitions = self.counted(monkeypatch, "transition_probability")
+        oscillation_curve(KaonParams(), 12.0, 12000)
+        # es, el, damp and cos for both flavors, then the asymmetry's exp and cos
+        assert len(passes) == 6
+        assert len(transitions) == 1
+
+    def test_check_oscillation(self, monkeypatch):
+        from kaonbraid.verify import check_oscillation
+
+        passes = self.counted(monkeypatch, "elementwise")
+        check_oscillation(0)
+        # two curves (6 each), flip_back (4), survival (2) and the stacked
+        # draws: u_factors (6) and one flavor stack (4); 427 per draw before
+        assert len(passes) <= 32

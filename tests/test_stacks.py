@@ -10,6 +10,7 @@ relation, the propagator's group law, P_same + P_flip = survival) are
 checked over generated inputs to a tolerance.
 """
 
+import cmath
 import math
 from unittest import mock
 
@@ -41,13 +42,15 @@ from kaonbraid.dynamics import (
     schrodinger_residual,
 )
 from kaonbraid.errors import DomainError, ValidationError
-from kaonbraid.linalg import frobenius, tensor_product, unitarity_residual
+from kaonbraid.linalg import elementwise, frobenius, tensor_product, unitarity_residual
 from kaonbraid.oscillation import (
     FLAVORS,
     KaonParams,
+    evolve_k,
     oscillation_curve,
     survival_probability,
     transition_probability,
+    u_factors,
 )
 from kaonbraid.states import (
     TwoKaonState,
@@ -58,7 +61,13 @@ from kaonbraid.states import (
     schmidt_coefficients,
     state_stack,
 )
-from kaonbraid.verify import check_schrodinger, separability_states
+from kaonbraid.verify import (
+    CheckResult,
+    amplitude_residuals,
+    check_oscillation,
+    check_schrodinger,
+    separability_states,
+)
 
 UNIT = st.floats(-1.0, 1.0)
 ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
@@ -66,6 +75,9 @@ SPECTRAL = st.floats(0.0, 10.0)
 TIME = st.floats(-1e3, 1e3) | st.sampled_from([math.inf, -math.inf])
 RATE = st.floats(0.0, 10.0)
 MASS = st.floats(-10.0, 10.0)
+PARAM_RATE = st.floats(0.0, 2.0) | st.sampled_from([0.0, 1e300])
+PARAM_MASS = st.floats(-2.0, 2.0)
+PARAM_T = st.floats(0.0, 50.0)
 SCHRODINGER_T = (0.2, 0.5, 1.0, 2.0, 5.0)
 SCHRODINGER_SPECS = (BraidSpec("plus", 0.0), BraidSpec("minus", 1.0))
 _I2 = np.eye(2, dtype=complex)
@@ -184,9 +196,48 @@ def random_states_reference(rng, n):
     return out
 
 
+def oscillation_check_reference(seed):
+    """check_oscillation as it stood before its 50 parameter draws became one
+    stack, and those draws' per-draw gaps, (50, 2) as amplitude_residuals."""
+    pure = KaonParams(gamma_s=0.0, gamma_l=0.0, m_s=0.0, m_l=0.474)
+    t, _, p_flip, _ = oscillation_curve(pure, 12.0, 500).T
+    worst = float(np.max(np.abs(p_flip - elementwise(math.sin, pure.delta_m * t / 2.0) ** 2)))
+    params = KaonParams()
+    t, p_same, p_flip, _ = oscillation_curve(params, 12.0, 200).T
+    flip_back = transition_probability(params, t, "Kbar", "K")
+    ok = ((0.0 <= p_same) & (p_same <= 1.0) & (0.0 <= p_flip) & (p_flip <= 1.0)).all()
+    total = np.abs(p_same + p_flip - survival_probability(params, t)).max()
+    worst = max(worst, float(total), 0.0 if ok and (p_flip == flip_back).all() else 1.0)
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for _ in range(50):
+        p = KaonParams(*rng.uniform(0.0, 2.0, 2), *rng.uniform(-2.0, 2.0, 2))
+        t = float(rng.uniform(0.0, 5.0))
+        amps = evolve_k(p, t)
+        gaps.append([abs(abs(amps.c_k) ** 2 - transition_probability(p, t, "K", "K")),
+                     abs(abs(amps.c_kbar) ** 2 - transition_probability(p, t, "K", "Kbar"))])
+        worst = max(worst, *gaps[-1])
+    return CheckResult("oscillation", worst, 1e-12), np.array(gaps)
+
+
+def bits(a):
+    """The IEEE bits of a number or array, zero signs included."""
+    return np.atleast_1d(np.asarray(a)).view(np.uint64).tolist()
+
+
 @st.composite
 def kaon_params(draw):
     return KaonParams(draw(RATE), draw(RATE), draw(MASS), draw(MASS))
+
+
+@st.composite
+def kaon_param_stacks(draw):
+    """Four (N,) parameter columns and an (N,) t, N in 1..30: rates in [0, 2]
+    or {0, 1e300}, masses in [-2, 2], t in [0, 50]."""
+    n = draw(st.integers(1, 30))
+    fields = [draw(hnp.arrays(float, n, elements=e))
+              for e in (PARAM_RATE, PARAM_RATE, PARAM_MASS, PARAM_MASS)]
+    return fields, draw(hnp.arrays(float, n, elements=PARAM_T))
 
 
 class TestStackEqualsRows:
@@ -330,6 +381,60 @@ class TestStackEqualsRows:
         for ti, s in zip(t.tolist(), survival):
             reference = (math.exp(-params.gamma_s * ti) + math.exp(-params.gamma_l * ti)) / 2.0
             assert s == survival_probability(params, ti) == reference
+
+    @settings(deadline=None)
+    @given(stack=kaon_param_stacks(), scalar_params=st.booleans())
+    def test_flavor_stack(self, stack, scalar_params):
+        fields, t = stack
+        params = KaonParams(*(f[0] for f in fields) if scalar_params else fields)
+        for frm in FLAVORS:
+            stacked = transition_probability(params, t, frm, FLAVORS)
+            assert stacked.shape == t.shape + (len(FLAVORS),)
+            for j, to in enumerate(FLAVORS):
+                assert bits(stacked[:, j]) == bits(transition_probability(params, t, frm, to))
+
+    @settings(deadline=None)
+    @given(stack=kaon_param_stacks())
+    def test_parameter_stack(self, stack):
+        fields, t = stack
+        params = KaonParams(*fields)
+        u_s, u_l = u_factors(params, t)
+        c_k, c_kbar = evolve_k(params, t)
+        same, flip = transition_probability(params, t, "K", FLAVORS).T
+        survival = survival_probability(params, t)
+        for i, ti in enumerate(t.tolist()):
+            point = KaonParams(*(float(f[i]) for f in fields))
+            exact = cmath.exp(-point.alpha_s * ti), cmath.exp(-point.alpha_l * ti)
+            assert bits([u_s[i], u_l[i]]) == bits(u_factors(point, ti)) == bits(exact)
+            amps = (exact[0] + exact[1]) / 2.0, (exact[0] - exact[1]) / 2.0
+            assert bits([c_k[i], c_kbar[i]]) == bits(evolve_k(point, ti)) == bits(amps)
+            assert bits([same[i], flip[i]]) == bits(
+                [transition_probability(point, ti, "K", to) for to in FLAVORS])
+            assert bits(survival[i]) == bits(survival_probability(point, ti))
+
+    def test_parameter_stack_signs_of_zero(self):
+        """u_factors of 5000 drawn sets, with zero masses of both signs, zero
+        and huge rates and t = 0 among them, against cmath.exp bit for bit."""
+        rng = np.random.default_rng(11)
+        rates = np.where(rng.random((2, 5000)) < 0.2, rng.choice([0.0, 1e300], (2, 5000)),
+                         rng.uniform(0.0, 2.0, (2, 5000)))
+        masses = np.where(rng.random((2, 5000)) < 0.2, rng.choice([0.0, -0.0], (2, 5000)),
+                          rng.uniform(-2.0, 2.0, (2, 5000)))
+        t = np.where(rng.random(5000) < 0.1, 0.0, rng.uniform(0.0, 50.0, 5000))
+        u_s, u_l = u_factors(KaonParams(*rates, *masses), t)
+        for i, ti in enumerate(t.tolist()):
+            point = KaonParams(*rates[:, i].tolist(), *masses[:, i].tolist())
+            exact = cmath.exp(-point.alpha_s * ti), cmath.exp(-point.alpha_l * ti)
+            assert bits([u_s[i], u_l[i]]) == bits(exact)
+
+    def test_check_oscillation_draws(self):
+        """The stacked draws give, on 500 seeds, each gap the per-draw loop
+        gave and so the same metric: low + (high - low)·u over one
+        rng.random((50, 5)) is the stream of 5 rng.uniform calls per draw."""
+        for seed in range(500):
+            reference, gaps = oscillation_check_reference(seed)
+            assert bits(amplitude_residuals(seed)) == bits(gaps)
+            assert check_oscillation(seed) == reference
 
     @settings(deadline=None)
     @given(params=kaon_params(), t_max=st.floats(1e-3, 100.0), steps=st.integers(2, 300))
