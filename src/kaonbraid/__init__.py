@@ -38,7 +38,6 @@ from .oscillation import (  # noqa: F401
 )
 from .states import (  # noqa: F401
     TwoKaonState,
-    apply_rbar,
     bell_quartet,
     braid_action_images,
     canonical_basis,

@@ -146,7 +146,8 @@ def rho_check(spec: BraidSpec, t):
 
     Returns (is_scalar, scalar, residual) where scalar is the mean diagonal
     entry and residual = ||ϱ - scalar·I||_F; is_scalar holds when ϱ's
-    off-diagonal norm and diagonal spread are below 1e-12·|scalar|.  The closed form is
+    off-diagonal norm and diagonal spread, divided by |scalar|, are below
+    1e-12, at any t accepted here.  The closed form is
     ϱ = 2(t + 1/t)·I, independent of φ.  A number t gives (bool, complex,
     float); an array of t gives three arrays, and any t <= 0 raises.
     """
@@ -166,14 +167,15 @@ def rho_check(spec: BraidSpec, t):
     diag = np.diagonal(rho, axis1=-2, axis2=-1)
     scalar = np.trace(rho, axis1=-2, axis2=-1) / 4.0
     # beyond t or 1/t of about 1e154 the squares of ϱ's rounding error overflow:
-    # the residual then reads inf and is_scalar is False
+    # the residual then reads inf
     with np.errstate(over="ignore"):
         residual = frobenius(rho - scalar[..., None, None] * np.eye(4))
-        off = frobenius(rho - diag[..., None] * np.eye(4))
-    spread = np.max(np.abs(diag - scalar[..., None]), axis=-1)
-    # relative to |ϱ| >= 4, which grows like t + 1/t: so does its rounding error
-    tol = 1e-12 * np.abs(scalar)
-    ok = (off < tol) & (spread < tol)
+    # relative to |ϱ| >= 4, which grows like t + 1/t, as does its rounding
+    # error; divided before the norm, whose squares overflow beyond about 1e154
+    size = np.abs(scalar)[..., None]
+    off = frobenius((rho - diag[..., None] * np.eye(4)) / size[..., None])
+    spread = np.max(np.abs(diag - scalar[..., None]) / size, axis=-1)
+    ok = (off < 1e-12) & (spread < 1e-12)
     return (ok, scalar, residual) if t.ndim else (bool(ok), complex(scalar), residual)
 
 

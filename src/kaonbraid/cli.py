@@ -432,7 +432,7 @@ def cmd_evolve(cfg) -> int:
         "norm_drift": abs(float(np.linalg.norm(final.vector)) - 1.0),
         "round_trip_error": float(np.linalg.norm(round_trip.vector - psi0.vector)),
         "schrodinger_residual": dynamics.schrodinger_residual(
-            psi0, spec, (t0 + t1) / 2.0 if t0 != t1 else t0, dt=1e-5
+            psi0, spec, (t0 + t1) / 2.0 if t0 != t1 else t0
         ),
     }
     _emit(cfg, "evolve", columns, table, extra)

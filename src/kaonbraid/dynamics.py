@@ -68,15 +68,14 @@ def evolve_state(
     return TwoKaonState(propagator(spec, t0, t1) @ state.vector)
 
 
-def schrodinger_residual(state0, spec: BraidSpec, t, dt: float = 1e-5):
-    """Central-difference check of i·dΨ/dt = H(t)·Ψ(t) along the propagated
-    trajectory starting from state0 at time 0.
+def schrodinger_residual(state0, spec: BraidSpec, t):
+    """Central-difference check, with step dt = 1e-5, of i·dΨ/dt = H(t)·Ψ(t)
+    along the propagated trajectory starting from state0 at time 0.
 
     A TwoKaonState and a number t give a float; amplitudes (see state_stack)
     give one residual per state and an array of t one per time, in an array
     of shape (N,) + t.shape (t.shape for a TwoKaonState)."""
-    if not 0 < dt <= 1e-3:
-        raise ValueError("dt must satisfy 0 < dt <= 1e-3")
+    dt = 1e-5
     psi, t = state_stack(state0), np.asarray(t, dtype=float)
     # U @ (4, 1) column: numpy's matrix-vector path, as for one state vector
     ahead, behind, now = (propagator(spec, 0.0, [t + dt, t - dt, t])[..., None, :, :]
@@ -95,26 +94,3 @@ def r_vs_hamiltonian_consistency(spec: BraidSpec, t):
     t = _nonnegative(t, "time t")
     relative = unitary_r(spec, t) @ unitary_r(spec, 0.0).conj().T
     return frobenius(relative - propagator(spec, 0.0, t))
-
-
-def hamiltonian_action_report(spec: BraidSpec) -> list[tuple[str, complex, complex]]:
-    """Diagnostic for the printed basis-action claim at t = 1.
-
-    The claimed image pattern has a single nonzero component per basis state
-    with coefficients (-e^{-iφ}, ∓1, ±1, e^{-iφ}) on (K̄K̄, K̄K, KK̄, KK) up to
-    an overall constant.  Returns, per basis state, the label of the claimed
-    target component together with (computed coefficient / (1/2), claimed
-    coefficient); discrepancies are reported, never absorbed.
-    """
-    from .states import BASIS_LABELS
-
-    h1 = hamiltonian_at(spec, 1.0)
-    q = spec.q
-    s = spec.sigma
-    # claimed (target index, coefficient) for basis states 0..3
-    claimed = [(3, -1.0 / q), (2, -s + 0j), (1, s + 0j), (0, 1.0 / q)]
-    rows = []
-    for col, (target, coeff) in enumerate(claimed):
-        image = h1 @ np.eye(4)[col]
-        rows.append((BASIS_LABELS[target], 2.0 * complex(image[target]), coeff))
-    return rows

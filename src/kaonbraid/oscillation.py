@@ -45,14 +45,6 @@ class KaonParams:
                 object.__setattr__(self, name, v)
 
     @property
-    def alpha_s(self) -> complex:
-        return self.gamma_s / 2.0 + 1j * self.m_s
-
-    @property
-    def alpha_l(self) -> complex:
-        return self.gamma_l / 2.0 + 1j * self.m_l
-
-    @property
     def delta_m(self) -> float:
         return self.m_l - self.m_s
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .braid import BraidSpec, unitary_braid
 from .errors import ValidationError
-from .linalg import as_matrix, frobenius, hermiticity_residual, tensor_product
+from .linalg import as_matrix, hermiticity_residual, tensor_product
 
 BASIS_LABELS = ("KK", "KKbar", "KbarK", "KbarKbar")
 
@@ -77,30 +77,8 @@ def cp_op() -> np.ndarray:
 
 def lift_two_kaon(op) -> np.ndarray:
     """Lift a single-kaon operator to the pair as op ⊗ op."""
-    return tensor_product(as_matrix(op, 2), as_matrix(op, 2))
-
-
-def rbar_matrix(coeffs) -> np.ndarray:
-    """Assemble the coefficient-permutation matrix
-
-        [[a0, 0, 0, 0], [0, 0, a3, 0], [0, a2, 0, 0], [0, 0, 0, a1]]
-
-    and validate that it is unitary (each coefficient of unit modulus).
-    """
-    a0, a1, a2, a3 = (complex(c) for c in np.asarray(coeffs, dtype=complex))
-    m = np.array(
-        [[a0, 0, 0, 0], [0, 0, a3, 0], [0, a2, 0, 0], [0, 0, 0, a1]], dtype=complex
-    )
-    if frobenius(m @ m.conj().T - np.eye(4)) > 1e-9:
-        raise ValidationError(
-            "rbar coefficients must each have unit modulus for a unitary map"
-        )
-    return m
-
-
-def apply_rbar(coeffs, state: TwoKaonState) -> TwoKaonState:
-    """Apply the assembled rbar matrix to the amplitude vector."""
-    return TwoKaonState(rbar_matrix(coeffs) @ state.vector)
+    op = as_matrix(op, 2)
+    return tensor_product(op, op)
 
 
 def concurrence(psi):

@@ -30,10 +30,6 @@ class CheckResult:
     tol: float
     detail: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.metric <= self.tol
-
 
 def _specs(phis=PHI_SET):
     """One spec per sign over the array of φ: the stacks the checks run on."""
@@ -126,7 +122,7 @@ def check_schrodinger(seed: int) -> CheckResult:
     v = d[:, :4] + 1j * d[:, 4:]
     psi = v / frobenius(v[:, None, :])[:, None]
     t = np.array([0.2, 0.5, 1.0, 2.0, 5.0])
-    worst = max(float(dynamics.schrodinger_residual(psi, spec, t, dt=1e-5).max())
+    worst = max(float(dynamics.schrodinger_residual(psi, spec, t).max())
                 for spec in (BraidSpec("plus", 0.0), BraidSpec("minus", 1.0)))
     return CheckResult("schrodinger_residual", worst, 1e-6, "dt = 1e-5, 10 states x 5 times")
 
@@ -195,9 +191,9 @@ def check_separability(seed: int) -> CheckResult:
     return CheckResult("separability_oracle", metric, 0.0, "1000 seeded states vs Schmidt rank")
 
 
-def check_deformation_sweep(grid: int = 41) -> CheckResult:
+def check_deformation_sweep() -> CheckResult:
     s_op, cp = states.strangeness_op(), states.cp_op()
-    phi = np.linspace(0.0, 2 * math.pi, grid)
+    phi = np.linspace(0.0, 2 * math.pi, 41)
     psi = states.deformed_bell(phi)
     worst = float(max(np.max(np.abs(states.correlation(psi, cp, cp) - np.cos(phi))),
                       np.max(np.abs(states.correlation(psi, s_op, s_op) - 1.0)),

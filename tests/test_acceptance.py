@@ -21,7 +21,7 @@ def report(name, metric, tol, passed):
 
 
 def run_check(name, result):
-    report(name, result.metric, result.tol, result.passed)
+    report(name, result.metric, result.tol, result.metric <= result.tol)
 
 
 def test_01_braid_relation():

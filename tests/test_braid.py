@@ -235,10 +235,11 @@ class TestRhoCheck:
         assert rho_printed_formula(spec, 1.0) == pytest.approx(0.0)
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, 2.5])
-    @pytest.mark.parametrize("t", [1e4, 1e6, 1e100, 1e-6])
+    @pytest.mark.parametrize("t", [1e4, 1e6, 1e100, 1e-6, 1e200, 1e-200])
     def test_scalar_at_large_t(self, phi, t):
         # ϱ = 2(t + 1/t)·I holds to rounding, which grows with |ϱ|: judged
-        # against 1e-12 absolute, φ = 0.3 read not scalar from t = 1e4 up
+        # against 1e-12 absolute, φ = 0.3 read not scalar from t = 1e4 up, and
+        # with the norm's squares overflowing, from about 1e154 up
         for spec in (BraidSpec(sign, phi) for sign in SIGNS):
             ok, _, _ = rho_check(spec, t)
             assert ok

@@ -355,7 +355,8 @@ class TestTables:
         assert code == 0
         assert len(out.splitlines()) == 4 and err == ""
 
-    @pytest.mark.parametrize("phi, t", [("0.3", "1e4"), ("0", "1e6"), ("0.3", "1e100")])
+    @pytest.mark.parametrize("phi, t", [("0.3", "1e4"), ("0", "1e6"), ("0.3", "1e100"),
+                                        ("0.3", "1e200")])
     def test_rho_report_scalar_at_large_time(self, capsys, phi, t):
         code, out, _ = run_cli(capsys, "rho-report", "--phi", phi, "--t0", t, "--t1", t,
                                "--steps", "2")

@@ -72,8 +72,8 @@ class TestFlavorEvolution:
         p = KaonParams()
         t = 1.5
         u_s, u_l = u_factors(p, t)
-        assert u_s == cmath.exp(-p.alpha_s * t)
-        assert u_l == cmath.exp(-p.alpha_l * t)
+        assert u_s == cmath.exp(-(p.gamma_s / 2.0 + 1j * p.m_s) * t)
+        assert u_l == cmath.exp(-(p.gamma_l / 2.0 + 1j * p.m_l) * t)
         # |K⟩ = (|S⟩ + |L⟩)/√2, and back: c_K = (c_S + c_L)/√2, c_K̄ = (c_S - c_L)/√2
         c_s, c_l = u_s / math.sqrt(2), u_l / math.sqrt(2)
         c_k, c_kbar = (c_s + c_l) / math.sqrt(2), (c_s - c_l) / math.sqrt(2)

@@ -8,7 +8,6 @@ from kaonbraid.braid import BraidSpec
 from kaonbraid.errors import ValidationError
 from kaonbraid.states import (
     TwoKaonState,
-    apply_rbar,
     bell_quartet,
     braid_action_images,
     canonical_basis,
@@ -19,7 +18,6 @@ from kaonbraid.states import (
     deformed_bell,
     is_separable,
     lift_two_kaon,
-    rbar_matrix,
     schmidt_coefficients,
     strangeness_op,
 )
@@ -60,40 +58,6 @@ class TestCanonicalBasis:
     def test_norm_validation(self):
         with pytest.raises(ValidationError):
             TwoKaonState([1, 0, 0, 1])
-
-
-class TestRbar:
-    def test_unit_phases_permute_with_phases(self):
-        phases = [cmath.exp(1j * p) for p in (0.3, 1.1, -0.7, 2.0)]
-        psi = TwoKaonState(np.ones(4) / 2.0)
-        out = apply_rbar(phases, psi)
-        a0, a1, a2, a3 = phases
-        expected = np.array([a0, a3, a2, a1]) / 2.0
-        assert np.linalg.norm(out.vector - expected) < 1e-15
-
-    def test_all_ones_swaps_middle(self):
-        out = apply_rbar([1, 1, 1, 1], TwoKaonState([0.5, 0.5, 0.5j, 0.5j]))
-        assert np.allclose(out.vector, [0.5, 0.5j, 0.5, 0.5j])
-
-    def test_basis_images_follow_row_reading(self):
-        # the symbolic action on the ket column: KK -> a0 KK, KKbar -> a3 KbarK,
-        # KbarK -> a2 KKbar, KbarKbar -> a1 KbarKbar
-        phases = [cmath.exp(1j * p) for p in (0.2, 0.9, 1.7, -1.1)]
-        m = rbar_matrix(phases)
-        a0, a1, a2, a3 = phases
-        assert m[0, 0] == a0 and m[1, 2] == a3 and m[2, 1] == a2 and m[3, 3] == a1
-
-    def test_entangles_product_state_when_phases_mismatch(self):
-        # a0*a1 != a2*a3: the image of a product state becomes entangled
-        phases = [cmath.exp(1j * 0.3), 1.0, 1.0, 1.0]
-        product = TwoKaonState(np.ones(4) / 2.0)
-        out = apply_rbar(phases, product)
-        assert concurrence(product) < 1e-12
-        assert concurrence(out) == pytest.approx(abs(cmath.exp(1j * 0.3) - 1.0) / 2.0)
-
-    def test_rejects_non_unit_modulus(self):
-        with pytest.raises(ValidationError):
-            rbar_matrix([0.5, 0.5, 0.5, 0.5])
 
 
 class TestConcurrence:
