@@ -166,17 +166,17 @@ def rho_check(spec: BraidSpec, t):
     rho = yang_baxterize(spec, t) @ yang_baxterize(spec, t_inv)
     diag = np.diagonal(rho, axis1=-2, axis2=-1)
     scalar = np.trace(rho, axis1=-2, axis2=-1) / 4.0
-    # beyond t or 1/t of about 1e154 the squares of ϱ's rounding error overflow:
-    # the residual then reads inf
-    with np.errstate(over="ignore"):
-        residual = frobenius(rho - scalar[..., None, None] * np.eye(4))
+    # scaled by 2^-k ~ 1/|scalar| so that no square overflows, then back: exact
+    k = np.frexp(np.abs(scalar))[1]
+    scale = np.ldexp(1.0, -k)[..., None, None]
+    residual = np.ldexp(frobenius((rho - scalar[..., None, None] * np.eye(4)) * scale), k)
     # relative to |ϱ| >= 4, which grows like t + 1/t, as does its rounding
     # error; divided before the norm, whose squares overflow beyond about 1e154
     size = np.abs(scalar)[..., None]
     off = frobenius((rho - diag[..., None] * np.eye(4)) / size[..., None])
     spread = np.max(np.abs(diag - scalar[..., None]) / size, axis=-1)
     ok = (off < 1e-12) & (spread < 1e-12)
-    return (ok, scalar, residual) if t.ndim else (bool(ok), complex(scalar), residual)
+    return (ok, scalar, residual) if t.ndim else (bool(ok), complex(scalar), float(residual))
 
 
 def rho_printed_formula(spec: BraidSpec, t):

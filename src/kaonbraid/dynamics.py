@@ -47,7 +47,8 @@ def hamiltonian_at(spec: BraidSpec, t) -> np.ndarray:
 def propagator(spec: BraidSpec, t0: float, t1) -> np.ndarray:
     """Exact unitary propagator cos α·I - i·sin α·H₀, α = arctan t1 - arctan t0.
 
-    An array of t1 gives the (N, 4, 4) stack, from one H₀.  Infinite times are
+    An array of t1 that broadcasts against an array-φ spec gives the stack of
+    shape broadcast(t1, φ) + (4, 4), from one H₀ per φ.  Infinite times are
     allowed (arctan ±∞ = ±π/2); NaN raises DomainError.
     """
     t1 = np.asarray(t1, dtype=float)
@@ -56,9 +57,8 @@ def propagator(spec: BraidSpec, t0: float, t1) -> np.ndarray:
         raise DomainError(f"times must not be NaN: t0={t0}, t1={float(t1.flat[nan.argmax()])}")
     # math, not numpy, per element: each row then has the bits of its own call
     angle = elementwise(math.atan, t1) - math.atan(t0)
-    cos, sin = elementwise(math.cos, angle), elementwise(math.sin, angle)
-    h0 = hamiltonian_generator(spec)
-    return np.multiply.outer(cos, np.eye(4)) - np.multiply.outer(1j * sin, h0)
+    cos, sin = (np.asarray(elementwise(f, angle))[..., None, None] for f in (math.cos, math.sin))
+    return cos * np.eye(4) - (1j * sin) * hamiltonian_generator(spec)
 
 
 def evolve_state(
@@ -90,7 +90,7 @@ def schrodinger_residual(state0, spec: BraidSpec, t):
 def r_vs_hamiltonian_consistency(spec: BraidSpec, t):
     """||R̃(θ(t))·R̃(0)⁻¹ - U(0, t)||_F: relative spectral-family evolution
     against the Hamiltonian propagator, for a finite t >= 0; an array of t
-    gives an array."""
+    that broadcasts against an array-φ spec gives an array of that shape."""
     t = _nonnegative(t, "time t")
-    relative = unitary_r(spec, t) @ unitary_r(spec, 0.0).conj().T
+    relative = unitary_r(spec, t) @ unitary_r(spec, 0.0).conj().swapaxes(-1, -2)
     return frobenius(relative - propagator(spec, 0.0, t))

@@ -17,10 +17,16 @@ from . import braid, dynamics, oscillation, states
 from .braid import BraidSpec
 from .linalg import elementwise, frobenius, hermiticity_residual, unitarity_residual
 
-PHI_SET = (0.0, math.pi / 7, math.pi / 3, 1.0, math.pi / 2, 2.5)
-QYBE_PHI_SET = (0.0, 1.1, math.pi / 2)
-CONSISTENCY_T = (0.1, 0.5, 1.0, 2.0, 10.0)
-CONSISTENCY_PHI = (0.0, 1.0, math.pi / 2)
+# The identities checked over a spectral parameter and φ are polynomial ones.
+# R(x) = b + x·b† is affine in x, and every entry of b lies in span{1, q, 1/q}
+# with q = e^{iφ} and conj(q) = 1/q.  So each residual has degree <= 3 in q
+# and 1/q (braid relation, QYBE; <= 2 for R̃R̃† - I, R̃(θ)R̃(0)† - U, t·ϱ and
+# H₀ - H₀†) and vanishes for every φ iff it vanishes at 7 distinct q; and it
+# has degree <= 2 in each of x and y (QYBE), in t (t·ϱ) or in cos θ, sin θ
+# (θ = arctan x), so 3 x-nodes with θ distinct mod π suffice.  At these
+# nodes each check proves its identity up to rounding.
+X_NODES = np.array([0.0, 1.0, 2.0])
+PHI_NODES = 2 * math.pi * np.arange(7) / 7
 
 
 @dataclass(frozen=True)
@@ -31,9 +37,9 @@ class CheckResult:
     detail: str = ""
 
 
-def _specs(phis=PHI_SET):
-    """One spec per sign over the array of φ: the stacks the checks run on."""
-    return [BraidSpec(sign, np.array(phis)) for sign in braid.SIGNS]
+def _specs():
+    """One spec per sign over PHI_NODES: the stacks the checks run on."""
+    return [BraidSpec(sign, PHI_NODES) for sign in braid.SIGNS]
 
 
 def check_braid_relation(uncorrected: bool = False) -> CheckResult:
@@ -63,14 +69,11 @@ def check_eigenvalues() -> CheckResult:
     return CheckResult("braid_eigenvalues", worst, 1e-10, "multiset {1+i, 1-i} twice")
 
 
-def check_qybe(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(0.0, 10.0, size=(100, 2))
-    draws[draws == 0.0] = 10.0  # open interval (0, 10]
-    # one (sign, φ) at a time: each stack of 100 8x8 products stays small
-    worst = max(float(braid.check_qybe(BraidSpec(sign, phi), draws[:, 0], draws[:, 1]).max())
-                for sign in braid.SIGNS for phi in QYBE_PHI_SET)
-    return CheckResult("qybe", worst, 1e-10, "100 seeded (x,y) per sign and phi")
+def check_qybe() -> CheckResult:
+    # (9, 1) columns of (x, y) against the 7 φ of each spec
+    x, y = (g.reshape(-1, 1) for g in np.meshgrid(X_NODES, X_NODES))
+    worst = max(float(braid.check_qybe(spec, x, y).max()) for spec in _specs())
+    return CheckResult("qybe", worst, 1e-10, "all x, y, phi: 3x3 (x, y) nodes x 7 phi nodes")
 
 
 def check_asymptotic() -> CheckResult:
@@ -80,13 +83,9 @@ def check_asymptotic() -> CheckResult:
 
 
 def check_unitarity_grid() -> CheckResult:
-    thetas = np.linspace(0.0, math.pi / 2, 20, endpoint=False)
-    phis = np.linspace(0.0, 2 * math.pi, 20, endpoint=False)
-    # θ down, φ across; math.tan per element, as the points were built one by one
-    x = elementwise(math.tan, thetas)[:, None]
-    worst = max(float(unitarity_residual(braid.unitary_r(BraidSpec(sign, phis), x)).max())
-                for sign in braid.SIGNS)
-    return CheckResult("unitary_r_grid", worst, 1e-12, "20x20 (theta, phi) grid")
+    worst = max(float(unitarity_residual(braid.unitary_r(spec, X_NODES[:, None])).max())
+                for spec in _specs())
+    return CheckResult("unitary_r_grid", worst, 1e-12, "all theta, phi: 3 x nodes x 7 phi nodes")
 
 
 def check_hamiltonian_hermitian() -> CheckResult:
@@ -128,9 +127,8 @@ def check_schrodinger(seed: int) -> CheckResult:
 
 
 def check_r_hamiltonian_consistency() -> CheckResult:
-    t = np.array(CONSISTENCY_T)
-    worst = max(float(dynamics.r_vs_hamiltonian_consistency(BraidSpec(sign, phi), t).max())
-                for sign in braid.SIGNS for phi in CONSISTENCY_PHI)
+    worst = max(float(dynamics.r_vs_hamiltonian_consistency(spec, X_NODES[:, None]).max())
+                for spec in _specs())
     return CheckResult("r_vs_hamiltonian", worst, 1e-11)
 
 
@@ -209,10 +207,10 @@ def check_deformation_sweep() -> CheckResult:
 def check_rho() -> CheckResult:
     worst = 0.0
     notes = []
-    t = np.array([0.5, 1.0, 2.0, 5.0])
-    for spec in _specs((0.0, 1.0, math.pi / 2)):
-        ok, scalar, residual = braid.rho_check(spec, t[:, None])
-        gap = scalar - 2.0 * (t[:, None] + 1.0 / t[:, None])
+    t = np.array([0.5, 1.0, 2.0, 5.0])[:, None]  # t > 0, and 4 nodes for degree 2
+    for spec in _specs():
+        ok, scalar, residual = braid.rho_check(spec, t)
+        gap = scalar - 2.0 * (t + 1.0 / t)
         worst = max(worst, residual.max(), np.hypot(gap.real, gap.imag).max(),
                     0.0 if ok.all() else 1.0)
     printed = braid.rho_printed_formula(BraidSpec("plus", 0.0), 1.0)
@@ -266,7 +264,7 @@ def run_suite(seed: int = 0, uncorrected: bool = False) -> list[CheckResult]:
         check_braid_relation(uncorrected=uncorrected),
         check_uncorrected_diagnostic(),
         check_eigenvalues(),
-        check_qybe(seed),
+        check_qybe(),
         check_asymptotic(),
         check_unitarity_grid(),
         check_hamiltonian_hermitian(),

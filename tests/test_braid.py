@@ -235,15 +235,18 @@ class TestRhoCheck:
         assert rho_printed_formula(spec, 1.0) == pytest.approx(0.0)
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, 2.5])
-    @pytest.mark.parametrize("t", [1e4, 1e6, 1e100, 1e-6, 1e200, 1e-200])
+    @pytest.mark.parametrize("t", [1e4, 1e6, 1e100, 1e-6, 1e200, 1e-200, 1e300, 1e-300])
     def test_scalar_at_large_t(self, phi, t):
         # ϱ = 2(t + 1/t)·I holds to rounding, which grows with |ϱ|: judged
         # against 1e-12 absolute, φ = 0.3 read not scalar from t = 1e4 up, and
-        # with the norm's squares overflowing, from about 1e154 up
+        # with the norm's squares overflowing, from about 1e154 up, where the
+        # residual also read inf
         for spec in (BraidSpec(sign, phi) for sign in SIGNS):
-            ok, _, _ = rho_check(spec, t)
-            assert ok
-            assert rho_check(spec, np.array([1.0, t]))[0].all()
+            ok, scalar, residual = rho_check(spec, t)
+            assert ok and residual < 1e-12 * abs(scalar)
+            stacked = rho_check(spec, np.array([1.0, t]))
+            assert stacked[0].all()
+            assert stacked[2].tolist() == [rho_check(spec, 1.0)[2], residual]
 
     def test_rejects_t_zero(self):
         with pytest.raises(DomainError):

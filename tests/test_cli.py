@@ -349,7 +349,7 @@ class TestTables:
         assert out.startswith("t,re_a0") and err == ""
 
     def test_rho_report_huge_time_is_quiet(self, capsys):
-        # the squares in ϱ's residual overflow; the table is still written
+        # ϱ's entries near 4e307: nothing overflows, and the table is written
         code, out, err = run_cli(capsys, "rho-report", "--phi", "0.3", "--t0", "1e200",
                                  "--t1", "2e307", "--steps", "3")
         assert code == 0

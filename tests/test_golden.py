@@ -56,8 +56,8 @@ HASHED = {
         "9121d4df05ad2b27f0cb4a2afb72a563e88762c7eb8f30225a1e2a24444b0b4e",
 }
 
-# the metrics are the worst residuals over the seeded draws, so a one-ulp
-# drift in any check's arithmetic tends to show in them
+# the metrics are the worst residuals over the node grids and the seeded
+# draws, so a one-ulp drift in any check's arithmetic tends to show in them
 VERIFY = ["verify", "--seed", "0"]
 
 
