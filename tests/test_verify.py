@@ -15,11 +15,11 @@ from kaonbraid.cli import main
 from kaonbraid.linalg import hermiticity_residual, unitarity_residual
 
 
+X = verify.X_NODES.tolist()
+
+
 def node_specs():
     return [BraidSpec(sign, phi) for sign in SIGNS for phi in verify.PHI_NODES.tolist()]
-
-
-X = verify.X_NODES.tolist()
 
 
 def rho_point(spec, t):
