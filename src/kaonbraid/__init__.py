@@ -13,7 +13,6 @@ from .braid import (  # noqa: F401
     yang_baxterize,
 )
 from .dynamics import (  # noqa: F401
-    evolve_state,
     hamiltonian_at,
     hamiltonian_generator,
     propagator,
@@ -39,13 +38,10 @@ from .oscillation import (  # noqa: F401
 from .states import (  # noqa: F401
     TwoKaonState,
     bell_quartet,
-    braid_action_images,
-    canonical_basis,
     concurrence,
     correlation,
     cp_op,
     cp_s_eigentable,
     is_separable,
-    lift_two_kaon,
     strangeness_op,
 )

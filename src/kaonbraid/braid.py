@@ -145,11 +145,10 @@ def rho_check(spec: BraidSpec, t):
     """Inversion relation ϱ = R(t)·R(1/t) from the unnormalized R.
 
     Returns (is_scalar, scalar, residual) where scalar is the mean diagonal
-    entry and residual = ||ϱ - scalar·I||_F; is_scalar holds when ϱ's
-    off-diagonal norm and diagonal spread, divided by |scalar|, are below
-    1e-12, at any t accepted here.  The closed form is
-    ϱ = 2(t + 1/t)·I, independent of φ.  A number t gives (bool, complex,
-    float); an array of t gives three arrays, and any t <= 0 raises.
+    entry and residual = ||ϱ - scalar·I||_F; is_scalar holds when
+    residual / |scalar| is below 1e-12, at any t accepted here.  The closed
+    form is ϱ = 2(t + 1/t)·I, independent of φ.  A number t gives (bool,
+    complex, float); an array of t gives three arrays, and any t <= 0 raises.
     """
     t = _positive_t(t)
     with np.errstate(over="ignore"):
@@ -164,18 +163,14 @@ def rho_check(spec: BraidSpec, t):
         raise DomainError(f"t = {float(t[huge].flat[0])!r} is out of range: "
                           "the trace of ϱ = 2(t + 1/t)·I overflows")
     rho = yang_baxterize(spec, t) @ yang_baxterize(spec, t_inv)
-    diag = np.diagonal(rho, axis1=-2, axis2=-1)
     scalar = np.trace(rho, axis1=-2, axis2=-1) / 4.0
     # scaled by 2^-k ~ 1/|scalar| so that no square overflows, then back: exact
     k = np.frexp(np.abs(scalar))[1]
     scale = np.ldexp(1.0, -k)[..., None, None]
-    residual = np.ldexp(frobenius((rho - scalar[..., None, None] * np.eye(4)) * scale), k)
-    # relative to |ϱ| >= 4, which grows like t + 1/t, as does its rounding
-    # error; divided before the norm, whose squares overflow beyond about 1e154
-    size = np.abs(scalar)[..., None]
-    off = frobenius((rho - diag[..., None] * np.eye(4)) / size[..., None])
-    spread = np.max(np.abs(diag - scalar[..., None]) / size, axis=-1)
-    ok = (off < 1e-12) & (spread < 1e-12)
+    scaled = frobenius((rho - scalar[..., None, None] * np.eye(4)) * scale)
+    residual = np.ldexp(scaled, k)
+    # relative to |ϱ| >= 4, which grows like t + 1/t, as does its rounding error
+    ok = scaled < 1e-12 * np.ldexp(np.abs(scalar), -k)
     return (ok, scalar, residual) if t.ndim else (bool(ok), complex(scalar), float(residual))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .braid import BraidSpec, unitary_braid, unitary_r
 from .errors import DomainError
 from .linalg import _nonnegative, elementwise, frobenius
-from .states import TwoKaonState, state_stack
+from .states import state_stack
 
 
 def hamiltonian_generator(spec: BraidSpec) -> np.ndarray:
@@ -61,20 +61,12 @@ def propagator(spec: BraidSpec, t0: float, t1) -> np.ndarray:
     return cos * np.eye(4) - (1j * sin) * hamiltonian_generator(spec)
 
 
-def evolve_state(
-    state: TwoKaonState, spec: BraidSpec, t0: float, t1: float
-) -> TwoKaonState:
-    """Apply the propagator from t0 to t1; norm is preserved."""
-    return TwoKaonState(propagator(spec, t0, t1) @ state.vector)
-
-
 def schrodinger_residual(state0, spec: BraidSpec, t):
     """Central-difference check, with step dt = 1e-5, of i·dΨ/dt = H(t)·Ψ(t)
     along the propagated trajectory starting from state0 at time 0.
 
-    A TwoKaonState and a number t give a float; amplitudes (see state_stack)
-    give one residual per state and an array of t one per time, in an array
-    of shape (N,) + t.shape (t.shape for a TwoKaonState)."""
+    One residual per row of state_stack(state0) and per time: an array of
+    shape (N,) + t.shape."""
     dt = 1e-5
     psi, t = state_stack(state0), np.asarray(t, dtype=float)
     # U @ (4, 1) column: numpy's matrix-vector path, as for one state vector
@@ -82,9 +74,7 @@ def schrodinger_residual(state0, spec: BraidSpec, t):
                           @ psi[:, :, None])[..., 0]
     deriv = 1j * (ahead - behind) / (2.0 * dt)
     drift = deriv - (hamiltonian_at(spec, t)[..., None, :, :] @ now[..., None])[..., 0]
-    residual = np.moveaxis(frobenius(drift[..., None, :]), -1, 0)
-    residual = residual[0] if isinstance(state0, TwoKaonState) else residual
-    return residual if residual.ndim else float(residual)
+    return np.moveaxis(frobenius(drift[..., None, :]), -1, 0)
 
 
 def r_vs_hamiltonian_consistency(spec: BraidSpec, t):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import BraidSpec, unitary_braid
 from .errors import ValidationError
 from .linalg import as_matrix, hermiticity_residual, tensor_product
 
@@ -25,9 +24,7 @@ _SQ2 = math.sqrt(2.0)
 
 def state_stack(psi) -> np.ndarray:
     """Validate 4 amplitudes or an (N, 4) stack of them once (shape, finite, unit
-    norm); return the (N, 4) array.  A TwoKaonState is not rechecked."""
-    if isinstance(psi, TwoKaonState):
-        return psi.vector[None, :]
+    norm); return the (N, 4) array (N = 1 for 4 amplitudes)."""
     a = np.asarray(psi, dtype=complex)
     if a.ndim not in (1, 2) or a.shape[-1] != 4:
         raise ValidationError("a two-kaon state needs exactly 4 amplitudes")
@@ -43,7 +40,8 @@ def state_stack(psi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoKaonState:
-    """Unit vector of four complex amplitudes over the canonical basis."""
+    """Unit vector of four complex amplitudes over the canonical basis: the
+    parsed initial state of `evolve`.  The kernels take amplitude arrays."""
 
     amplitudes: tuple
 
@@ -54,15 +52,6 @@ class TwoKaonState:
     @property
     def vector(self) -> np.ndarray:
         return np.array(self.amplitudes, dtype=complex)
-
-    def overlap(self, other: "TwoKaonState") -> complex:
-        """⟨self|other⟩."""
-        return complex(np.vdot(self.vector, other.vector))
-
-
-def canonical_basis() -> list[TwoKaonState]:
-    """The four coordinate states in canonical order."""
-    return [TwoKaonState(np.eye(4)[i]) for i in range(4)]
 
 
 def strangeness_op() -> np.ndarray:
@@ -75,82 +64,58 @@ def cp_op() -> np.ndarray:
     return np.array([[0, -1], [-1, 0]], dtype=complex)
 
 
-def lift_two_kaon(op) -> np.ndarray:
-    """Lift a single-kaon operator to the pair as op ⊗ op."""
-    op = as_matrix(op, 2)
-    return tensor_product(op, op)
-
-
-def concurrence(psi):
-    """C = 2|a0·a3 - a1·a2| in canonical order; 0 iff decomposable, 1 for Bell states.
-
-    A TwoKaonState gives a float; amplitudes (see state_stack) give an (N,) array.
-    """
+def concurrence(psi) -> np.ndarray:
+    """C = 2|a0·a3 - a1·a2| in canonical order, one per row of state_stack(psi):
+    an (N,) array; 0 iff decomposable, 1 for Bell states."""
     a = state_stack(psi).T
     re, im = a.real, a.imag
     # a0·a3 - a1·a2 in real arithmetic, then np.hypot: numpy's complex multiply
     # and complex abs (SIMD) can differ in the last bit from Python's
     det_re = (re[0] * re[3] - im[0] * im[3]) - (re[1] * re[2] - im[1] * im[2])
     det_im = (re[0] * im[3] + im[0] * re[3]) - (re[1] * im[2] + im[1] * re[2])
-    c = np.minimum(1.0, 2.0 * np.hypot(det_re, det_im))
-    return float(c[0]) if isinstance(psi, TwoKaonState) else c
+    return np.minimum(1.0, 2.0 * np.hypot(det_re, det_im))
 
 
-def is_separable(psi, tol: float = 1e-9):
-    """True iff the concurrence is at most tol; a stack gives an (N,) bool array."""
+def is_separable(psi, tol: float = 1e-9) -> np.ndarray:
+    """(N,) booleans: True iff a row's concurrence is at most tol."""
     return concurrence(psi) <= tol
 
 
 def schmidt_coefficients(psi) -> np.ndarray:
-    """Singular values of the amplitude matrix [[a0, a1], [a2, a3]] (first-kaon
-    index = row), an independent separability oracle; a stack gives (N, 2)."""
-    s = np.linalg.svd(state_stack(psi).reshape(-1, 2, 2), compute_uv=False)
-    return s[0] if isinstance(psi, TwoKaonState) else s
+    """(N, 2) singular values of each row's amplitude matrix [[a0, a1], [a2, a3]]
+    (first-kaon index = row), an independent separability oracle."""
+    return np.linalg.svd(state_stack(psi).reshape(-1, 2, 2), compute_uv=False)
 
 
-def bell_quartet() -> list[TwoKaonState]:
-    """Φ₁..Φ₄: (|KK⟩ ± |K̄K̄⟩)/√2 and (|K̄K⟩ ± |KK̄⟩)/√2."""
-    return [
-        TwoKaonState([1 / _SQ2, 0, 0, 1 / _SQ2]),
-        TwoKaonState([1 / _SQ2, 0, 0, -1 / _SQ2]),
-        TwoKaonState([0, 1 / _SQ2, 1 / _SQ2, 0]),
-        TwoKaonState([0, -1 / _SQ2, 1 / _SQ2, 0]),
-    ]
+def bell_quartet() -> np.ndarray:
+    """Φ₁..Φ₄ as the rows of a (4, 4) array: (|KK⟩ ± |K̄K̄⟩)/√2 and
+    (|K̄K⟩ ± |KK̄⟩)/√2."""
+    signs = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, -1, 1, 0]], dtype=float)
+    # a real division, then the cast: numpy's complex division may differ in the last bit
+    return (signs / _SQ2).astype(complex)
 
 
-def deformed_bell(phi):
-    """(|KK⟩ + e^{iφ}|K̄K̄⟩)/√2: the φ-deformed first Bell state, a TwoKaonState;
-    an array of φ gives the (N, 4) amplitude stack."""
+def deformed_bell(phi) -> np.ndarray:
+    """(|KK⟩ + e^{iφ}|K̄K̄⟩)/√2, the φ-deformed first Bell state: its 4
+    amplitudes, or the (N, 4) stack for an array of φ."""
     phi = np.asarray(phi, dtype=float)
     a = np.zeros(phi.shape + (4,), dtype=complex)
     a[..., 0] = 1 / _SQ2
     a[..., 3].real = np.cos(phi) / _SQ2
     a[..., 3].imag = np.sin(phi) / _SQ2
-    return a if phi.ndim else TwoKaonState(a)
-
-
-def braid_action_images(spec: BraidSpec) -> list[TwoKaonState]:
-    """Images of the canonical basis under the unitary braid action, read in
-    the row convention: image i has amplitudes b̃[i, :].
-
-    At φ = 0 the images are (up to order and sign) the four Bell states; at
-    φ ≠ 0 images 1 and 4 carry the phases e^{±iφ}.
-    """
-    bt = unitary_braid(spec)
-    return [TwoKaonState(bt[i, :]) for i in range(4)]
+    return a
 
 
 def cp_s_eigentable() -> list[tuple[str, float, float]]:
     """Simultaneous Ŝ⊗Ŝ and CP⊗CP eigenvalues of the Bell quartet.
 
-    Verifies each Φᵢ really is an eigenvector of both lifted operators and
-    returns [(label, s_eigenvalue, cp_eigenvalue)] for Φ₁..Φ₄.
+    Verifies each Φᵢ really is an eigenvector of both lifted operators op ⊗ op
+    and returns [(label, s_eigenvalue, cp_eigenvalue)] for Φ₁..Φ₄.
     """
-    s2 = lift_two_kaon(strangeness_op())
-    cp2 = lift_two_kaon(cp_op())
+    s2 = tensor_product(strangeness_op(), strangeness_op())
+    cp2 = tensor_product(cp_op(), cp_op())
     table = []
-    for i, phi_i in enumerate(bell_quartet(), start=1):
-        v = phi_i.vector
+    for i, v in enumerate(bell_quartet(), start=1):
         row = [f"Phi{i}"]
         for op in (s2, cp2):
             image = op @ v
@@ -167,10 +132,8 @@ def cp_s_eigentable() -> list[tuple[str, float, float]]:
 
 
 def correlation(psi, op_a, op_b):
-    """⟨Ψ| A⊗B |Ψ⟩ for Hermitian single-kaon operators A, B.
-
-    A TwoKaonState gives a float; amplitudes (see state_stack) give an (N,) array.
-    """
+    """⟨Ψ| A⊗B |Ψ⟩ for Hermitian single-kaon operators A, B, one per row of
+    state_stack(psi): an (N,) array."""
     op_a = as_matrix(op_a, 2)
     op_b = as_matrix(op_b, 2)
     if hermiticity_residual(op_a) > 1e-12 or hermiticity_residual(op_b) > 1e-12:
@@ -178,5 +141,4 @@ def correlation(psi, op_a, op_b):
     v = state_stack(psi)
     # stacked matmul, not einsum: each row then sums in np.vdot's order
     w = tensor_product(op_a, op_b) @ v[:, :, None]
-    values = (v.conj()[:, None, :] @ w)[:, 0, 0].real
-    return float(values[0]) if isinstance(psi, TwoKaonState) else values
+    return (v.conj()[:, None, :] @ w)[:, 0, 0].real

@@ -133,21 +133,17 @@ def check_r_hamiltonian_consistency() -> CheckResult:
 
 
 def check_bell_structure() -> CheckResult:
-    worst = 0.0
     quartet = states.bell_quartet()
-    gram = np.array([[a.overlap(b) for b in quartet] for a in quartet])
-    worst = max(worst, frobenius(gram - np.eye(4)))
-    worst = max(worst, max(abs(states.concurrence(s) - 1.0) for s in quartet))
-    for sign in braid.SIGNS:
-        images = states.braid_action_images(BraidSpec(sign, 0.0))
-        g = np.array([[a.overlap(b) for b in images] for a in images])
-        worst = max(worst, frobenius(g - np.eye(4)))
-        for img in images:
-            worst = max(worst, abs(states.concurrence(img) - 1.0))
-            # each phi=0 image must coincide with a Bell state up to phase
-            best = max(abs(img.overlap(b)) for b in quartet)
-            worst = max(worst, abs(best - 1.0))
-    return CheckResult("bell_structure", worst, 1e-12)
+    worst = 0.0
+    # row i of b̃ is the image of basis state i
+    for rows in [quartet] + [braid.unitary_braid(BraidSpec(s, 0.0)) for s in braid.SIGNS]:
+        # overlaps[i, j] = ⟨row i|Φ_j⟩ and gram[i, j] = ⟨row i|row j⟩
+        overlaps, gram = (rows.conj() @ other.T for other in (quartet, rows))
+        # each φ = 0 image must coincide with a Bell state up to phase
+        best = np.hypot(overlaps.real, overlaps.imag).max(axis=1)
+        worst = max(worst, frobenius(gram - np.eye(4)), np.abs(best - 1.0).max(),
+                    np.abs(states.concurrence(rows) - 1.0).max())
+    return CheckResult("bell_structure", float(worst), 1e-12)
 
 
 def check_eigentable() -> CheckResult:
@@ -184,8 +180,8 @@ def check_separability(seed: int) -> CheckResult:
     by_concurrence = states.is_separable(psi, tol)
     by_schmidt = states.schmidt_coefficients(psi)[:, 1] <= tol
     disagreements = np.count_nonzero(by_concurrence != by_schmidt)
-    eq4 = states.TwoKaonState([0.5, 0.5, 0.5, 0.5])
-    metric = float(disagreements) + (0.0 if states.concurrence(eq4) < 1e-12 else 1.0)
+    equal = states.concurrence([0.5, 0.5, 0.5, 0.5])[0]
+    metric = float(disagreements) + (0.0 if equal < 1e-12 else 1.0)
     return CheckResult("separability_oracle", metric, 0.0, "1000 seeded states vs Schmidt rank")
 
 

@@ -172,9 +172,9 @@ def oscillation_curve_reference(params, t_max, steps):
 
 
 def schrodinger_reference(state0, spec, t, dt):
-    """The per-point Schrödinger residual as schrodinger_residual formed it
-    before it took stacks."""
-    ahead, behind, now = propagator(spec, 0.0, [t + dt, t - dt, t]) @ state0.vector
+    """The per-point Schrödinger residual of the 4 amplitudes state0 as
+    schrodinger_residual formed it before it took stacks."""
+    ahead, behind, now = propagator(spec, 0.0, [t + dt, t - dt, t]) @ state0
     deriv = 1j * (ahead - behind) / (2.0 * dt)
     h = envelope(t) * hamiltonian_generator(spec)
     return float(np.linalg.norm(deriv - h @ now))
@@ -192,7 +192,7 @@ def random_states_reference(rng, n):
     out = []
     for _ in range(n):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        out.append(TwoKaonState(v / np.linalg.norm(v)))
+        out.append(v / np.linalg.norm(v))
     return out
 
 
@@ -252,20 +252,18 @@ class TestStackEqualsRows:
     def test_concurrence(self, psi):
         stacked = concurrence(psi)
         for row, value in zip(psi, stacked):
-            single = TwoKaonState(row)
-            a0, a1, a2, a3 = single.amplitudes
-            assert value == concurrence(single) == min(1.0, 2.0 * abs(a0 * a3 - a1 * a2))
+            a0, a1, a2, a3 = row
+            assert value == concurrence(row)[0] == min(1.0, 2.0 * abs(a0 * a3 - a1 * a2))
 
     @settings(deadline=None)
     @given(psi=state_stacks())
     def test_schmidt_coefficients_and_is_separable(self, psi):
         stacked, separable = schmidt_coefficients(psi), is_separable(psi, 1e-8)
         for row, s, sep in zip(psi, stacked, separable):
-            single = TwoKaonState(row)
             reference = np.linalg.svd(row.reshape(2, 2), compute_uv=False)
-            assert np.array_equal(s, schmidt_coefficients(single))
+            assert np.array_equal(s, schmidt_coefficients(row)[0])
             assert np.array_equal(s, reference)
-            assert sep == is_separable(single, 1e-8)
+            assert sep == is_separable(row, 1e-8)[0]
 
     @settings(deadline=None)
     @given(psi=state_stacks(), op_a=hermitian_2x2(), op_b=hermitian_2x2())
@@ -273,7 +271,7 @@ class TestStackEqualsRows:
         stacked = correlation(psi, op_a, op_b)
         for row, value in zip(psi, stacked):
             reference = complex(np.vdot(row, np.kron(op_a, op_b) @ row)).real
-            assert value == correlation(TwoKaonState(row), op_a, op_b) == reference
+            assert value == correlation(row, op_a, op_b)[0] == reference
 
     @settings(deadline=None)
     @given(sign=st.sampled_from(SIGNS), phi=ANGLE, t=spectral_values(1e-3))
@@ -308,7 +306,7 @@ class TestStackEqualsRows:
             assert np.array_equal(stack(BraidSpec(sign, phi)), [single(s) for s in specs])
         q = [s.q for s in specs]
         assert np.array_equal(braid_matrix(BraidSpec(sign, phi))[:, 3, 0], [-1 / z for z in q])
-        assert np.array_equal(deformed_bell(phi), [deformed_bell(p).vector for p in phi.tolist()])
+        assert np.array_equal(deformed_bell(phi), [deformed_bell(p) for p in phi.tolist()])
 
     @settings(deadline=None)
     @given(m=hnp.arrays(complex, st.tuples(st.integers(1, 20), st.sampled_from([2, 4, 8]))
@@ -460,9 +458,25 @@ class TestStackEqualsRows:
         for j, tj in enumerate(t.tolist()):
             assert np.array_equal(h[j], hamiltonian_at(spec, tj))
             for i, row in enumerate(psi):
-                single = TwoKaonState(row)
-                reference = schrodinger_reference(single, spec, tj, 1e-5)
-                assert stacked[i, j] == schrodinger_residual(single, spec, tj) == reference
+                reference = schrodinger_reference(row, spec, tj, 1e-5)
+                assert stacked[i, j] == schrodinger_residual(row, spec, tj)[0] == reference
+
+    @settings(deadline=None)
+    @given(psi=state_stacks(), data=st.data(), op_a=hermitian_2x2(), op_b=hermitian_2x2(),
+           t=hnp.arrays(float, st.sampled_from([(), (3,)]), elements=st.floats(-50.0, 50.0)))
+    def test_four_amplitudes_are_a_one_row_stack(self, psi, data, op_a, op_b, t):
+        """4 amplitudes give a leading axis of length 1, the bits of their row
+        in a stack."""
+        i = data.draw(st.integers(0, len(psi) - 1))
+        spec = BraidSpec("minus", 0.9)
+        kernels = (concurrence, schmidt_coefficients, is_separable,
+                   lambda a: correlation(a, op_a, op_b),
+                   lambda a: schrodinger_residual(a, spec, t))
+        for kernel in kernels:
+            one, stack = kernel(psi[i]), kernel(psi)
+            assert one.shape == (1,) + stack.shape[1:]
+            assert one[0].tobytes() == stack[i].tobytes()
+        assert schrodinger_residual(psi[i], spec, t).shape == (1,) + t.shape
 
     @settings(deadline=None)
     @given(sign=st.sampled_from(SIGNS), phi=ANGLE,
@@ -499,8 +513,8 @@ class TestStackEqualsRows:
         reference = random_states_reference(np.random.default_rng(seed), 10)
         assert len(stacks) == len(SCHRODINGER_SPECS)
         for psi in stacks:
-            assert np.array_equal(psi, [state.vector for state in reference])
-        assert metric == max(schrodinger_residual(state, spec, t)
+            assert np.array_equal(psi, reference)
+        assert metric == max(schrodinger_residual(state, spec, t)[0]
                              for state in reference for t in SCHRODINGER_T
                              for spec in SCHRODINGER_SPECS)
 
