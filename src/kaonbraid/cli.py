@@ -6,8 +6,11 @@ every value round-trips bit-exactly through the emitted files.  A table
 command computes its table as one (N, k) float array, and write_table formats
 it CHUNK_ROWS rows at a time, through fmt, straight to the stream; fmt's numpy
 kernel writes each block's '%.17g' text byte for byte, KERNEL_CELLS cells per
-call.  Only verify's report, whose rows start with a name, is written cell by
-cell.
+call, as a (words, cells) grid of ASCII from which the words NUL in every cell
+are dropped before it is transposed to text.  Only verify's report, whose rows
+start with a name, is written cell by cell.  main first has glibc's malloc
+keep freed memory for reuse, so that the temporaries of one block or command
+do not page-fault in fresh memory for the next.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration/validation error.
 """
@@ -37,7 +40,8 @@ EXIT_CONFIG = 2
 # columns) stays the same however long the table is
 CHUNK_ROWS = 4096
 # cells per call of fmt's array kernel: its arrays (about 300 B a cell) stay
-# in cache; calls of 2,048, 8,192 and 16,384 cells were slower
+# in cache.  Per cell, calls of 2,048 cells took about 15% longer, and 8,192
+# and 16,384 about 10% less, but raised a 1,000-step evolve's peak RSS by 0.8 MB
 KERNEL_CELLS = 4096
 
 
@@ -65,9 +69,9 @@ def fmt(x, sep=",", end="\n") -> str:
 
 @functools.cache
 def _powers():
-    """Arrays (HI split in Dekker halves, HI, LO, EX), indexed by s + 310 for
-    s = -310 … 345, with 10**s = (HI + LO)·2**EX to about 2**-106 and HI in
-    [0.5, 1); built on first use from exact integers (int / int rounds
+    """(5, 656): rows HI split in Dekker halves, HI, LO and EX, column s + 310
+    for s = -310 … 345, with 10**s = (HI + LO)·2**EX to about 2**-106 and HI
+    in [0.5, 1); built on first use from exact integers (int / int rounds
     correctly)."""
     table = []
     for s in range(-310, 346):
@@ -78,9 +82,16 @@ def _powers():
             den, ex = den << 1, ex + 1
         hi = num / den
         table.append((hi, ((num << 53) - int(hi * 2**53) * den) / (den << 53), ex))
-    hi, lo, ex = (np.array(c) for c in zip(*table))
+    hi, lo, ex = np.array(table).T
     c = 134217729.0 * hi
-    return c - (c - hi), hi - (c - (c - hi)), hi, lo, ex
+    return np.array([c - (c - hi), hi - (c - (c - hi)), hi, lo, ex])
+
+
+@functools.cache
+def _twos():
+    """2.0**q for q < 64: _scaled's q = k + EX is 50 … 61 for a result of 16
+    to 18 digits."""
+    return 2.0 ** np.arange(64)
 
 
 @functools.cache
@@ -93,20 +104,21 @@ def _quads():
 
 @functools.cache
 def _ends():
-    """(4, 10,000): the digits up to the last nonzero one of a 17-digit n
-    whose quad j + 1 is i ≠ 0 (4j + 1 + the digits of '%04d' % i up to its
-    last nonzero one), and 0 for i = 0."""
+    """(40,000,): at 10,000·j + i, the digits up to the last nonzero one of a
+    17-digit n whose quad j + 1 is i ≠ 0 (4j + 1 + the digits of '%04d' % i
+    up to its last nonzero one), and 0 for i = 0."""
     i = np.arange(10000)
     last = 5 - (i % 10 == 0) - (i % 100 == 0) - (i % 1000 == 0)
-    return np.where(i > 0, np.arange(0, 16, 4)[:, None] + last, 0).astype(np.uint8)
+    return np.where(i > 0, np.arange(0, 16, 4)[:, None] + last, 0).astype(np.uint8).ravel()
 
 
 @functools.cache
 def _masks():
-    """uint32 masks of grid bytes 0…43, row 17·L + nd - 1 for layout L and nd
-    digits up to the last nonzero one: 0xFF keeps a byte, 0 drops it and '0'
-    writes a zero ('0' & any digit is '0').  L = 0 is exponent form, L = 1 … 21
-    fixed form with X = L - 5 and L = 22 a zero."""
+    """(11, 391) uint32 masks of grid words 0…10 (bytes 0…43), column
+    17·L + nd - 1 for layout L and nd digits up to the last nonzero one: 0xFF
+    keeps a byte, 0 drops it and '0' writes a zero ('0' & any digit is '0').
+    L = 0 is exponent form, L = 1 … 21 fixed form with X = L - 5 and L = 22 a
+    zero."""
     ff, rows = b"\xff", []
     for L in range(23):
         X = L - 5
@@ -124,43 +136,52 @@ def _masks():
             frac = b"\0" * first + ff * (nd - first)
             rows.append(b"\0" * 3 + head.ljust(17, b"\0") + dot + zeros.ljust(3, b"\0")
                         + b"\0" * 3 + frac.ljust(17, b"\0"))
-    return np.frombuffer(b"".join(rows), np.uint32).reshape(-1, 11)
+    return np.frombuffer(b"".join(rows), np.uint32).reshape(-1, 11).T.copy()
 
 
 @functools.cache
 def _exponents():
-    """(634, 5) ASCII of 'e%+03d' % X at row X + 324, NUL-padded; row 633 empty."""
+    """(2, 634) uint32: the ASCII of 'e%+03d' % X in column X + 324,
+    NUL-padded to 8 bytes; column 633 empty."""
     text = [b"e%+03d" % X for X in range(-324, 309)] + [b""]
-    return np.array(text, "S5").view(np.uint8).reshape(-1, 5)
+    return np.array(text, "S8").view(np.uint32).reshape(-1, 2).T.copy()
 
 
 def _scaled(f, k, s):
     """Nearest integer to f·2**k·10**s, and the fraction it drops, from a
     double-double product (error below 1e-13 for results under 1e17)."""
-    hh, hl, hi, lo, ex = (np.take(a, s + 310) for a in _powers())
+    hh, hl, hi, lo, ex = np.take(_powers(), s + 310, axis=1)
     c = 134217729.0 * f
     fh = c - (c - f)
     fl = f - fh
     p = f * hi
     err = ((fh * hh - p) + fh * hl + fl * hh) + fl * hl
-    q = k + ex
-    tail = np.ldexp(err + f * lo, q)
+    # p·2**q is at least 9e15 > 2**53, so it is already an integer; a power
+    # of two this small scales exactly
+    two_q = np.take(_twos(), (k + ex).astype(np.intp))
+    tail = (err + f * lo) * two_q
     r = np.rint(tail)
-    # p·2**q is at least 9e15 > 2**53, so it is already an integer
-    return np.ldexp(p, q).astype(np.int64) + r.astype(np.int64), tail - r
+    return (p * two_q).astype(np.int64) + r.astype(np.int64), tail - r
+
+
+# the grid word each of words 0…10 takes its digits from: rows 0…4 of the
+# quads (n's first digit and four quads), then '.000', then rows 0…4 again
+_SOURCE = np.array([0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4])
 
 
 def _cells(x, cols, sep, end) -> bytes:
     """'%.17g' text of the flat cells x (whole rows of `cols`), each followed
     by `sep`, or by `end` at the end of a row.
 
-    A cell x = ±n·10**(X-16), with n of 17 digits, is one row of a byte grid,
-    NUL wherever a character is absent: sign (byte 0), the integer digits
-    (3…19), '.' (20), leading zeros (21…23), the fraction digits (27…43),
-    'e', the exponent's sign and digits (44…48), then the separator.  Bytes
-    0…43 are the 17 digits rendered twice, with '.000' between, ANDed with a
-    mask for the cell's layout, so deleting the NULs shifts each into place.
-    Cells within 1e-6 of a rounding tie, inf and nan take '%.17g' itself."""
+    A cell x = ±n·10**(X-16), with n of 17 digits, is one column of a
+    (words, cells) uint32 grid, NUL wherever a character is absent: sign
+    (byte 0), the integer digits (3…19), '.' (20), leading zeros (21…23), the
+    fraction digits (27…43), 'e', the exponent's sign and digits (44…48),
+    then the separator (from 52).  Bytes 0…43 are the 17 digits rendered
+    twice, with '.000' between, ANDed with a mask for the cell's layout, so
+    deleting the NULs shifts each into place.  Words NUL in every cell are
+    left out before the grid is transposed to text.  Cells within 1e-6 of a
+    rounding tie, inf and nan take '%.17g' itself."""
     a = np.abs(x)
     finite = (a > 0) & (a < np.inf)
     v = np.where(finite, a, 1.0)
@@ -175,36 +196,46 @@ def _cells(x, cols, sep, end) -> bytes:
     carry = n == 10**17  # rounding reached the next power of ten
     n[carry] = 10**16
     X = e + carry
-    # the first digit and four quads of n, twice, with '.000' (10,000) between
-    q = np.empty((len(x), 11), np.intp)
-    hi8, lo8 = np.divmod(n, 10**8)
-    np.divmod(hi8, 10**4, out=(hi8, q[:, 2]))
-    np.divmod(hi8, 10**4, out=(q[:, 0], q[:, 1]))
-    np.divmod(lo8, 10**4, out=(q[:, 3], q[:, 4]))
-    q[:, 5] = 10000
-    q[:, 6:] = q[:, :5]
-    ends = _ends()
-    nd = np.maximum(np.maximum(ends[0][q[:, 1]], ends[1][q[:, 2]]),
-                    np.maximum(ends[2][q[:, 3]], ends[3][q[:, 4]]))
+    # n // 10**(16 - 4j), then row j minus 10**4 times row j - 1: n's first
+    # digit and its four quads
+    q = np.empty((5, len(x)), np.int64)
+    q[4] = n
+    for j in range(4, 0, -1):
+        np.floor_divide(q[j], 10**4, out=q[j - 1])
+    q[1:] -= 10**4 * q[:-1]
+    nd = np.take(_ends(), q[1:] + np.arange(0, 40000, 10000)[:, None]).max(axis=0)
     np.maximum(nd, 1, out=nd)
     expo = (X < -4) | (X >= 17)
     layout = np.where(expo, 0, X + 5)
     layout[a == 0] = 22
-    w = max(len(sep), len(end))
-    g = np.zeros((len(x), (52 + w) // 4), np.uint32)
-    np.bitwise_and(np.take(_quads(), q), np.take(_masks(), 17 * layout + nd - 1, axis=0),
-                   out=g[:, :11])
-    g = g.view(np.uint8)
-    g[:, 0] = np.signbit(x) * 45
-    i = np.flatnonzero(expo)
-    g[i, 44:49] = _exponents()[X[i] + 324]
-    back = ~np.isfinite(x) | (np.abs(np.abs(frac) - 0.5) < 1e-6)
-    if back.any():
+    m = 17 * layout + nd - 1
+    # a word whose mask is NUL for every cell's layout is left out, so that
+    # translate scans fewer bytes; word 0, which takes the sign, always has a
+    # digit or '0'
+    masks = _masks()
+    keep = masks[:, np.bincount(m, minlength=masks.shape[1]) > 0].any(axis=1)
+    back = np.flatnonzero(~np.isfinite(x) | (np.abs(np.abs(frac) - 0.5) < 1e-6))
+    if back.size:
+        keep[:6] = True  # '%.17g' takes at most 24 bytes
+    words = np.flatnonzero(keep)
+    sep, end = sep.encode(), end.encode()
+    w = -(-max(len(sep), len(end)) // 4) * 4
+    r, r_exp = len(words), 2 * expo.any()
+    g = np.empty((r + r_exp + w // 4, len(x)), np.uint32)
+    digits = np.empty((6, len(x)), np.uint32)
+    np.take(_quads(), q, out=digits[:5])
+    digits[5] = _quads()[10000]
+    np.bitwise_and(digits[_SOURCE[words]], np.take(masks[words], m, axis=1), out=g[:r])
+    g[0] |= np.signbit(x) * np.frombuffer(b"-\0\0\0", np.uint32)[0]
+    if r_exp:
+        g[r:r + 2] = np.take(_exponents(), np.where(expo, X + 324, 633), axis=1)
+    g[r + r_exp:] = np.frombuffer(sep.ljust(w, b"\0"), np.uint32)[:, None]
+    g[r + r_exp:, cols - 1::cols] = np.frombuffer(end.ljust(w, b"\0"), np.uint32)[:, None]
+    if back.size:
         text = [b"%.17g" % c for c in x[back].tolist()]
-        g[back, :49] = np.array(text, dtype="S49").view(np.uint8).reshape(-1, 49)
-    g[:, 49:49 + w] = np.frombuffer(sep.encode().ljust(w, b"\0"), np.uint8)
-    g[cols - 1::cols, 49:49 + w] = np.frombuffer(end.encode().ljust(w, b"\0"), np.uint8)
-    return g.tobytes().translate(None, b"\0")
+        g[:6, back] = np.array(text, "S24").view(np.uint32).reshape(-1, 6).T
+        g[6:r + r_exp, back] = 0
+    return g.T.tobytes().translate(None, b"\0")
 
 
 def _json_value(v) -> str:
@@ -507,7 +538,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_freed_memory():
+    """Have glibc's malloc keep freed memory for reuse: blocks under 32 MB come
+    from the heap, not from mmap, and up to 64 MB of free heap top stays
+    mapped.  A table command's temporaries, allocated and freed block after
+    block, then stop page-faulting fresh memory in on every use.  Does nothing
+    off Linux or where the C library has no mallopt."""
+    if sys.platform != "linux":
+        return
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve(args)

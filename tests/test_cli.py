@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import math
+import platform
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -69,11 +71,13 @@ KERNEL_CASES = np.array([
 
 
 class TestKernel:
-    # 1, 4,095, 4,097, 8,191, 8,192, 8,193 and 16,385 cells: one kernel call
-    # (KERNEL_CELLS = 4,096 cells at most), and two to five calls, the last
-    # one full or partial
+    # a kernel call takes KERNEL_CELLS // k whole rows (4,096 cells at most):
+    # 1 and 4,095 cells are one call, 4,097, 8,191 and 8,192 two, and (2731, 3)
+    # and (3277, 5) three and five calls, the last of one row; the widths the
+    # commands emit, 7 (sweep-phi, rho-report), 10 (evolve) and 12 (bell),
+    # take two full calls and one of a single row
     @pytest.mark.parametrize("n, k", [(1, 1), (4095, 1), (4097, 1), (8191, 1), (2048, 4),
-                                      (2731, 3), (3277, 5)])
+                                      (2731, 3), (3277, 5), (1171, 7), (819, 10), (683, 12)])
     def test_matches_per_cell(self, n, k):
         cells = np.concatenate([KERNEL_CASES, -KERNEL_CASES])
         rng = np.random.default_rng(n)
@@ -459,12 +463,37 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_builds_no_format_table():
-    # the formatting kernel's tables are built on first use, not at import
-    code = ("import kaonbraid.cli as c; print([f.cache_info().currsize for f in "
-            "(c._powers, c._quads, c._ends, c._masks, c._exponents)])")
+    # the formatting kernel's tables are built on first use, and the heap is
+    # set up by main, not at import: no cached function of cli has run yet
+    code = ("import json, kaonbraid.cli as c; print(json.dumps({n: f.cache_info().currsize "
+            "for n, f in vars(c).items() if hasattr(f, 'cache_info')}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0, 0, 0]"
+    sizes = json.loads(proc.stdout)
+    assert {"_powers", "_twos", "_quads", "_ends", "_masks", "_exponents",
+            "_keep_freed_memory"} <= set(sizes)
+    assert not any(sizes.values()), sizes
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="needs glibc's malloc")
+def test_table_command_reuses_freed_memory():
+    # with freed memory kept for reuse, a warm table command faults in almost
+    # no fresh pages; handed back to the OS, its temporaries fault in again on
+    # every call (about 145 pages).  A fresh interpreter, as malloc's state
+    # depends on what the process freed before.
+    code = textwrap.dedent("""
+        import contextlib, io, resource
+        from kaonbraid.cli import main
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["evolve", "--steps", "1000", "--format", "json"]) == 0
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 16
 
 
 # Flag text for the CLI fuzz: the edges of float parsing and random junk
