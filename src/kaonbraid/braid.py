@@ -130,7 +130,7 @@ def unitary_r(spec: BraidSpec, x) -> np.ndarray:
     """
     theta = elementwise(math.atan, _nonnegative(x, "spectral parameter x"))
     bt = unitary_braid(spec)
-    cos, sin = (np.asarray(elementwise(f, theta))[..., None, None] for f in (math.cos, math.sin))
+    cos, sin = (elementwise(f, theta)[..., None, None] for f in (math.cos, math.sin))
     return cos * bt + sin * bt.conj().swapaxes(-1, -2)
 
 
@@ -147,8 +147,8 @@ def rho_check(spec: BraidSpec, t):
     Returns (is_scalar, scalar, residual) where scalar is the mean diagonal
     entry and residual = ||ϱ - scalar·I||_F; is_scalar holds when
     residual / |scalar| is below 1e-12, at any t accepted here.  The closed
-    form is ϱ = 2(t + 1/t)·I, independent of φ.  A number t gives (bool,
-    complex, float); an array of t gives three arrays, and any t <= 0 raises.
+    form is ϱ = 2(t + 1/t)·I, independent of φ.  An array of t gives three
+    arrays of its shape (0-d for a number), and any t <= 0 raises.
     """
     t = _positive_t(t)
     with np.errstate(over="ignore"):
@@ -171,14 +171,13 @@ def rho_check(spec: BraidSpec, t):
     residual = np.ldexp(scaled, k)
     # relative to |ϱ| >= 4, which grows like t + 1/t, as does its rounding error
     ok = scaled < 1e-12 * np.ldexp(np.abs(scalar), -k)
-    return (ok, scalar, residual) if t.ndim else (bool(ok), complex(scalar), float(residual))
+    return ok, scalar, residual
 
 
 def rho_printed_formula(spec: BraidSpec, t):
     """The scalar q² + q⁻² - t - 1/t as printed in the source; kept for the
     side-by-side discrepancy report (direct computation gives 2(t + 1/t)).
-    An array of t gives an array."""
+    An array of t gives an array of its shape (0-d for a number)."""
     t = _positive_t(t)
     q = spec.q
-    value = q**2 + q**-2 - t - 1.0 / t
-    return value if t.ndim else complex(value)
+    return q**2 + q**-2 - t - 1.0 / t

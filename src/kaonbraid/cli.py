@@ -3,11 +3,11 @@ tables with deterministic CSV/JSON output.
 
 Numeric serialization is decimal with 17 significant digits ('%.17g'), so
 every value round-trips bit-exactly through the emitted files.  A table
-command computes its table as one (N, k) float array, and write_table formats
-it CHUNK_ROWS rows at a time, through fmt, straight to the stream; fmt's numpy
-kernel writes each block's '%.17g' text byte for byte, KERNEL_CELLS cells per
-call, as a (words, cells) grid of ASCII from which the words NUL in every cell
-are dropped before it is transposed to text.  Only verify's report, whose rows
+command computes its table as one (N, k) float array, and write_table writes
+it KERNEL_CELLS // k rows at a time, one fmt call per block, straight to the
+stream; fmt's numpy kernel writes a block's '%.17g' text byte for byte, as a
+(words, cells) grid of ASCII from which the words NUL in every cell are
+dropped before it is transposed to text.  Only verify's report, whose rows
 start with a name, is written cell by cell.  main first has glibc's malloc
 keep freed memory for reuse, so that the temporaries of one block or command
 do not page-fault in fresh memory for the next.
@@ -36,35 +36,23 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 
 
-# rows written per fmt call: the text held at once (about 1 MB for evolve's 10
-# columns) stays the same however long the table is
-CHUNK_ROWS = 4096
-# cells per call of fmt's array kernel: its arrays (about 300 B a cell) stay
-# in cache.  Per cell, calls of 2,048 cells took about 15% longer, and 8,192
-# and 16,384 about 10% less, but raised a 1,000-step evolve's peak RSS by 0.8 MB
+# cells per block of a table (per fmt call): the kernel's arrays (about 300 B
+# a cell) stay in cache, and the text held at once stays the same however long
+# the table is.  Per cell, blocks of 2,048 cells took about 15% longer, and
+# 8,192 and 16,384 about 10% less, but raised a 1,000-step evolve's peak RSS
+# by 0.8 MB
 KERNEL_CELLS = 4096
 
 
 def fmt(x, sep=",", end="\n") -> str:
-    """Canonical cell formatting: numbers to 17 significant digits ('%.17g'),
-    strings verbatim.  An (n, k) float array gives n lines of k cells, each
-    cell followed by `sep`, or by `end` at the end of its line; a numpy kernel
-    (_cells) writes the same bytes as '%.17g' per cell."""
-    if isinstance(x, float):
+    """'%.17g' text: of a lone float, or of an (n, k) float array as n lines of
+    k cells, each cell followed by `sep`, or by `end` at the end of its line.
+    A numpy kernel (_cells) writes an array's text, the same bytes as '%.17g'
+    per cell."""
+    if not isinstance(x, np.ndarray):
         return format(float(x), ".17g")
-    if isinstance(x, str):
-        return x
-    if isinstance(x, np.ndarray):
-        n, k = x.shape
-        step = max(1, KERNEL_CELLS // k)
-        flat = np.ascontiguousarray(x, dtype=np.float64)
-        return b"".join(_cells(flat[i:i + step].ravel(), k, sep, end)
-                        for i in range(0, n, step)).decode("ascii")
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    flat = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    return _cells(flat, x.shape[1], sep, end).decode("ascii")
 
 
 @functools.cache
@@ -239,30 +227,35 @@ def _cells(x, cols, sep, end) -> bytes:
 
 
 def _json_value(v) -> str:
-    """JSON text of a meta value or a cell of verify's report."""
+    """JSON text of a meta value or a cell of verify's report (booleans 1/0)."""
     import json
 
     if isinstance(v, str):
         return json.dumps(v)
     if v is None:
         return "null"
-    if isinstance(v, (bool, int, float, np.integer, np.floating, np.bool_)):
+    if isinstance(v, (int, np.integer, np.bool_)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
         return fmt(v)
     raise TypeError(f"unserializable value {v!r}")
 
 
 def write_table(stream, columns, rows, meta, fmt_name):
     """Write a table in CSV or JSON.  `rows` is an (N, k) float array, written
-    CHUNK_ROWS rows at a time, or, for verify's report, whose rows start with
-    the check's name, a list of rows written cell by cell."""
+    KERNEL_CELLS // k rows at a time, or, for verify's report, whose rows start
+    with the check's name, a list of rows written cell by cell: a number's CSV
+    text is its JSON text."""
     csv = fmt_name == "csv"
     if isinstance(rows, np.ndarray):
-        blocks = (rows[i:i + CHUNK_ROWS] for i in range(0, len(rows), CHUNK_ROWS))
+        step = max(1, KERNEL_CELLS // rows.shape[1])
+        blocks = (rows[i:i + step] for i in range(0, len(rows), step))
         # JSON "a, b], [c, d], [" -> "[a, b], [c, d]"
         chunks = (fmt(b) for b in blocks) if csv else (
             "[" + fmt(b, ", ", "], [")[:-3] for b in blocks)
     elif csv:
-        chunks = ["".join(",".join(fmt(v) for v in row) + "\n" for row in rows)]
+        chunks = ["".join(",".join([name, *map(_json_value, cells)]) + "\n"
+                          for name, *cells in rows)]
     else:
         chunks = [", ".join("[" + ", ".join(map(_json_value, row)) + "]" for row in rows)]
     if csv:
@@ -422,12 +415,11 @@ def cmd_verify(cfg) -> int:
 
 def cmd_bell(cfg) -> int:
     quartet = states.bell_quartet()
-    eigenvalues = [row[1:] for row in states.cp_s_eigentable()]
     columns = ["index", "re_a0", "im_a0", "re_a1", "im_a1", "re_a2", "im_a2",
                "re_a3", "im_a3", "concurrence", "s_eigenvalue", "cp_eigenvalue"]
     # a complex (4, 4) array read as float is (4, 8): re_a0, im_a0, re_a1, ...
     table = np.column_stack([np.arange(1.0, 5.0), quartet.view(float),
-                             states.concurrence(quartet), eigenvalues])
+                             states.concurrence(quartet), states.cp_s_eigentable()])
     _emit(cfg, "bell", columns, table)
     return EXIT_OK
 
@@ -490,7 +482,10 @@ def cmd_oscillate(cfg) -> int:
     params = oscillation.KaonParams(
         gamma_s=cfg["gamma_s"], gamma_l=cfg["gamma_l"], m_s=0.0, m_l=cfg["dm"]
     )
-    curve = oscillation.oscillation_curve(params, cfg["t1"], cfg["steps"])
+    if not cfg["t1"] > 0:
+        raise KaonbraidError(f"--t1 {cfg['t1']!r}: oscillate's table runs over [0, t1], "
+                             "so t1 must be > 0")
+    curve = oscillation.oscillation_curve(params, linear_grid(0.0, cfg["t1"], cfg["steps"]))
     _emit(cfg, "oscillate", ["t", "p_k_to_k", "p_k_to_kbar", "asymmetry"], curve)
     return EXIT_OK
 
@@ -538,6 +533,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each long option of build_parser's parser -> whether it takes a value
+_VALUED = {"--" + k.replace("_", "-"): flag.default is not False for k, flag in FLAGS.items()}
+_VALUED.update({"--config": True, "--help": False})
+
+
+def _join_values(argv) -> list:
+    """argv with each valued flag and the token after it joined as
+    '--flag=text', so that the flag takes that token whatever it is.  argparse
+    would read a token such as -1e-3 or -0.6,0,0,0.8 as a flag of its own (it
+    reads only -5 and -.5 as numbers) and reject the flag before it.  A flag
+    may be a unique prefix, as argparse allows."""
+    argv, i = list(argv), 0
+    while i < len(argv) - 1:
+        if argv[i].startswith("--") and "=" not in argv[i]:
+            names = [o for o in _VALUED if o.startswith(argv[i])]
+            if len(names) == 1 and _VALUED[names[0]]:
+                argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        i += 1
+    return argv
+
+
 @functools.cache
 def _keep_freed_memory():
     """Have glibc's malloc keep freed memory for reuse: blocks under 32 MB come
@@ -560,7 +576,7 @@ def _keep_freed_memory():
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = resolve(args)
         return COMMANDS[args.command](cfg)

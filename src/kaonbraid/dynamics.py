@@ -57,7 +57,7 @@ def propagator(spec: BraidSpec, t0: float, t1) -> np.ndarray:
         raise DomainError(f"times must not be NaN: t0={t0}, t1={float(t1.flat[nan.argmax()])}")
     # math, not numpy, per element: each row then has the bits of its own call
     angle = elementwise(math.atan, t1) - math.atan(t0)
-    cos, sin = (np.asarray(elementwise(f, angle))[..., None, None] for f in (math.cos, math.sin))
+    cos, sin = (elementwise(f, angle)[..., None, None] for f in (math.cos, math.sin))
     return cos * np.eye(4) - (1j * sin) * hamiltonian_generator(spec)
 
 

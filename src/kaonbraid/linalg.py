@@ -34,16 +34,14 @@ def as_matrix(m, dim: int | None = None) -> np.ndarray:
 
 
 def elementwise(f, a):
-    """A math-module function f of each element of a: a float for a number,
-    an array of a's shape for an array.
+    """A math-module function f of each element of a: an array of a's shape
+    (0-d for a number).
 
     numpy's ufuncs are not math's bit for bit (numpy 2.4.6, 400,000 uniform
     draws: np.arctan differs from math.atan on 549 in [-10, 10], np.tan from
     math.tan on 2,022 in [-π/2, π/2]), so angles that a stack must share with
     its points taken one by one go through math."""
     a = np.asarray(a, dtype=float)
-    if a.ndim == 0:
-        return f(a)
     return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
@@ -58,15 +56,15 @@ def _nonnegative(a, name: str) -> np.ndarray:
 
 
 def frobenius(m):
-    """Frobenius norm of a matrix, or an (N,) array of them for an (N, d, d) stack.
+    """Frobenius norm of a matrix (0-d), or an (N,) array of them for an
+    (N, d, d) stack.
 
     sqrt(re·re + im·im) from one BLAS dot per part, as np.linalg.norm sums it,
     so a stack gets the bits of its matrices taken one by one."""
     a = np.asarray(m, dtype=complex)
     rows = a.reshape(a.shape[:-2] + (1, -1))
     re, im = rows.real, rows.imag
-    norms = np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
-    return norms if a.ndim > 2 else float(norms)
+    return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
 
 
 def tensor_product(a, b) -> np.ndarray:

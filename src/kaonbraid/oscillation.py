@@ -68,8 +68,8 @@ def _finite_phase(name: str, m, t, phase) -> None:
 def u_factors(params: KaonParams, t):
     """Decaying phases U_{S,L}(t) = e^{-alpha_{S,L}·t} for finite t >= 0.
 
-    A number t and a single parameter set give two complex numbers; arrays
-    give two complex arrays of their broadcast shape.  Each factor is
+    Two complex arrays of the broadcast shape of t and the parameters (0-d
+    for a number t and a single parameter set).  Each factor is
     l·cos y + i·l·sin y with l = e^{-(γ/2)·t} and y = -(m + 0)·t, math's exp,
     cos and sin per element: cmath.exp's formula for a real part <= 0, on the
     parts Python's complex product -alpha·t gives (m + 0 turns -0.0 into 0.0).
@@ -85,8 +85,7 @@ def u_factors(params: KaonParams, t):
     for length, y in zip(decays, phases):
         parts = [length * elementwise(f, y) for f in (math.cos, math.sin)]
         # re + 1j·im would turn a -0.0 part into 0.0
-        u = np.stack(parts, axis=-1).view(complex)[..., 0]
-        factors.append(u if u.ndim else complex(u))
+        factors.append(np.stack(parts, axis=-1).view(complex)[..., 0])
     return tuple(factors)
 
 
@@ -135,8 +134,8 @@ def survival_probability(params: KaonParams, t):
     return (es + el) / 2.0
 
 
-def oscillation_curve(params: KaonParams, t_max: float, steps: int) -> np.ndarray:
-    """Uniform (steps, 4) table of (t, P_{K->K}, P_{K->K̄}, asymmetry) on [0, t_max].
+def oscillation_curve(params: KaonParams, t) -> np.ndarray:
+    """(N, 4) table of (t, P_{K->K}, P_{K->K̄}, asymmetry) on the N times t.
 
     asymmetry = (P_same - P_flip)/(P_same + P_flip) = cos(Δm·t)·sech(d) with
     d = (γ_S - γ_L)·t/2, evaluated as sech(d) = 2e^{-|d|}/(1 + e^{-2|d|}): the
@@ -145,18 +144,11 @@ def oscillation_curve(params: KaonParams, t_max: float, steps: int) -> np.ndarra
     """
     if any(np.ndim(v) for v in (params.gamma_s, params.gamma_l, params.m_s, params.m_l)):
         raise ValidationError("oscillation_curve takes one parameter set, not a stack")
-    if not (t_max > 0 and math.isfinite(t_max)):
-        raise ValidationError("t_max must be positive and finite")
-    if steps < 2:
-        raise ValidationError("steps must be >= 2")
-    if not math.isfinite(params.delta_m * t_max):
-        raise ValidationError(f"delta_m * t_max must be finite: {params.delta_m!r} * {t_max!r}")
-    if not math.isfinite(t_max * (steps - 1)):
-        raise ValidationError(f"t_max {t_max!r} is too large for {steps} steps: "
-                              "t_max·(steps - 1) overflows")
-    t = t_max * np.arange(steps) / (steps - 1)
+    # first: it rejects a bad t and an overflowing Δm·t, on which math.cos raises
+    probabilities = transition_probability(params, t, "K", FLAVORS)
+    t = np.asarray(t, dtype=float)
     half_dgamma = abs(params.gamma_s - params.gamma_l) / 2.0
     with np.errstate(over="ignore"):
         e = elementwise(math.exp, -half_dgamma * t)  # e^{-|d|}
     asym = elementwise(math.cos, params.delta_m * t) * (2.0 * e / (1.0 + e * e))
-    return np.column_stack([t, transition_probability(params, t, "K", FLAVORS), asym])
+    return np.column_stack([t, probabilities, asym])

@@ -106,29 +106,26 @@ def deformed_bell(phi) -> np.ndarray:
     return a
 
 
-def cp_s_eigentable() -> list[tuple[str, float, float]]:
-    """Simultaneous Ŝ⊗Ŝ and CP⊗CP eigenvalues of the Bell quartet.
+def cp_s_eigentable() -> np.ndarray:
+    """Simultaneous Ŝ⊗Ŝ and CP⊗CP eigenvalues of the Bell quartet: a (4, 2)
+    array, rows Φ₁..Φ₄, columns Ŝ⊗Ŝ and CP⊗CP.
 
-    Verifies each Φᵢ really is an eigenvector of both lifted operators op ⊗ op
-    and returns [(label, s_eigenvalue, cp_eigenvalue)] for Φ₁..Φ₄.
+    Verifies, in one stacked pass, that each Φᵢ really is an eigenvector of
+    both lifted operators op ⊗ op, with eigenvalue +1 or -1.
     """
-    s2 = tensor_product(strangeness_op(), strangeness_op())
-    cp2 = tensor_product(cp_op(), cp_op())
-    table = []
-    for i, v in enumerate(bell_quartet(), start=1):
-        row = [f"Phi{i}"]
-        for op in (s2, cp2):
-            image = op @ v
-            lam = complex(np.vdot(v, image))
-            if np.linalg.norm(image - lam * v) > 1e-12:
-                raise ValidationError(f"Phi{i} is not an eigenvector; internal error")
-            # eigenvalues are exactly +-1; snap off the fp dust from vdot
-            snapped = float(round(lam.real))
-            if abs(lam - snapped) > 1e-12:
-                raise ValidationError(f"unexpected eigenvalue {lam} for Phi{i}")
-            row.append(snapped)
-        table.append(tuple(row))
-    return table
+    ops = np.stack([strangeness_op(), cp_op()])
+    v = bell_quartet()
+    # images[j, i] = (op_j ⊗ op_j)·Φᵢ and lam[j, i] = ⟨Φᵢ|images[j, i]⟩
+    images = (tensor_product(ops, ops)[:, None] @ v[:, :, None])[..., 0]
+    lam = (v.conj()[:, None, :] @ images[..., None])[..., 0, 0]
+    # eigenvalues are exactly +-1; snap off the fp dust from the products
+    snapped = np.round(lam.real)
+    off = np.linalg.norm(images - lam[..., None] * v, axis=-1)
+    bad = (off > 1e-12) | (np.abs(lam - snapped) > 1e-12) | (np.abs(snapped) != 1.0)
+    if bad.any():
+        i = bad.any(axis=0).argmax() + 1
+        raise ValidationError(f"Phi{i} is not an eigenvector with eigenvalue +-1; internal error")
+    return snapped.T
 
 
 def correlation(psi, op_a, op_b):

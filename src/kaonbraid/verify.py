@@ -147,14 +147,9 @@ def check_bell_structure() -> CheckResult:
 
 
 def check_eigentable() -> CheckResult:
-    expected = [
-        ("Phi1", 1.0, 1.0),
-        ("Phi2", 1.0, -1.0),
-        ("Phi3", -1.0, 1.0),
-        ("Phi4", -1.0, -1.0),
-    ]
-    table = states.cp_s_eigentable()
-    metric = 0.0 if table == expected else 1.0
+    # rows Φ₁..Φ₄, columns S⊗S and CP⊗CP
+    expected = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    metric = 0.0 if np.array_equal(states.cp_s_eigentable(), expected) else 1.0
     return CheckResult(
         "cp_strangeness_table", metric, 0.0, "printed S*Phi_{3,4} line corrected to -Phi_{3,4}"
     )
@@ -202,7 +197,6 @@ def check_deformation_sweep() -> CheckResult:
 
 def check_rho() -> CheckResult:
     worst = 0.0
-    notes = []
     t = np.array([0.5, 1.0, 2.0, 5.0])[:, None]  # t > 0, and 4 nodes for degree 2
     for spec in _specs():
         ok, scalar, residual = braid.rho_check(spec, t)
@@ -210,8 +204,8 @@ def check_rho() -> CheckResult:
         worst = max(worst, residual.max(), np.hypot(gap.real, gap.imag).max(),
                     0.0 if ok.all() else 1.0)
     printed = braid.rho_printed_formula(BraidSpec("plus", 0.0), 1.0)
-    notes.append(f"computed 2(t+1/t); printed formula gives {printed.real:g} at t=1, phi=0")
-    return CheckResult("rho_inversion", worst, 1e-12, "; ".join(notes))
+    detail = f"computed 2(t+1/t); printed formula gives {printed.real:g} at t=1, phi=0"
+    return CheckResult("rho_inversion", worst, 1e-12, detail)
 
 
 def _abs_squared(z):
@@ -240,11 +234,11 @@ def amplitude_residuals(seed: int) -> np.ndarray:
 def check_oscillation(seed: int) -> CheckResult:
     # pure-oscillation limit
     pure = oscillation.KaonParams(gamma_s=0.0, gamma_l=0.0, m_s=0.0, m_l=0.474)
-    t, _, p_flip, _ = oscillation.oscillation_curve(pure, 12.0, 500).T
+    t, _, p_flip, _ = oscillation.oscillation_curve(pure, 12.0 * np.arange(500) / 499).T
     worst = float(np.max(np.abs(p_flip - elementwise(math.sin, pure.delta_m * t / 2.0) ** 2)))
     # decaying defaults
     params = oscillation.KaonParams()
-    t, p_same, p_flip, _ = oscillation.oscillation_curve(params, 12.0, 200).T
+    t, p_same, p_flip, _ = oscillation.oscillation_curve(params, 12.0 * np.arange(200) / 199).T
     flip_back = oscillation.transition_probability(params, t, "Kbar", "K")
     ok = ((0.0 <= p_same) & (p_same <= 1.0) & (0.0 <= p_flip) & (p_flip <= 1.0)).all()
     total = np.abs(p_same + p_flip - oscillation.survival_probability(params, t)).max()

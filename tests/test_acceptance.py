@@ -103,7 +103,8 @@ class TestCriterion15CliContract:
         worst = 0.0
         from kaonbraid.oscillation import KaonParams, oscillation_curve
 
-        rows = oscillation_curve(KaonParams(), 12.0, 100)
+        # the grid oscillate --steps 100 builds: 0.0 + 12·i/99 is 12·i/99
+        rows = oscillation_curve(KaonParams(), [12.0 * i / 99 for i in range(100)])
         for line, row in zip(lines[1:], rows):
             parsed = [float(v) for v in line.split(",")]
             worst = max(worst, max(abs(p - r) for p, r in zip(parsed, row)))

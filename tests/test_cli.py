@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from kaonbraid import cli
 from kaonbraid.cli import (
-    CHUNK_ROWS,
     COMMANDS,
     FLAGS,
+    KERNEL_CELLS,
     build_parser,
     fmt,
     load_config_file,
@@ -41,9 +41,10 @@ class TestFormatting:
             assert float(fmt(x)) == x
 
     def test_int_and_bool(self):
-        assert fmt(True) == "1"
-        assert fmt(False) == "0"
-        assert fmt(7) == "7"
+        # meta values and verify's report cells: integers and booleans as digits
+        for value, text in [(True, "1"), (False, "0"), (7, "7"), (np.bool_(True), "1"),
+                            (np.int64(-3), "-3")]:
+            assert cli._json_value(value) == text
 
 
 def per_cell(block, sep=",", end="\n") -> str:
@@ -71,11 +72,9 @@ KERNEL_CASES = np.array([
 
 
 class TestKernel:
-    # a kernel call takes KERNEL_CELLS // k whole rows (4,096 cells at most):
-    # 1 and 4,095 cells are one call, 4,097, 8,191 and 8,192 two, and (2731, 3)
-    # and (3277, 5) three and five calls, the last of one row; the widths the
-    # commands emit, 7 (sweep-phi, rho-report), 10 (evolve) and 12 (bell),
-    # take two full calls and one of a single row
+    # fmt formats a block in one kernel call (write_table hands it KERNEL_CELLS
+    # // k whole rows): blocks of 1 to 16,385 cells, and the widths the
+    # commands emit, 7 (sweep-phi, rho-report), 10 (evolve) and 12 (bell)
     @pytest.mark.parametrize("n, k", [(1, 1), (4095, 1), (4097, 1), (8191, 1), (2048, 4),
                                       (2731, 3), (3277, 5), (1171, 7), (819, 10), (683, 12)])
     def test_matches_per_cell(self, n, k):
@@ -113,8 +112,10 @@ def reference_json_value(v) -> str:
         return json.dumps(v)
     if v is None:
         return "null"
-    if isinstance(v, (bool, int, float)):
-        return fmt(v)
+    if isinstance(v, (bool, int)):
+        return str(int(v))
+    if isinstance(v, float):
+        return format(v, ".17g")
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(reference_json_value(x) for x in v) + "]"
     items = (f"{reference_json_value(str(k))}: {reference_json_value(x)}" for k, x in v.items())
@@ -126,7 +127,7 @@ def reference_write_table(stream, columns, rows, meta, fmt_name):
     if fmt_name == "csv":
         stream.write(",".join(columns) + "\n")
         for row in rows:
-            stream.write(",".join(fmt(v) for v in row) + "\n")
+            stream.write(",".join(format(v, ".17g") for v in row) + "\n")
     else:
         doc = {"meta": meta, "columns": list(columns), "rows": [list(r) for r in rows]}
         stream.write(reference_json_value(doc) + "\n")
@@ -137,15 +138,20 @@ SPECIAL_CELLS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
 
 
 class TestWriteTable:
-    # one row, both sides of the first chunk boundary, and two boundaries crossed
-    @pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
-                                   2 * CHUNK_ROWS + 1])
+    # one row, both sides of the first block boundary, and two boundaries
+    # crossed: n1 rows of a one-column table, whose blocks are KERNEL_CELLS
+    # rows, and the rows at the same place before or after a boundary of
+    # blocks of KERNEL_CELLS // k rows for k columns
+    @pytest.mark.parametrize("n1", [1, KERNEL_CELLS - 1, KERNEL_CELLS, KERNEL_CELLS + 1,
+                                    2 * KERNEL_CELLS + 1])
     # no shrinking: the bits come from a seed, so a smaller seed is no simpler
-    # table, and each attempt would rewrite up to 8,193 rows twice
+    # table, and each attempt would rewrite about 8,200 cells twice
     @settings(max_examples=4, deadline=None, phases=[Phase.explicit, Phase.generate])
     @given(k=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
            cells=st.lists(st.floats() | st.sampled_from(SPECIAL_CELLS), min_size=1, max_size=40))
-    def test_chunked_matches_per_cell(self, n, k, seed, cells):
+    def test_chunked_matches_per_cell(self, n1, k, seed, cells):
+        blocks = round(n1 / KERNEL_CELLS)
+        n = blocks * (KERNEL_CELLS // k) + n1 - blocks * KERNEL_CELLS
         # arbitrary float64 bit patterns (every exponent, subnormals, nan
         # payloads), with the drawn cells scattered over them
         rng = np.random.default_rng(seed)
@@ -158,6 +164,54 @@ class TestWriteTable:
             write_table(chunked, columns, table, meta, fmt_name)
             reference_write_table(per_cell, columns, table.tolist(), meta, fmt_name)
             assert chunked.getvalue() == per_cell.getvalue()
+
+
+# each valued flag with a value that starts with '-' but that argparse does not
+# read as a number (only -5 and -.5 forms), and the exit code it gives
+DASHED_VALUES = [
+    ("evolve", "--t0", "-1e-3", 0), ("evolve", "--t1", "-5e-1", 0),
+    ("evolve", "--phi", "-2E1", 0), ("oscillate", "--dm", "-4.7e-1", 0),
+    ("evolve", "--state", "-0.6,0,0,0.8", 0), ("oscillate", "--steps", "-1e3", 2),
+    ("sweep-phi", "--grid", "-4e1", 2), ("oscillate", "--gamma-s", "-1e-3", 2),
+    ("oscillate", "--gamma-l", "-1e-3", 2), ("bell", "--format", "-json", 2),
+    ("verify", "--seed", "-1e0", 2), ("verify", "--tol", "-1e-3", 2),
+    ("bell", "--sign", "-plus", 2), ("bell", "--out", "-table.csv", 0),
+    ("bell", "--config", "-run.cfg", 0),
+]
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's own exit included."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+class TestValueAfterASpace:
+    def test_every_valued_flag_is_listed(self):
+        valued = {"--" + k.replace("_", "-") for k, f in FLAGS.items() if f.default is not False}
+        assert {flag for _, flag, _, _ in DASHED_VALUES} == valued | {"--config"}
+
+    @pytest.mark.parametrize("command, flag, value, code", DASHED_VALUES)
+    def test_space_form_is_the_equals_form(self, tmp_path, monkeypatch, command, flag, value,
+                                           code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-run.cfg").write_text("steps = 3\n")
+        report = tmp_path / "-table.csv"
+        outcomes = []
+        for argv in ([command, flag, value], [command, f"{flag}={value}"]):
+            outcomes.append((*run_main(argv), report.exists() and report.read_bytes()))
+            report.unlink(missing_ok=True)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == code, outcomes[0]
+        assert "usage:" not in outcomes[0][2]
+
+    def test_abbreviated_flag_takes_the_next_token(self):
+        assert run_main(["evolve", "--ph", "-2E1"]) == run_main(["evolve", "--phi=-2E1"])
 
 
 class TestConfig:
@@ -387,6 +441,9 @@ class TestTables:
          ["t = 5e-324", "1/t overflows"]),
         (["evolve", "--t0=-1e308", "--t1=1e308"], ["--t0 -1e+308", "--t1 1e+308"]),
         (["oscillate", "--dm", "1e300", "--t1", "1e10"], ["delta_m", "1e+300"]),
+        # oscillate's table runs over [0, t1]
+        (["oscillate", "--t1", "-5e-1"], ["--t1 -0.5", "> 0"]),
+        (["oscillate", "--t1", "0"], ["--t1 0.0", "> 0"]),
         (["bell", "--dm=--"], ["--dm", "'--'"]),
         # (t1 - t0)·(steps - 1) overflows though t1 - t0 does not
         (["evolve", "--t0", "1e300", "--t1", "1e308", "--steps", "3"],
@@ -522,14 +579,18 @@ FUZZ_VALUES = {
        config=st.none() | st.binary(max_size=40) | st.dictionaries(
            st.sampled_from(sorted(FUZZ_VALUES)), st.none(), max_size=3).flatmap(
            lambda keys: st.fixed_dictionaries({k: FUZZ_VALUES[k] for k in keys})),
-       out=st.sampled_from([None, "table.csv", "table.json"]))
-def test_cli_fuzz_exits_0_1_or_2(tmp_path, command, flags, config, out):
+       out=st.sampled_from([None, "table.csv", "table.json"]),
+       spaced=st.sets(st.sampled_from(sorted(FUZZ_VALUES))))
+def test_cli_fuzz_exits_0_1_or_2(tmp_path, command, flags, config, out, spaced):
     argv = [command]
     for key, text in flags.items():
+        option = f"--{key.replace('_', '-')}"
         if key == "uncorrected_b":
-            argv.append("--uncorrected-b")
+            argv.append(option)
+        elif key in spaced:  # '--flag text': the flag takes the next token whatever it is
+            argv += [option, text]
         else:
-            argv.append(f"--{key.replace('_', '-')}={text}")
+            argv.append(f"{option}={text}")
     if config is not None:
         path = tmp_path / "fuzz.cfg"
         if isinstance(config, bytes):

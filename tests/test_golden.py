@@ -43,10 +43,10 @@ CASES = {
                                 "--steps", "3"],
 }
 
-# Every golden table is shorter than one chunk of cli.CHUNK_ROWS rows, so
-# these longer ones, which cross chunk boundaries, are pinned by the sha256
-# of their stdout, taken from the per-cell writer that came before the
-# chunked one (the __main__ block below does not rewrite them).
+# Every golden table is shorter than one block of cli.KERNEL_CELLS // k rows
+# (k columns), so these longer ones, which cross block boundaries, are pinned
+# by the sha256 of their stdout, taken from the per-cell writer that came
+# before the chunked one (the __main__ block below does not rewrite them).
 HASHED = {
     "oscillate --steps 9000 --format csv":
         "569283eff95e8199869365c938fb2d4d789321880dc8c7d5d5d7df6deacf3285",

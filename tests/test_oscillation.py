@@ -19,6 +19,11 @@ from kaonbraid.oscillation import (
 RNG = np.random.default_rng(5)
 
 
+def grid(t_max, steps):
+    """steps evenly spaced times from 0 to t_max, as oscillate builds them."""
+    return t_max * np.arange(steps) / (steps - 1)
+
+
 def random_params():
     gs, gl = RNG.uniform(0.0, 2.0, 2)
     ms, ml = RNG.uniform(-2.0, 2.0, 2)
@@ -166,29 +171,28 @@ class TestTransitionProbability:
 
 class TestOscillationCurve:
     def test_two_steps(self):
-        rows = oscillation_curve(KaonParams(), 5.0, 2)
+        rows = oscillation_curve(KaonParams(), grid(5.0, 2))
         assert len(rows) == 2
         assert rows[0][0] == 0.0 and rows[1][0] == 5.0
 
     def test_asymmetry_starts_at_one(self):
-        rows = oscillation_curve(KaonParams(), 5.0, 10)
+        rows = oscillation_curve(KaonParams(), grid(5.0, 10))
         assert rows[0][3] == 1.0
 
     def test_pure_oscillation_asymmetry_is_cosine(self):
         p = KaonParams(gamma_s=0.0, gamma_l=0.0, m_s=0.0, m_l=0.474)
-        for t, _, _, asym in oscillation_curve(p, 12.0, 50):
+        for t, _, _, asym in oscillation_curve(p, grid(12.0, 50)):
             assert asym == pytest.approx(math.cos(p.delta_m * t), abs=1e-12)
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(ValidationError):
-            oscillation_curve(KaonParams(), 5.0, 1)
-        with pytest.raises(ValidationError):
-            oscillation_curve(KaonParams(), -1.0, 10)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="time t must be finite and >= 0"):
+                oscillation_curve(KaonParams(), np.array([0.0, bad, 5.0]))
 
     def test_asymmetry_is_ratio_of_probabilities(self):
         for _ in range(10):
             p = random_params()
-            for t, p_same, p_flip, asym in oscillation_curve(p, 20.0, 40):
+            for t, p_same, p_flip, asym in oscillation_curve(p, grid(20.0, 40)):
                 assert asym == pytest.approx((p_same - p_flip) / (p_same + p_flip), abs=1e-12)
 
     @pytest.mark.parametrize("params, t_max", [
@@ -196,7 +200,7 @@ class TestOscillationCurve:
         (KaonParams(), 5000.0),  # the ratio loses relative precision; cosh overflows
     ])
     def test_asymmetry_finite_at_long_times(self, params, t_max):
-        for t, _, _, asym in oscillation_curve(params, t_max, 200):
+        for t, _, _, asym in oscillation_curve(params, grid(t_max, 200)):
             d = (params.gamma_s - params.gamma_l) * t / 2.0
             sech = math.exp(math.log(2.0) - abs(d) - math.log1p(math.exp(-2.0 * abs(d))))
             expected = math.cos(params.delta_m * t) * sech
@@ -204,12 +208,13 @@ class TestOscillationCurve:
             assert asym == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_rejects_overflowing_phase(self):
-        with pytest.raises(ValidationError, match="delta_m"):
-            oscillation_curve(KaonParams(m_l=1e300), 1e10, 3)
+        # rejected before the asymmetry, where math.cos(inf) would raise ValueError
+        with pytest.raises(DomainError, match=r"delta_m\*t overflows: delta_m = 1e\+300"):
+            oscillation_curve(KaonParams(m_l=1e300), grid(1e10, 3))
 
     def test_rejects_a_parameter_stack(self):
         with pytest.raises(ValidationError, match="one parameter set"):
-            oscillation_curve(KaonParams(m_l=np.array([0.4, 0.5])), 12.0, 10)
+            oscillation_curve(KaonParams(m_l=np.array([0.4, 0.5])), grid(12.0, 10))
 
 
 def test_params_validation():
@@ -295,7 +300,7 @@ class TestPassCounts:
     def test_curve(self, monkeypatch):
         passes = self.counted(monkeypatch, "elementwise")
         transitions = self.counted(monkeypatch, "transition_probability")
-        oscillation_curve(KaonParams(), 12.0, 12000)
+        oscillation_curve(KaonParams(), grid(12.0, 12000))
         # es, el, damp and cos for both flavors, then the asymmetry's exp and cos
         assert len(passes) == 6
         assert len(transitions) == 1

@@ -200,10 +200,10 @@ def oscillation_check_reference(seed):
     """check_oscillation as it stood before its 50 parameter draws became one
     stack, and those draws' per-draw gaps, (50, 2) as amplitude_residuals."""
     pure = KaonParams(gamma_s=0.0, gamma_l=0.0, m_s=0.0, m_l=0.474)
-    t, _, p_flip, _ = oscillation_curve(pure, 12.0, 500).T
+    t, _, p_flip, _ = oscillation_curve(pure, 12.0 * np.arange(500) / 499).T
     worst = float(np.max(np.abs(p_flip - elementwise(math.sin, pure.delta_m * t / 2.0) ** 2)))
     params = KaonParams()
-    t, p_same, p_flip, _ = oscillation_curve(params, 12.0, 200).T
+    t, p_same, p_flip, _ = oscillation_curve(params, 12.0 * np.arange(200) / 199).T
     flip_back = transition_probability(params, t, "Kbar", "K")
     ok = ((0.0 <= p_same) & (p_same <= 1.0) & (0.0 <= p_flip) & (p_flip <= 1.0)).all()
     total = np.abs(p_same + p_flip - survival_probability(params, t)).max()
@@ -443,7 +443,7 @@ class TestStackEqualsRows:
     @settings(deadline=None)
     @given(params=kaon_params(), t_max=st.floats(1e-3, 100.0), steps=st.integers(2, 300))
     def test_oscillation_curve(self, params, t_max, steps):
-        curve = oscillation_curve(params, t_max, steps)
+        curve = oscillation_curve(params, t_max * np.arange(steps) / (steps - 1))
         assert curve.shape == (steps, 4)
         assert np.array_equal(curve, oscillation_curve_reference(params, t_max, steps))
 

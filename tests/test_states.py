@@ -157,12 +157,10 @@ class TestOperators:
         assert np.allclose(cp2 @ cp2, np.eye(4))
 
     def test_eigentable(self):
-        assert cp_s_eigentable() == [
-            ("Phi1", 1.0, 1.0),
-            ("Phi2", 1.0, -1.0),
-            ("Phi3", -1.0, 1.0),
-            ("Phi4", -1.0, -1.0),
-        ]
+        # rows Φ₁..Φ₄, columns S⊗S and CP⊗CP
+        table = cp_s_eigentable()
+        assert table.dtype == float
+        assert table.tolist() == [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
 
 
 class TestCorrelation:
