@@ -362,15 +362,20 @@ def resolve(args) -> dict:
     return cfg
 
 
-def linear_grid(lo, hi, n) -> np.ndarray:
+def linear_grid(lo, hi, n, lo_is_t0=False) -> np.ndarray:
     """n evenly spaced points from lo to hi; only a time range can overflow
-    hi - lo, or (hi - lo)·(n - 1) on the way to the last point."""
+    hi - lo, or (hi - lo)·(n - 1) on the way to the last point.  The error
+    names hi as --t1, and lo as --t0 only where the user's --t0 is the start
+    (`lo_is_t0`): elsewhere the command fixed the start itself."""
+    if lo_is_t0:
+        ends, start = f"--t0 {lo!r} and --t1 {hi!r} are too far apart", "t0"
+    else:
+        ends, start = f"--t1 {hi!r} is too far from the grid's start {lo!r}", "start"
     width = hi - lo
     if not math.isfinite(width):
-        raise KaonbraidError(f"--t0 {lo!r} and --t1 {hi!r} are too far apart: t1 - t0 overflows")
+        raise KaonbraidError(f"{ends}: t1 - {start} overflows")
     if not math.isfinite(width * (n - 1)):
-        raise KaonbraidError(f"--t0 {lo!r} and --t1 {hi!r} are too far apart for {n} steps: "
-                             "(t1 - t0)·(steps - 1) overflows")
+        raise KaonbraidError(f"{ends} for {n} steps: (t1 - {start})·(steps - 1) overflows")
     return lo + width * np.arange(n) / (n - 1)
 
 
@@ -444,7 +449,7 @@ def cmd_evolve(cfg) -> int:
     t0, t1, steps = cfg["t0"], cfg["t1"], cfg["steps"]
     columns = ["t", "re_a0", "im_a0", "re_a1", "im_a1", "re_a2", "im_a2",
                "re_a3", "im_a3", "norm"]
-    t = linear_grid(t0, t1, steps)
+    t = linear_grid(t0, t1, steps, lo_is_t0=True)
     psi = dynamics.propagator(spec, t0, t) @ psi0.vector
     # a complex (N, 4) array read as float is (N, 8): re_a0, im_a0, re_a1, ...
     table = np.column_stack([t, psi.view(float), frobenius(psi[:, None, :])])
@@ -492,7 +497,8 @@ def cmd_oscillate(cfg) -> int:
 
 def cmd_rho_report(cfg) -> int:
     spec = BraidSpec(cfg["sign"], cfg["phi"])
-    t = linear_grid(cfg["t0"] if cfg["t0"] > 0 else 0.5, cfg["t1"], cfg["steps"])
+    t0_read = cfg["t0"] > 0
+    t = linear_grid(cfg["t0"] if t0_read else 0.5, cfg["t1"], cfg["steps"], lo_is_t0=t0_read)
     ok, scalar, _ = braid.rho_check(spec, t)
     _, scalar_inv, _ = braid.rho_check(spec, 1.0 / t)
     printed = braid.rho_printed_formula(spec, t)

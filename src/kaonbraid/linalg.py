@@ -35,14 +35,16 @@ def as_matrix(m, dim: int | None = None) -> np.ndarray:
 
 def elementwise(f, a):
     """A math-module function f of each element of a: an array of a's shape
-    (0-d for a number).
+    (0-d for a number).  A complex a takes a cmath function and gives a
+    complex array; anything else is read as float.
 
     numpy's ufuncs are not math's bit for bit (numpy 2.4.6, 400,000 uniform
     draws: np.arctan differs from math.atan on 549 in [-10, 10], np.tan from
     math.tan on 2,022 in [-π/2, π/2]), so angles that a stack must share with
     its points taken one by one go through math."""
-    a = np.asarray(a, dtype=float)
-    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
+    kind = complex if np.iscomplexobj(a) else float
+    a = np.asarray(a, dtype=kind)
+    return np.fromiter(map(f, a.ravel().tolist()), kind, a.size).reshape(a.shape)
 
 
 def _nonnegative(a, name: str) -> np.ndarray:

@@ -9,6 +9,7 @@ chosen as a well-conditioned configuration default, not derived values.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -65,27 +66,42 @@ def _finite_phase(name: str, m, t, phase) -> None:
         raise DomainError(f"{name}*t overflows: {name} = {m!r}, t = {t!r}")
 
 
+def _complex(re, im) -> np.ndarray:
+    """re + i·im as a complex array of the broadcast shape, each part's bits
+    kept: re + 1j·im would turn a -0.0 imaginary part into 0.0."""
+    re, im = np.broadcast_arrays(re, im)
+    z = np.empty(re.shape, complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _exponents(params: KaonParams, t):
+    """(Δm·t, y) with y = |γ_S - γ_L|·t/2 for a validated t; DomainError if
+    Δm·t overflows, on which cmath.exp raises.  Quiet, as Python floats are:
+    Δm itself may overflow, inf·0 is nan, and y may overflow to inf, which
+    makes e^{-y} = 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = params.delta_m * t
+        y = np.abs(params.gamma_s - params.gamma_l) * t / 2.0
+    _finite_phase("delta_m", params.delta_m, t, phase)
+    return phase, y
+
+
 def u_factors(params: KaonParams, t):
     """Decaying phases U_{S,L}(t) = e^{-alpha_{S,L}·t} for finite t >= 0.
 
     Two complex arrays of the broadcast shape of t and the parameters (0-d
-    for a number t and a single parameter set).  Each factor is
-    l·cos y + i·l·sin y with l = e^{-(γ/2)·t} and y = -(m + 0)·t, math's exp,
-    cos and sin per element: cmath.exp's formula for a real part <= 0, on the
-    parts Python's complex product -alpha·t gives (m + 0 turns -0.0 into 0.0).
+    for a number t and a single parameter set).  Each factor is one cmath.exp
+    pass over -(γ/2)·t + i·y with y = -(m + 0)·t: the parts Python's complex
+    product -alpha·t gives (m + 0 turns -0.0 into 0.0).
     """
     t = _nonnegative(t, "time t")
-    masses = (params.m_s, params.m_l)
-    with np.errstate(over="ignore"):
-        phases = [-(m + 0.0) * t for m in masses]
-        decays = [elementwise(math.exp, -(g / 2.0) * t) for g in (params.gamma_s, params.gamma_l)]
-    for name, m, y in zip(("m_s", "m_l"), masses, phases):
-        _finite_phase(name, m, t, y)
     factors = []
-    for length, y in zip(decays, phases):
-        parts = [length * elementwise(f, y) for f in (math.cos, math.sin)]
-        # re + 1j·im would turn a -0.0 part into 0.0
-        factors.append(np.stack(parts, axis=-1).view(complex)[..., 0])
+    for name, g, m in (("m_s", params.gamma_s, params.m_s), ("m_l", params.gamma_l, params.m_l)):
+        with np.errstate(over="ignore"):
+            x, y = -(g / 2.0) * t, -(m + 0.0) * t
+        _finite_phase(name, m, t, y)
+        factors.append(elementwise(cmath.exp, _complex(x, y)))
     return tuple(factors)
 
 
@@ -100,11 +116,15 @@ def transition_probability(params: KaonParams, t, frm: str, to):
     """P(frm -> to) at time t, closed form; arrays of t or stacked parameters
     give an array of their broadcast shape.
 
-    P_same(t) = (e^{-γ_S t} + e^{-γ_L t} + 2 e^{-(γ_S+γ_L)t/2} cos Δm·t)/4,
-    P_flip(t) = same with the cosine term negated.  `to` may also be a
-    sequence of flavors, such as FLAVORS: the result then gains a last axis,
-    one column per flavor, all from one evaluation of the exponentials and
-    the cosine.  Every t must be finite and >= 0; exp and cos are math's per
+    With y = |γ_S - γ_L|·t/2, h = Δm·t/2, a = e^{-γ_min·t/2}, E = e^{-y} - 1
+    and w = e^{-y/2 + i·h}:
+        P_same(t) = a²·(E²/4 + (Re w)²),  P_flip(t) = a²·(E²/4 + (Im w)²),
+    which is (e^{-γ_S t} + e^{-γ_L t} ± 2 e^{-(γ_S+γ_L)t/2} cos Δm·t)/4 as
+    sums of non-negative terms: no cancellation near t = 0, and a product
+    that would overflow is e^{-inf} = 0.  `to` may also be a sequence of
+    flavors, such as FLAVORS: the result then gains a last axis, one column
+    per flavor, all from one math.exp, one math.expm1 and one cmath.exp pass.
+    Every t must be finite and >= 0; the functions are math's and cmath's per
     element (linalg.elementwise), so an array gives the bits of its points
     taken one by one.
     """
@@ -112,16 +132,14 @@ def transition_probability(params: KaonParams, t, frm: str, to):
     if frm not in FLAVORS or not flavors or not set(flavors) <= set(FLAVORS):
         raise ValidationError(f"flavors must be in {FLAVORS}")
     t = _nonnegative(t, "time t")
-    gs, gl = params.gamma_s, params.gamma_l
-    # quiet, as Python floats are: γ·t and Δm·t may overflow, Δm itself may,
-    # and inf·0 is nan.  The halves of γ_S + γ_L are summed, as it may overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        es, el = elementwise(math.exp, -gs * t), elementwise(math.exp, -gl * t)
-        damp = elementwise(math.exp, -(gs / 2.0 + gl / 2.0) * t)
-        phase = params.delta_m * t
-    _finite_phase("delta_m", params.delta_m, t, phase)
-    cross = 2.0 * damp * elementwise(math.cos, phase)
-    columns = [(es + el + cross) / 4.0 if frm == f else (es + el - cross) / 4.0 for f in flavors]
+    phase, y = _exponents(params, t)
+    with np.errstate(over="ignore"):
+        a = elementwise(math.exp, -np.minimum(params.gamma_s, params.gamma_l) * t / 2.0)
+    e = elementwise(math.expm1, -y)
+    w = elementwise(cmath.exp, _complex(-y / 2.0, phase / 2.0))
+    a2, quarter = a * a, e * e / 4.0
+    same, flip = a2 * (quarter + w.real * w.real), a2 * (quarter + w.imag * w.imag)
+    columns = [same if frm == f else flip for f in flavors]
     return columns[0] if isinstance(to, str) else np.stack(columns, axis=-1)
 
 
@@ -137,18 +155,18 @@ def survival_probability(params: KaonParams, t):
 def oscillation_curve(params: KaonParams, t) -> np.ndarray:
     """(N, 4) table of (t, P_{K->K}, P_{K->K̄}, asymmetry) on the N times t.
 
-    asymmetry = (P_same - P_flip)/(P_same + P_flip) = cos(Δm·t)·sech(d) with
-    d = (γ_S - γ_L)·t/2, evaluated as sech(d) = 2e^{-|d|}/(1 + e^{-2|d|}): the
-    ratio is 0/0 once both probabilities underflow, and cosh overflows.
+    asymmetry = (P_same - P_flip)/(P_same + P_flip) = cos(Δm·t)·sech(y) with
+    y = |γ_S - γ_L|·t/2, evaluated as 2·Re z/(1 + |z|²) with
+    z = e^{-y + i·Δm·t} (one cmath.exp pass): the ratio is 0/0 once both
+    probabilities underflow, and cosh overflows.
     The table is of one parameter set: a stacked KaonParams raises.
     """
     if any(np.ndim(v) for v in (params.gamma_s, params.gamma_l, params.m_s, params.m_l)):
         raise ValidationError("oscillation_curve takes one parameter set, not a stack")
-    # first: it rejects a bad t and an overflowing Δm·t, on which math.cos raises
+    # first: it rejects a bad t and an overflowing Δm·t
     probabilities = transition_probability(params, t, "K", FLAVORS)
     t = np.asarray(t, dtype=float)
-    half_dgamma = abs(params.gamma_s - params.gamma_l) / 2.0
-    with np.errstate(over="ignore"):
-        e = elementwise(math.exp, -half_dgamma * t)  # e^{-|d|}
-    asym = elementwise(math.cos, params.delta_m * t) * (2.0 * e / (1.0 + e * e))
+    phase, y = _exponents(params, t)
+    z = elementwise(cmath.exp, _complex(-y, phase))
+    asym = 2.0 * z.real / (1.0 + (z.real * z.real + z.imag * z.imag))
     return np.column_stack([t, probabilities, asym])

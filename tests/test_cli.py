@@ -448,7 +448,11 @@ class TestTables:
         # (t1 - t0)·(steps - 1) overflows though t1 - t0 does not
         (["evolve", "--t0", "1e300", "--t1", "1e308", "--steps", "3"],
          ["--t0 1e+300", "--t1 1e+308", "overflows"]),
-        (["oscillate", "--t1", "1e308", "--steps", "3"], ["1e+308", "overflows"]),
+        (["oscillate", "--t1", "1e308", "--steps", "3"],
+         ["--t1 1e+308", "grid's start 0.0", "overflows"]),
+        # t0 <= 0: the grid starts at 0.5, which is not the user's --t0
+        (["rho-report", "--t0", "-5", "--t1", "1e308", "--steps", "3"],
+         ["--t1 1e+308", "grid's start 0.5", "overflows"]),
         (["rho-report", "--t0", "1e300", "--t1", "1e308", "--steps", "3"],
          ["--t0 1e+300", "--t1 1e+308", "overflows"]),
         # the trace of ϱ = 2(t + 1/t)·I overflows, at t and at 1/t
@@ -465,6 +469,15 @@ class TestTables:
         assert out == ""
         assert err.startswith("error:")
         assert all(text in err for text in named), err
+
+    @pytest.mark.parametrize("argv", [["oscillate", "--t1", "1e308", "--steps", "3"],
+                                      ["rho-report", "--t0", "-5", "--t1", "1e308",
+                                       "--steps", "3"]])
+    def test_grid_overflow_names_no_unread_t0(self, capsys, argv):
+        # oscillate reads no --t0, and rho-report replaces a --t0 <= 0 by 0.5
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "--t0" not in err and "t1 - start" in err
 
     # a table this large fails to allocate at once, touching no memory
     @pytest.mark.parametrize("argv", [["oscillate", "--steps", str(10**15)],

@@ -281,8 +281,8 @@ class TestFlavorStack:
 
 
 class TestPassCounts:
-    """exp and cos each take one math pass (linalg.elementwise) over the
-    whole array: the curve and the oscillation check share them across
+    """Each exponential takes one math or cmath pass (linalg.elementwise) over
+    the whole array: the curve and the oscillation check share them across
     flavors and parameter sets instead of repeating them."""
 
     @staticmethod
@@ -297,12 +297,17 @@ class TestPassCounts:
         monkeypatch.setattr(oscillation, name, spy)
         return calls
 
+    def test_u_factors(self, monkeypatch):
+        passes = self.counted(monkeypatch, "elementwise")
+        u_factors(KaonParams(), grid(12.0, 100))
+        assert [f for f, _ in passes] == [cmath.exp, cmath.exp]
+
     def test_curve(self, monkeypatch):
         passes = self.counted(monkeypatch, "elementwise")
         transitions = self.counted(monkeypatch, "transition_probability")
         oscillation_curve(KaonParams(), grid(12.0, 12000))
-        # es, el, damp and cos for both flavors, then the asymmetry's exp and cos
-        assert len(passes) == 6
+        # a, E and w for both flavors, then the asymmetry's z
+        assert [f for f, _ in passes] == [math.exp, math.expm1, cmath.exp, cmath.exp]
         assert len(transitions) == 1
 
     def test_check_oscillation(self, monkeypatch):
@@ -310,6 +315,6 @@ class TestPassCounts:
 
         passes = self.counted(monkeypatch, "elementwise")
         check_oscillation(0)
-        # two curves (6 each), flip_back (4), survival (2) and the stacked
-        # draws: u_factors (6) and one flavor stack (4); 427 per draw before
-        assert len(passes) <= 32
+        # two curves (4 each), flip_back (3), survival (2) and the stacked
+        # draws: u_factors (2) and one flavor stack (3); 427 per draw before
+        assert len(passes) == 18

@@ -2,9 +2,9 @@
 
 A stack of N states, spectral parameters, times or phases must give, row by
 row and bit for bit (compared with ==), what N single-point calls give, and
-the single-point calls must give what the per-row formulas the library used
-before (np.kron, np.vdot, np.linalg.norm, math's angles, exponentials and
-cosines, complex scalar arithmetic) give.  The stack validator must reject a
+the single-point calls must give what per-row formulas in Python scalars
+(np.kron, np.vdot, np.linalg.norm, math's and cmath's functions, complex
+scalar arithmetic) give.  The stack validator must reject a
 stack in which one row is bad.  The algebra's own laws (QYBE, the braid
 relation, the propagator's group law, P_same + P_flip = survival) are
 checked over generated inputs to a tolerance.
@@ -148,25 +148,29 @@ def separability_reference(rng, n):
 
 
 def transition_reference(params, t, frm, to):
-    """The per-point closed form transition_probability evaluated before it took arrays."""
-    es = math.exp(-params.gamma_s * t)
-    el = math.exp(-params.gamma_l * t)
-    cross = 2.0 * math.exp(-(params.gamma_s + params.gamma_l) * t / 2.0) * math.cos(
-        params.delta_m * t
-    )
-    return (es + el + cross) / 4.0 if frm == to else (es + el - cross) / 4.0
+    """transition_probability's closed form for one point in Python floats:
+    a²·(E²/4 + (Re w)²) for the same flavor and a²·(E²/4 + (Im w)²) for a
+    flip, with a = e^{-γ_min·t/2}, E = e^{-y} - 1, w = e^{-y/2 + i·Δm·t/2}
+    and y = |γ_S - γ_L|·t/2."""
+    y = abs(params.gamma_s - params.gamma_l) * t / 2.0
+    a = math.exp(-min(params.gamma_s, params.gamma_l) * t / 2.0)
+    e = math.expm1(-y)
+    w = cmath.exp(complex(-y / 2.0, params.delta_m * t / 2.0))
+    part = w.real if frm == to else w.imag
+    return a * a * (e * e / 4.0 + part * part)
 
 
 def oscillation_curve_reference(params, t_max, steps):
-    """The per-row table oscillation_curve built before it took arrays."""
-    dm, half_dgamma = params.delta_m, abs(params.gamma_s - params.gamma_l) / 2.0
+    """oscillation_curve's table row by row in Python floats: the asymmetry
+    is 2·Re z/(1 + |z|²) with z = e^{-y + i·Δm·t}."""
     rows = []
     for i in range(steps):
         t = t_max * i / (steps - 1)
         p_same = transition_reference(params, t, "K", "K")
         p_flip = transition_reference(params, t, "K", "Kbar")
-        e = math.exp(-half_dgamma * t)
-        asym = math.cos(dm * t) * (2.0 * e / (1.0 + e * e))
+        z = cmath.exp(complex(-(abs(params.gamma_s - params.gamma_l) * t / 2.0),
+                              params.delta_m * t))
+        asym = 2.0 * z.real / (1.0 + (z.real * z.real + z.imag * z.imag))
         rows.append((t, p_same, p_flip, asym))
     return rows
 
@@ -218,6 +222,14 @@ def oscillation_check_reference(seed):
                      abs(abs(amps.c_kbar) ** 2 - transition_probability(p, t, "K", "Kbar"))])
         worst = max(worst, *gaps[-1])
     return CheckResult("oscillation", worst, 1e-12), np.array(gaps)
+
+
+def u_factors_real_parts(g, m, t):
+    """(re, im) of e^{-(γ/2 + i·m)·t} for one point as u_factors built it in
+    real arithmetic before its cmath.exp pass: l·cos y and l·sin y with
+    l = e^{-(γ/2)·t} and y = -(m + 0)·t."""
+    length, y = math.exp(-(g / 2.0) * t), -(m + 0.0) * t
+    return length * math.cos(y), length * math.sin(y)
 
 
 def cmath_u(p, t):
@@ -430,6 +442,20 @@ class TestStackEqualsRows:
             point = KaonParams(*rates[:, i].tolist(), *masses[:, i].tolist())
             exact = cmath_u(point, ti)
             assert bits([u_s[i], u_l[i]]) == bits(exact)
+
+    def test_u_factors_match_real_arithmetic(self):
+        """One cmath.exp pass per factor gives the bits of l·cos y + i·l·sin y,
+        zero signs included, on rates, masses and times among ±0, the
+        subnormals, 1e308 and the large exponents 700 and 1500."""
+        values = [0.0, -0.0, 5e-324, 1e-310, 0.474, 2.0, 700.0, 1500.0, 1e308]
+        rows = [(g, m, t) for g in values for m in values + [-v for v in values]
+                for t in values if t >= 0 and math.isfinite(m * t)]
+        g, m, t = np.array(rows).T
+        # both factors from the same columns: U_S and U_L of a row are equal
+        for u in u_factors(KaonParams(g, g, m, m), t):
+            parts = [u_factors_real_parts(*row) for row in rows]
+            assert bits(u.real) == bits([re for re, _ in parts])
+            assert bits(u.imag) == bits([im for _, im in parts])
 
     def test_check_oscillation_draws(self):
         """The stacked draws give, on 500 seeds, each gap the per-draw loop
