@@ -367,16 +367,16 @@ def linear_grid(lo, hi, n, lo_is_t0=False) -> np.ndarray:
     hi - lo, or (hi - lo)·(n - 1) on the way to the last point.  The error
     names hi as --t1, and lo as --t0 only where the user's --t0 is the start
     (`lo_is_t0`): elsewhere the command fixed the start itself."""
+    width = hi - lo
+    if math.isfinite(width * (n - 1)):
+        return lo + width * np.arange(n) / (n - 1)
     if lo_is_t0:
         ends, start = f"--t0 {lo!r} and --t1 {hi!r} are too far apart", "t0"
     else:
         ends, start = f"--t1 {hi!r} is too far from the grid's start {lo!r}", "start"
-    width = hi - lo
     if not math.isfinite(width):
         raise KaonbraidError(f"{ends}: t1 - {start} overflows")
-    if not math.isfinite(width * (n - 1)):
-        raise KaonbraidError(f"{ends} for {n} steps: (t1 - {start})·(steps - 1) overflows")
-    return lo + width * np.arange(n) / (n - 1)
+    raise KaonbraidError(f"{ends} for {n} steps: (t1 - {start})·(steps - 1) overflows")
 
 
 def _meta(cfg, command):
