@@ -232,10 +232,11 @@ def amplitude_residuals(seed: int) -> np.ndarray:
 
 
 def check_oscillation(seed: int) -> CheckResult:
-    # pure-oscillation limit
+    # pure-oscillation limit, against (1 - cos Δm·t)/2: at γ = 0 the closed
+    # form is the square of math.sin(Δm·t/2) itself, which would read 0
     pure = oscillation.KaonParams(gamma_s=0.0, gamma_l=0.0, m_s=0.0, m_l=0.474)
     t, _, p_flip, _ = oscillation.oscillation_curve(pure, 12.0 * np.arange(500) / 499).T
-    worst = float(np.max(np.abs(p_flip - elementwise(math.sin, pure.delta_m * t / 2.0) ** 2)))
+    worst = float(np.max(np.abs(p_flip - (1.0 - elementwise(math.cos, pure.delta_m * t)) / 2.0)))
     # decaying defaults
     params = oscillation.KaonParams()
     t, p_same, p_flip, _ = oscillation.oscillation_curve(params, 12.0 * np.arange(200) / 199).T

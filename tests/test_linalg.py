@@ -1,8 +1,11 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
 from kaonbraid.errors import DimensionError
-from kaonbraid.linalg import hermiticity_residual, tensor_product, unitarity_residual
+from kaonbraid.linalg import elementwise, hermiticity_residual, tensor_product, unitarity_residual
 
 RNG = np.random.default_rng(42)
 
@@ -67,3 +70,17 @@ class TestPredicates:
         m[0, 0] = np.nan
         with pytest.raises(DimensionError):
             unitarity_residual(m)
+
+
+class TestElementwise:
+    def test_complex_in_complex_out(self):
+        z = np.array([[complex(-0.0, -0.0), complex(-1e3, 2.0)], [complex(0.5, -3.0), 1j]])
+        out = elementwise(cmath.exp, z)
+        assert out.dtype == complex and out.shape == (2, 2)
+        expected = np.array([cmath.exp(v) for v in z.ravel().tolist()]).reshape(2, 2)
+        assert out.tobytes() == expected.tobytes()  # the zero signs too
+
+    def test_real_input_stays_float(self):
+        for a in (2, [0, 1], np.arange(3)):
+            out = elementwise(math.exp, a)
+            assert out.dtype == float and out.shape == np.shape(a)
