@@ -20,7 +20,6 @@ from .dynamics import (  # noqa: F401
     schrodinger_residual,
 )
 from .errors import (  # noqa: F401
-    DimensionError,
     DomainError,
     KaonbraidError,
     ValidationError,

@@ -498,7 +498,13 @@ def cmd_oscillate(cfg) -> int:
 def cmd_rho_report(cfg) -> int:
     spec = BraidSpec(cfg["sign"], cfg["phi"])
     t0_read = cfg["t0"] > 0
-    t = linear_grid(cfg["t0"] if t0_read else 0.5, cfg["t1"], cfg["steps"], lo_is_t0=t0_read)
+    start = cfg["t0"] if t0_read else 0.5
+    t = linear_grid(start, cfg["t1"], cfg["steps"], lo_is_t0=t0_read)
+    # the grid is monotone from a start > 0, so its last point is its least
+    if not t[-1] > 0:
+        named = f"--t0 {start!r}" if t0_read else f"the grid's start {start!r}"
+        raise KaonbraidError(f"--t1 {cfg['t1']!r}: rho-report's t runs from {named} to t1 "
+                             f"and must stay > 0, but its last point is {float(t[-1])!r}")
     ok, scalar, _ = braid.rho_check(spec, t)
     _, scalar_inv, _ = braid.rho_check(spec, 1.0 / t)
     printed = braid.rho_printed_formula(spec, t)

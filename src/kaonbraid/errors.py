@@ -5,10 +5,6 @@ class KaonbraidError(ValueError):
     """Base class for all validation failures raised by this package."""
 
 
-class DimensionError(KaonbraidError):
-    """Matrix/vector dimensions are unsupported or incompatible."""
-
-
 class ValidationError(KaonbraidError):
     """An input value violates a documented precondition."""
 

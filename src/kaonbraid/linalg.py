@@ -1,9 +1,9 @@
 """Small-dimension complex linear algebra: tensor products and Frobenius
 residuals.
 
-Everything here works on plain numpy arrays of shape (d, d) with
-d in {2, 4, 8}, or on (N, d, d) stacks of them.  All functions are pure;
-nothing mutates its inputs.
+Everything here works on plain numpy arrays of shape (d, d), or on (N, d, d)
+stacks of them, whose shapes the callers know; nothing checks them again.
+All functions are pure; nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -12,25 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-
-ALLOWED_DIMS = (2, 4, 8)
-
-
-def as_matrix(m, dim: int | None = None) -> np.ndarray:
-    """Validate and return m as a complex square matrix of an allowed dimension,
-    or as an (N, d, d) stack of them."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    d = a.shape[-1]
-    if d not in ALLOWED_DIMS:
-        raise DimensionError(f"unsupported dimension {d}; allowed: {ALLOWED_DIMS}")
-    if dim is not None and d != dim:
-        raise DimensionError(f"expected dimension {dim}, got {d}")
-    if not np.isfinite(a).all():
-        raise DimensionError("matrix contains non-finite entries")
-    return a
+from .errors import DomainError
 
 
 def elementwise(f, a):
@@ -71,14 +53,9 @@ def frobenius(m):
 
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product of two matrices, or of two (N, ·, ·) stacks pair by pair
-    (either side may be one matrix); the product dimension must be 4 or 8."""
-    a = as_matrix(a)
-    b = as_matrix(b)
+    (either side may be one matrix)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     p, q = a.shape[-1], b.shape[-1]
-    if p * q not in (4, 8):
-        raise DimensionError(
-            f"tensor product of dims {p} and {q} gives unsupported dimension {p * q}"
-        )
     # entry (i·q + k, j·q + l) is a_ij·b_kl, the one multiply np.kron makes
     prod = a[..., :, None, :, None] * b[..., None, :, None, :]
     return prod.reshape(prod.shape[:-4] + (p * q, p * q))
@@ -86,11 +63,11 @@ def tensor_product(a, b) -> np.ndarray:
 
 def unitarity_residual(m):
     """||m m† - I||_F, or an (N,) array of them for an (N, d, d) stack."""
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=complex)
     return frobenius(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-1]))
 
 
 def hermiticity_residual(m):
     """||m - m†||_F, or an (N,) array of them for an (N, d, d) stack."""
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=complex)
     return frobenius(m - m.conj().swapaxes(-1, -2))

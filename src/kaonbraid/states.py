@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, hermiticity_residual, tensor_product
+from .linalg import hermiticity_residual, tensor_product
 
 BASIS_LABELS = ("KK", "KKbar", "KbarK", "KbarKbar")
 
@@ -131,9 +131,11 @@ def cp_s_eigentable() -> np.ndarray:
 def correlation(psi, op_a, op_b):
     """⟨Ψ| A⊗B |Ψ⟩ for Hermitian single-kaon operators A, B, one per row of
     state_stack(psi): an (N,) array."""
-    op_a = as_matrix(op_a, 2)
-    op_b = as_matrix(op_b, 2)
-    if hermiticity_residual(op_a) > 1e-12 or hermiticity_residual(op_b) > 1e-12:
+    op_a, op_b = np.asarray(op_a, dtype=complex), np.asarray(op_b, dtype=complex)
+    if op_a.shape != (2, 2) or op_b.shape != (2, 2):
+        raise ValidationError("correlation requires 2x2 single-kaon operators")
+    # `<=`, not `> 1e-12`, so that a NaN or infinite entry fails too
+    if not (hermiticity_residual(np.stack([op_a, op_b])) <= 1e-12).all():
         raise ValidationError("correlation requires Hermitian operators")
     v = state_stack(psi)
     # stacked matmul, not einsum: each row then sums in np.vdot's order

@@ -434,8 +434,13 @@ class TestTables:
         (["verify", "--tol", "inf"], ["--tol", "'inf'"]),
         (["evolve", "--t1", "inf"], ["--t1", "'inf'"]),
         (["rho-report", "--t1", "inf"], ["--t1", "'inf'"]),
-        # the grid 0.5, -1.33, -3.17, -5 has non-positive t: rho_check rejects it whole
-        (["rho-report", "--t1", "-5", "--steps", "4"], ["t must be > 0", "-1.33"]),
+        # the grid 0.5, -1.33, -3.17, -5 has non-positive t: the error names --t1 and the start
+        (["rho-report", "--t1", "-5", "--steps", "4"],
+         ["--t1 -5.0", "grid's start 0.5", "last point is -5.0"]),
+        (["rho-report", "--t1", "0"], ["--t1 0.0", "grid's start 0.5", "> 0"]),
+        (["rho-report", "--t0", "3", "--t1", "-2"], ["--t1 -2.0", "--t0 3.0", "> 0"]),
+        # the last point 0.5 + (1e-310 - 0.5) rounds to 0
+        (["rho-report", "--t1", "1e-310"], ["--t1 1e-310", "last point is 0.0"]),
         # 1/t overflows: the message names t, not the spectral parameter 1/t
         (["rho-report", "--t0", "5e-324", "--t1", "1", "--steps", "3"],
          ["t = 5e-324", "1/t overflows"]),

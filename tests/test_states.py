@@ -185,5 +185,8 @@ class TestCorrelation:
             assert concurrence(deformed_bell(phi))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            correlation(bell_quartet()[0], np.array([[0, 1], [0, 0]]), cp_op())
+        nan = np.array([[1.0, 0.0], [0.0, np.nan]])  # its Hermiticity residual is NaN
+        for op in (np.array([[0, 1], [0, 0]]), np.eye(4), nan):
+            for a, b in ((op, cp_op()), (cp_op(), op)):
+                with pytest.raises(ValidationError):
+                    correlation(bell_quartet()[0], a, b)
