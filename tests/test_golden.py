@@ -48,7 +48,8 @@ CASES = {
 # by the sha256 of their stdout (the __main__ block below does not rewrite
 # them).  The evolve pin was taken from the per-cell writer that came before
 # the chunked one; the oscillate pins from the chunked writer, with every
-# cell checked to be '%.17g' of oscillation_curve's value.
+# cell checked to be '%.17g' of oscillation_curve's value.  The rho-report
+# pins span 9 blocks of 585 rows, on a grid where 1/(1/t) != t at some points.
 HASHED = {
     "oscillate --steps 9000 --format csv":
         "76629fd19a6695a0321a48b3e1e545691acf68cf0bd0e865a9bac05e67833e18",
@@ -56,6 +57,10 @@ HASHED = {
         "28ebce04eaa4b5ed9709f52688b2e77c7eb8e0a79a438c9a779340e1c47fc6e8",
     "evolve --steps 5000 --format json":
         "9121d4df05ad2b27f0cb4a2afb72a563e88762c7eb8f30225a1e2a24444b0b4e",
+    "rho-report --steps 5000 --format csv":
+        "456860d16e0f05352e2b453b439e6d75be25473c880e42a7b1270f68d12925de",
+    "rho-report --steps 5000 --format json":
+        "885fb97a8809391b6768a2a60816e99d681b3eba10b79294c42adcf86d889bc0",
 }
 
 # the metrics are the worst residuals over the node grids and the seeded
