@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .linalg import _nonnegative, elementwise, frobenius, tensor_product
+from .linalg import _nonnegative, elementwise, frobenius, tensor_product, trace4
 
 SIGNS = ("plus", "minus")
 
@@ -141,15 +141,9 @@ def _positive_t(t) -> np.ndarray:
     return t
 
 
-def rho_check(spec: BraidSpec, t):
-    """Inversion relation ϱ = R(t)·R(1/t) from the unnormalized R.
-
-    Returns (is_scalar, scalar, residual) where scalar is the mean diagonal
-    entry and residual = ||ϱ - scalar·I||_F; is_scalar holds when
-    residual / |scalar| is below 1e-12, at any t accepted here.  The closed
-    form is ϱ = 2(t + 1/t)·I, independent of φ.  An array of t gives three
-    arrays of its shape (0-d for a number), and any t <= 0 raises.
-    """
+def _rho(spec: BraidSpec, t) -> np.ndarray:
+    """ϱ = R(t)·R(1/t), a 4x4 matrix or a stack of t's shape, once every t is
+    > 0 and both 1/t and the trace of ϱ are finite (else DomainError)."""
     t = _positive_t(t)
     with np.errstate(over="ignore"):
         t_inv = 1.0 / t
@@ -162,8 +156,28 @@ def rho_check(spec: BraidSpec, t):
     if huge.any():
         raise DomainError(f"t = {float(t[huge].flat[0])!r} is out of range: "
                           "the trace of ϱ = 2(t + 1/t)·I overflows")
-    rho = yang_baxterize(spec, t) @ yang_baxterize(spec, t_inv)
-    scalar = np.trace(rho, axis1=-2, axis2=-1) / 4.0
+    return yang_baxterize(spec, t) @ yang_baxterize(spec, t_inv)
+
+
+def rho_scalar(spec: BraidSpec, t):
+    """The mean diagonal entry tr(R(t)·R(1/t))/4 of the inversion relation,
+    bit for bit rho_check's scalar, without its residual.  An array of t
+    gives an array of its shape (0-d for a number); the t that rho_check
+    rejects raise the same DomainError here."""
+    return trace4(_rho(spec, t)) / 4.0
+
+
+def rho_check(spec: BraidSpec, t):
+    """Inversion relation ϱ = R(t)·R(1/t) from the unnormalized R.
+
+    Returns (is_scalar, scalar, residual) where scalar is the mean diagonal
+    entry and residual = ||ϱ - scalar·I||_F; is_scalar holds when
+    residual / |scalar| is below 1e-12, at any t accepted here.  The closed
+    form is ϱ = 2(t + 1/t)·I, independent of φ.  An array of t gives three
+    arrays of its shape (0-d for a number), and any t <= 0 raises.
+    """
+    rho = _rho(spec, t)
+    scalar = trace4(rho) / 4.0
     # scaled by 2^-k ~ 1/|scalar| so that no square overflows, then back: exact
     k = np.frexp(np.abs(scalar))[1]
     scale = np.ldexp(1.0, -k)[..., None, None]

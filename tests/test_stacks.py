@@ -29,6 +29,7 @@ from kaonbraid.braid import (
     check_qybe,
     rho_check,
     rho_printed_formula,
+    rho_scalar,
     unitary_braid,
     unitary_r,
     yang_baxterize,
@@ -78,6 +79,8 @@ MASS = st.floats(-10.0, 10.0)
 PARAM_RATE = st.floats(0.0, 2.0) | st.sampled_from([0.0, 1e300])
 PARAM_MASS = st.floats(-2.0, 2.0)
 PARAM_T = st.floats(0.0, 50.0)
+# 1/(1/t) != t at 5 of these 64 points
+INVERSION_GRID = np.linspace(0.5, 12.0, 64)
 SCHRODINGER_T = (0.2, 0.5, 1.0, 2.0, 5.0)
 SCHRODINGER_SPECS = (BraidSpec("plus", 0.0), BraidSpec("minus", 1.0))
 _I2 = np.eye(2, dtype=complex)
@@ -298,6 +301,16 @@ class TestStackEqualsRows:
             assert scalar[i] == reference
             assert residual[i] == float(np.linalg.norm(rho - reference * np.eye(4)))
             assert printed[i] == rho_printed_formula(spec, ti)
+
+    @settings(deadline=None)
+    @given(sign=st.sampled_from(SIGNS), t=spectral_values(1e-3), data=st.data())
+    def test_rho_scalar_at_inverse_times(self, sign, t, data):
+        """rho-report's ϱ(1/t) scalar, on an array-φ spec and a grid that
+        holds points where 1/(1/t) != t."""
+        assert (1.0 / (1.0 / INVERSION_GRID) != INVERSION_GRID).sum() == 5
+        t = np.concatenate([t, INVERSION_GRID])
+        spec = BraidSpec(sign, data.draw(hnp.arrays(float, len(t), elements=ANGLE)))
+        assert bits(rho_scalar(spec, 1.0 / t)) == bits(rho_check(spec, 1.0 / t)[1])
 
     @settings(deadline=None)
     @given(sign=st.sampled_from(SIGNS), phi=ANGLE, x=spectral_values(0.0))
@@ -648,6 +661,6 @@ class TestValidation:
         t = t.copy()
         t[data.draw(st.integers(0, len(t) - 1))] = bad
         spec = BraidSpec("plus", 0.4)
-        for kernel in (rho_check, rho_printed_formula):
+        for kernel in (rho_check, rho_scalar, rho_printed_formula):
             with pytest.raises(DomainError, match="t must be > 0"):
                 kernel(spec, t)
