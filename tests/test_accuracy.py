@@ -1,4 +1,5 @@
-"""Accuracy of the oscillation kernels against mpmath at 50 digits.
+"""Accuracy of the oscillation kernels, and of `evolve`'s amplitudes,
+against mpmath at 50 digits or more.
 
 The reference takes the same doubles the library gets (γ_S, γ_L, m_S, m_L
 and t) and evaluates the probabilities as e^{-(γ_S+γ_L)t/2}·(sinh²(d/2) +
@@ -16,14 +17,29 @@ Bounds, in units of EPS = 2**-52:
   The Δm·t term is the rounding of the phase.  Worst measured: 0.8.
 The closed form P_flip = (e^{-γ_S t} + e^{-γ_L t} - 2e^{-(γ_S+γ_L)t/2}cos Δm·t)/4
 fails the first bound near t = 0, where it is O(t²) from O(1) terms.
+
+From a basis state e_k, `evolve` prints U(t0, t)·e_k = cos α·e_k - sin α·(b - I)·e_k
+(H₀ = -i·(b - I)), α = arctan t - arctan t0: amplitude k is cos α, one
+other is sin α times a unit-modulus constant, and the other two are 0.  The
+bound on their moduli is relative, 8·EPS times 1 plus the condition number
+of cos (|α·tan α|) or sin (|α/tan α|) at α: a rounding of α itself moves
+cos α by that much near α = ±π/2.  Worst measured on 10,200 random rows,
+in units of EPS·(1 + that condition number): 0.64 for cos, 1.62 for sin.
+arctan t - arctan t0 in floats fails it at large, close times, by 11% at
+t0 = 1e8, t = 1e8 + 10.
 """
+
+import contextlib
+import io
+import math
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kaonbraid.cli import main
 from kaonbraid.oscillation import FLAVORS, KaonParams, oscillation_curve, transition_probability
 
 EPS = 2.0 ** -52
@@ -123,3 +139,63 @@ def test_reference_is_the_amplitude_definition(params, t):
                     for g, m in ((params.gamma_s, params.m_s), (params.gamma_l, params.m_l)))
         for amplitude, reference in zip((u_s + u_l, u_s - u_l), exact(params, t)[:2]):
             assert abs(abs(amplitude) ** 2 / 4 - reference) <= mpmath.mpf(10) ** -40
+
+
+# U·e_k's one amplitude besides the k-th: the nonzero entry of column k of b - I
+PARTNER = (3, 2, 1, 0)
+LABELS = ("KK", "KKbar", "KbarK", "KbarKbar")
+BIG = st.floats(-1e300, 1e300)
+CLOSE = st.floats(-10.0, 10.0) | st.floats(-1e-6, 1e-6)
+
+
+def exact_angle(t0, t1):
+    """arctan t1 - arctan t0 at the doubles t0 and t1, with digits enough
+    for the cancellation, which costs about log10|t0·t1| of them."""
+    lost = sum(max(0.0, math.log10(abs(t))) for t in (t0, t1) if t)
+    with mpmath.workdps(60 + int(lost)):
+        return mpmath.atan(mpmath.mpf(t1)) - mpmath.atan(mpmath.mpf(t0))
+
+
+def evolve_rows(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1, ndmin=2)
+
+
+def relative_error(re, im, reference) -> float:
+    with mpmath.workdps(50):
+        return float(abs(mpmath.hypot(re, im) - abs(reference)) / abs(reference))
+
+
+@st.composite
+def time_pairs(draw):
+    """(t0, t1), often large and close: t1 is t0 plus a small step, t0 times
+    1 plus a small ratio, or any time."""
+    t0 = draw(st.floats(-1e9, 1e9) | BIG)
+    return t0, draw(BIG | CLOSE.map(lambda d: t0 + d) | CLOSE.map(lambda r: t0 * (1.0 + r)))
+
+
+@settings(deadline=None)
+@given(k=st.integers(0, 3), sign=st.sampled_from(["plus", "minus"]),
+       phi=st.floats(0.0, 7.0), times=time_pairs())
+@example(k=0, sign="plus", phi=0.0, times=(1e8, 1e8 + 10))
+@example(k=1, sign="minus", phi=2.0, times=(-1e6, -1e6 - 1))
+def test_evolve_amplitudes_from_a_basis_state(k, sign, phi, times):
+    t0, t1 = times
+    rows = evolve_rows(["evolve", "--state", LABELS[k], "--sign", sign, "--phi", repr(phi),
+                        "--t0", repr(t0), "--t1", repr(t1), "--steps", "3", "--format", "csv"])
+    for t, *parts in rows.tolist():
+        amplitudes = list(zip(parts[0:8:2], parts[1:8:2]))
+        alpha = exact_angle(t0, t)
+        with mpmath.workdps(50):
+            cos, sin = mpmath.cos(alpha), mpmath.sin(alpha)
+            tan_ratio = abs(alpha * sin / cos) if alpha else mpmath.mpf(0)
+            cot_ratio = abs(alpha * cos / sin) if alpha else mpmath.mpf(1)
+        assert relative_error(*amplitudes[k], cos) <= 8 * EPS * (1 + tan_ratio), (t0, t)
+        j = PARTNER[k]
+        if sin:
+            assert relative_error(*amplitudes[j], sin) <= 8 * EPS * (1 + cot_ratio), (t0, t)
+        else:
+            assert amplitudes[j] == (0.0, 0.0)
+        assert all(amplitudes[i] == (0.0, 0.0) for i in range(4) if i not in (k, j))

@@ -73,7 +73,9 @@ from kaonbraid.verify import (
 UNIT = st.floats(-1.0, 1.0)
 ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
 SPECTRAL = st.floats(0.0, 10.0)
-TIME = st.floats(-1e3, 1e3) | st.sampled_from([math.inf, -math.inf])
+# times whose product overflows, too
+TIME = (st.floats(-1e3, 1e3) | st.floats(-1e308, 1e308)
+        | st.sampled_from([math.inf, -math.inf, 1e200, -1e200]))
 RATE = st.floats(0.0, 10.0)
 MASS = st.floats(-10.0, 10.0)
 PARAM_RATE = st.floats(0.0, 2.0) | st.sampled_from([0.0, 1e300])
@@ -130,9 +132,22 @@ def qybe_reference(spec, x, y):
     return float(np.linalg.norm(r1(x) @ r2(x * y) @ r1(y) - r2(y) @ r1(x * y) @ r2(x)))
 
 
+def rotation_angle_reference(t0, t1):
+    """α = arctan t1 - arctan t0 in Python floats, without the cancellation
+    where t0·t1 > 0."""
+    prod = t0 * t1
+    if not prod > 0:
+        return math.atan(t1) - math.atan(t0)
+    if math.isinf(t0) or math.isinf(t1):
+        return math.atan(1.0 / t0 - 1.0 / t1)
+    if math.isinf(prod):
+        return math.atan((t1 - t0) / t1 / t0)
+    return math.atan((t1 - t0) / (1.0 + prod))
+
+
 def propagator_reference(spec, t0, t1):
-    """The per-point propagator as the library formed it before stacks."""
-    angle = math.atan(t1) - math.atan(t0)
+    """The per-point propagator in Python floats."""
+    angle = rotation_angle_reference(t0, t1)
     return math.cos(angle) * np.eye(4) - 1j * math.sin(angle) * hamiltonian_generator(spec)
 
 
