@@ -92,8 +92,11 @@ def u_factors(params: KaonParams, t):
 
     Two complex arrays of the broadcast shape of t and the parameters (0-d
     for a number t and a single parameter set).  Each factor is one cmath.exp
-    pass over -(γ/2)·t + i·y with y = -(m + 0)·t: the parts Python's complex
-    product -alpha·t gives (m + 0 turns -0.0 into 0.0).
+    pass over x + i·y with x = -(γ/2)·t and y = -(m + 0)·t.  Those are the
+    parts of Python's complex product -alpha·t but for the sign of a zero: on
+    13 of the 36 (γ, m, t) in {0.0, -0.0, 1.0} × {±0.0, ±0.474} × {0, 1, 2.5}
+    y is -0.0 where that product's imaginary part is +0.0, so U's imaginary
+    part is -0.0 where cmath.exp(-alpha·t) gives +0.0.  No output prints it.
     """
     t = _nonnegative(t, "time t")
     factors = []
