@@ -56,18 +56,23 @@ def _rotation_angle(t0: float, t1) -> np.ndarray:
     ±π/2) arctan(1/t0 - 1/t1), of which one term is 0.  Where t0·t1 <= 0,
     t0 = 0 included, the difference has no cancellation and stays.
     """
-    # 0·∞ is NaN and ∞ - ∞ too; np.where keeps neither
-    with np.errstate(over="ignore", invalid="ignore"):
+    if t0 == 0:
+        return elementwise(math.atan, t1) - math.atan(t0)
+    same = t1 > 0 if t0 > 0 else t1 < 0
+    # 0·∞, ∞ - ∞, ∞/∞ and 1/0 come up only where `same` is false or t0·t1
+    # is infinite, and those entries are dropped or replaced
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         prod = t0 * t1
-        same = prod > 0
-        arg = np.where(same, (t1 - t0) / (1.0 + prod), t1)
+        arg = np.asarray((t1 - t0) / (1.0 + prod))
         big = same & np.isinf(prod)
         if big.any():
             tb = t1[big]
             arg[big] = np.where(np.isinf(tb) | math.isinf(t0), 1.0 / t0 - 1.0 / tb,
                                 (tb - t0) / tb / t0)
     # math, not numpy, per element: each row then has the bits of its own call
-    angle = elementwise(math.atan, arg)
+    if same.all():
+        return elementwise(math.atan, arg)
+    angle = elementwise(math.atan, np.where(same, arg, t1))
     return np.where(same, angle, angle - math.atan(t0))
 
 

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -404,6 +404,10 @@ class TestStackEqualsRows:
     @settings(deadline=None)
     @given(sign=st.sampled_from(SIGNS), phi=ANGLE, t0=TIME,
            t1=hnp.arrays(float, st.integers(1, 50), elements=TIME))
+    # 1 + t0·t1 = 0 at t1 = -1: a quiet 1/0 in the entry that is dropped
+    @example(sign="plus", phi=0.0, t0=1.0,
+             t1=np.array([-1.0, 0.0, 1e200, 1e308, math.inf, -math.inf]))
+    @example(sign="minus", phi=1.0, t0=-math.inf, t1=np.array([-math.inf, -2.0, 0.0, 3.0]))
     def test_propagator(self, sign, phi, t0, t1):
         spec = BraidSpec(sign, phi)
         stacked = propagator(spec, t0, t1)
