@@ -53,7 +53,7 @@ def _rotation_angle(t0: float, t1) -> np.ndarray:
     off at t0 = 1e8, t1 = 1e8 + 10), so α is arctan((t1 - t0)/(1 + t0·t1))
     there, which needs no branch as |α| < π/2.  Where t0·t1 overflows this is
     arctan(((t1 - t0)/t1)/t0), and where a time is infinite (arctan ±∞ =
-    ±π/2) arctan(1/t0 - 1/t1), of which one term is 0.  Where t0·t1 <= 0,
+    ±π/2) arctan(1/t0 - 1/t1), in which 1/∞ is 0.  Where t0·t1 <= 0,
     t0 = 0 included, the difference has no cancellation and stays.
     """
     if t0 == 0:
