@@ -46,8 +46,8 @@ def hamiltonian_at(spec: BraidSpec, t) -> np.ndarray:
 
 
 def _rotation_angle(t0: float, t1) -> np.ndarray:
-    """α = arctan t1 - arctan t0 per element of t1 (0-d for a number), for
-    times that are not NaN.
+    """α = arctan t1 - arctan t0 per element of the array t1 (a float for a
+    0-d t1), for times that are not NaN.
 
     Where t0·t1 > 0 the difference cancels as both angles near ±π/2 (11%
     off at t0 = 1e8, t1 = 1e8 + 10), so α is arctan((t1 - t0)/(1 + t0·t1))
@@ -56,24 +56,38 @@ def _rotation_angle(t0: float, t1) -> np.ndarray:
     ±π/2) arctan(1/t0 - 1/t1), in which 1/∞ is 0.  Where t0·t1 <= 0,
     t0 = 0 included, the difference has no cancellation and stays.
     """
+    if t1.ndim == 0:
+        return _angle_of_floats(t0, float(t1))
+    # math, not numpy, per element: each row then has the bits of its own call
     if t0 == 0:
         return elementwise(math.atan, t1) - math.atan(t0)
-    same = t1 > 0 if t0 > 0 else t1 < 0
-    # 0·∞, ∞ - ∞, ∞/∞ and 1/0 come up only where `same` is false or t0·t1
-    # is infinite, and those entries are dropped or replaced
+    # 0·∞, ∞ - ∞, ∞/∞ and 1/0 come up only where t0·t1 <= 0 or t0·t1 is
+    # infinite, and those entries are dropped or replaced
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         prod = t0 * t1
-        arg = np.asarray((t1 - t0) / (1.0 + prod))
+        arg = (t1 - t0) / (1.0 + prod)
+        if prod.min(initial=math.inf) > 0 and prod.max(initial=0.0) < math.inf:
+            return elementwise(math.atan, arg)
+        same = t1 > 0 if t0 > 0 else t1 < 0
         big = same & np.isinf(prod)
-        if big.any():
-            tb = t1[big]
-            arg[big] = np.where(np.isinf(tb) | math.isinf(t0), 1.0 / t0 - 1.0 / tb,
-                                (tb - t0) / tb / t0)
-    # math, not numpy, per element: each row then has the bits of its own call
-    if same.all():
-        return elementwise(math.atan, arg)
+        tb = t1[big]
+        arg[big] = np.where(np.isinf(tb) | math.isinf(t0), 1.0 / t0 - 1.0 / tb,
+                            (tb - t0) / tb / t0)
     angle = elementwise(math.atan, np.where(same, arg, t1))
     return np.where(same, angle, angle - math.atan(t0))
+
+
+def _angle_of_floats(t0: float, t1: float) -> float:
+    """_rotation_angle at one t1, in Python floats: the same operations, so
+    the same bits, without the per-call cost of a dozen numpy calls."""
+    prod = t0 * t1
+    if not prod > 0:
+        return math.atan(t1) - math.atan(t0)
+    if math.isinf(t0) or math.isinf(t1):
+        return math.atan(1.0 / t0 - 1.0 / t1)
+    if math.isinf(prod):
+        return math.atan((t1 - t0) / t1 / t0)
+    return math.atan((t1 - t0) / (1.0 + prod))
 
 
 def propagator(spec: BraidSpec, t0: float, t1) -> np.ndarray:
