@@ -61,14 +61,14 @@ def _rotation_angle(t0: float, t1) -> np.ndarray:
     # math, not numpy, per element: each row then has the bits of its own call
     if t0 == 0:
         return elementwise(math.atan, t1) - math.atan(t0)
-    # 0·∞, ∞ - ∞, ∞/∞ and 1/0 come up only where t0·t1 <= 0 or t0·t1 is
+    # 0·∞, ∞ - ∞, ∞/∞ and 1/0 come up only where t0·t1 is not > 0 or is
     # infinite, and those entries are dropped or replaced
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         prod = t0 * t1
         arg = (t1 - t0) / (1.0 + prod)
         if prod.min(initial=math.inf) > 0 and prod.max(initial=0.0) < math.inf:
             return elementwise(math.atan, arg)
-        same = t1 > 0 if t0 > 0 else t1 < 0
+        same = prod > 0
         big = same & np.isinf(prod)
         tb = t1[big]
         arg[big] = np.where(np.isinf(tb) | math.isinf(t0), 1.0 / t0 - 1.0 / tb,
