@@ -7,8 +7,11 @@ command computes its table as one (N, k) float array, and write_table writes
 it KERNEL_CELLS // k rows at a time, one fmt call per block, straight to the
 stream; fmt's numpy kernel writes a block's '%.17g' text byte for byte, as a
 (words, cells) grid of ASCII from which the words NUL in every cell are
-dropped before it is transposed to text.  Only verify's report, whose rows
-start with a name, is written cell by cell.  main first has glibc's malloc
+dropped before it is transposed to text.  A block is 8,192 cells: the
+kernel frees each temporary once it is dead, so a block peaks at about 120 B
+a cell, and a table pays the kernel's fixed cost (about 0.1 ms, some 90
+numpy calls) once per 8,192 cells.  Only verify's report, whose rows start
+with a name, is written cell by cell.  main first has glibc's malloc
 keep freed memory for reuse, so that the temporaries of one block or command
 do not page-fault in fresh memory for the next.
 
@@ -36,12 +39,15 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 
 
-# cells per block of a table (per fmt call): the kernel's arrays (about 300 B
-# a cell) stay in cache, and the text held at once stays the same however long
-# the table is.  Per cell, blocks of 2,048 cells took about 15% longer, and
-# 8,192 and 16,384 about 10% less, but raised a 1,000-step evolve's peak RSS
-# by 0.8 MB
-KERNEL_CELLS = 4096
+# cells per block of a table (per fmt call).  The kernel frees each temporary
+# once it is dead, so a block peaks at about 120 B a cell (0.96 MB traced at
+# 8,192 cells, where 4,096-cell blocks took 1.09 MB while every temporary
+# lived to the end); the text held at once stays the same however long the
+# table is.  Each block pays the kernel's fixed cost (about 0.1 ms) once: the
+# text of oscillate's 12,000 × 4 table took 6.4 ms in blocks of 2,048 cells,
+# 5.4 ms in 4,096 and 5.1 ms in 8,192 or 16,384 (min of 100 interleaved
+# calls, 2-vCPU Xeon)
+KERNEL_CELLS = 8192
 
 
 def fmt(x, sep=",", end="\n") -> str:
@@ -57,10 +63,9 @@ def fmt(x, sep=",", end="\n") -> str:
 
 @functools.cache
 def _powers():
-    """(5, 656): rows HI split in Dekker halves, HI, LO and EX, column s + 310
-    for s = -310 … 345, with 10**s = (HI + LO)·2**EX to about 2**-106 and HI
-    in [0.5, 1); built on first use from exact integers (int / int rounds
-    correctly)."""
+    """HI, LO (float64) and EX (int32), index s + 310 for s = -310 … 345,
+    with 10**s = (HI + LO)·2**EX to about 2**-106 and HI in [0.5, 1); built on
+    first use from exact integers (int / int rounds correctly)."""
     table = []
     for s in range(-310, 346):
         num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
@@ -71,15 +76,7 @@ def _powers():
         hi = num / den
         table.append((hi, ((num << 53) - int(hi * 2**53) * den) / (den << 53), ex))
     hi, lo, ex = np.array(table).T
-    c = 134217729.0 * hi
-    return np.array([c - (c - hi), hi - (c - (c - hi)), hi, lo, ex])
-
-
-@functools.cache
-def _twos():
-    """2.0**q for q < 64: _scaled's q = k + EX is 50 … 61 for a result of 16
-    to 18 digits."""
-    return 2.0 ** np.arange(64)
+    return hi, lo, ex.astype(np.int32)
 
 
 @functools.cache
@@ -138,28 +135,57 @@ def _exponents():
 def _scaled(f, k, s):
     """Nearest integer to f·2**k·10**s, and the fraction it drops, from a
     double-double product (error below 1e-13 for results under 1e17)."""
-    hh, hl, hi, lo, ex = np.take(_powers(), s + 310, axis=1)
+    HI, LO, EX = _powers()
+    s = np.add(s, 310, dtype=np.intp)
+    hi = np.take(HI, s)
+    c = 134217729.0 * hi
+    hh = c - (c - hi)
+    hl = hi - hh
     c = 134217729.0 * f
     fh = c - (c - f)
     fl = f - fh
     p = f * hi
     err = ((fh * hh - p) + fh * hl + fl * hh) + fl * hl
+    del c, hi, hh, hl, fh, fl
     # p·2**q is at least 9e15 > 2**53, so it is already an integer; a power
-    # of two this small scales exactly
-    two_q = np.take(_twos(), (k + ex).astype(np.intp))
-    tail = (err + f * lo) * two_q
+    # of two this small scales exactly.  q stays int32: with an int64 q,
+    # ldexp casts, at about 15 times the cost
+    q = np.take(EX, s) + k
+    tail = np.ldexp(err + f * np.take(LO, s), q)
     r = np.rint(tail)
-    return (p * two_q).astype(np.int64) + r.astype(np.int64), tail - r
+    n = np.ldexp(p, q).astype(np.int64)
+    n += r.astype(np.int64)
+    tail -= r
+    return n, tail
 
 
-# the grid word each of words 0…10 takes its digits from: rows 0…4 of the
-# quads (n's first digit and four quads), then '.000', then rows 0…4 again
-_SOURCE = np.array([0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4])
+def _digits(x):
+    """|x|, and n, frac and X with |x| = (n + frac)·10**(X - 16), n an
+    integer of 17 digits and |frac| <= 1/2 (n = 10**16 and X = 0 where x is
+    0, inf or nan).  Each temporary is freed once it is dead."""
+    a = np.abs(x)
+    v = np.where((a > 0) & (a < np.inf), a, 1.0)
+    f, k = np.frexp(v)
+    e = np.log10(v)
+    del v
+    e = np.floor(e, out=e).astype(np.int32)
+    n, frac = _scaled(f, k, 16 - e)
+    # log10 can be off by one next to a power of ten: n then has 16 or 18
+    # digits (n = 10**16 has 17 unless frac < 0)
+    fix = np.flatnonzero((n <= 10**16) | (n > 10**17))
+    fix = fix[(n[fix] != 10**16) | (frac[fix] < 0)]
+    if fix.size:
+        e[fix] += np.where(n[fix] > 10**17, 1, -1)
+        n[fix], frac[fix] = _scaled(f[fix], k[fix], 16 - e[fix])
+    carry = n == 10**17  # rounding reached the next power of ten
+    n[carry] = 10**16
+    e += carry
+    return a, n, frac, e
 
 
 def _cells(x, cols, sep, end) -> bytes:
-    """'%.17g' text of the flat cells x (whole rows of `cols`), each followed
-    by `sep`, or by `end` at the end of a row.
+    """'%.17g' text of the flat cells x, each followed by `end` where it
+    closes a row of `cols` cells, and by `sep` elsewhere.
 
     A cell x = ±n·10**(X-16), with n of 17 digits, is one column of a
     (words, cells) uint32 grid, NUL wherever a character is absent: sign
@@ -170,39 +196,43 @@ def _cells(x, cols, sep, end) -> bytes:
     deleting the NULs shifts each into place.  Words NUL in every cell are
     left out before the grid is transposed to text.  Cells within 1e-6 of a
     rounding tie, inf and nan take '%.17g' itself."""
-    a = np.abs(x)
-    finite = (a > 0) & (a < np.inf)
-    v = np.where(finite, a, 1.0)
-    f, k = np.frexp(v)
-    e = np.floor(np.log10(v)).astype(np.int64)
-    n, frac = _scaled(f, k, 16 - e)
-    # log10 can be off by one next to a power of ten: n then has 16 or 18 digits
-    fix = (n < 10**16) | ((n == 10**16) & (frac < 0)) | (n > 10**17)
-    if fix.any():
-        e[fix] += np.where(n[fix] > 10**17, 1, -1)
-        n[fix], frac[fix] = _scaled(f[fix], k[fix], 16 - e[fix])
-    carry = n == 10**17  # rounding reached the next power of ten
-    n[carry] = 10**16
-    X = e + carry
-    # n // 10**(16 - 4j), then row j minus 10**4 times row j - 1: n's first
-    # digit and its four quads
-    q = np.empty((5, len(x)), np.int64)
-    q[4] = n
-    for j in range(4, 0, -1):
-        np.floor_divide(q[j], 10**4, out=q[j - 1])
-    q[1:] -= 10**4 * q[:-1]
-    nd = np.take(_ends(), q[1:] + np.arange(0, 40000, 10000)[:, None]).max(axis=0)
-    np.maximum(nd, 1, out=nd)
+    a, n, frac, X = _digits(x)
+    back = np.flatnonzero(~np.isfinite(x) | (np.abs(frac) > 0.5 - 1e-6))
+    del frac
+    # n's first digit and its four quads, in int32, whose division is the
+    # faster: n // 10**8 and n % 10**8 (both fit), each then split by 10**4
+    q = np.empty((5, len(x)), np.int32)
+    top = n // 10**8
+    np.subtract(n, 10**8 * top, out=q[4])
+    q[2] = top
+    del n, top
+    np.floor_divide(q[2], 10**4, out=q[1])
+    np.floor_divide(q[1], 10**4, out=q[0])
+    np.floor_divide(q[4], 10**4, out=q[3])
+    q[1:3] -= 10**4 * q[:2]
+    q[4] -= 10**4 * q[3]
+    # the last nonzero quad gives nd: the last one, unless it is 0.  (Every
+    # index is in range; take's default mode would check each and copy `out`)
+    ends = _ends()
+    nd = np.take(ends[30000:], q[4], mode="clip")
+    z = np.flatnonzero(nd == 0)
+    if z.size:
+        nd[z] = np.take(ends, q[1:4, z] + np.arange(0, 30000, 10000)[:, None]).max(axis=0)
+    digits = np.empty((6, len(x)), np.uint32)
+    np.take(_quads(), q, out=digits[:5], mode="clip")
+    digits[5] = _quads()[10000]
+    del q
     expo = (X < -4) | (X >= 17)
-    layout = np.where(expo, 0, X + 5)
-    layout[a == 0] = 22
-    m = 17 * layout + nd - 1
+    # column 17·layout + nd - 1 of the masks; a zero has nd = 1
+    m = np.where(expo, -1, np.multiply(X, 17, dtype=np.intp) + 84)
+    m += np.maximum(nd, 1, out=nd)
+    m[a == 0] = 17 * 22
+    del a, nd
     # a word whose mask is NUL for every cell's layout is left out, so that
     # translate scans fewer bytes; word 0, which takes the sign, always has a
     # digit or '0'
     masks = _masks()
     keep = masks[:, np.bincount(m, minlength=masks.shape[1]) > 0].any(axis=1)
-    back = np.flatnonzero(~np.isfinite(x) | (np.abs(np.abs(frac) - 0.5) < 1e-6))
     if back.size:
         keep[:6] = True  # '%.17g' takes at most 24 bytes
     words = np.flatnonzero(keep)
@@ -210,20 +240,24 @@ def _cells(x, cols, sep, end) -> bytes:
     w = -(-max(len(sep), len(end)) // 4) * 4
     r, r_exp = len(words), 2 * expo.any()
     g = np.empty((r + r_exp + w // 4, len(x)), np.uint32)
-    digits = np.empty((6, len(x)), np.uint32)
-    np.take(_quads(), q, out=digits[:5])
-    digits[5] = _quads()[10000]
-    np.bitwise_and(digits[_SOURCE[words]], np.take(masks[words], m, axis=1), out=g[:r])
+    np.take(masks[words], m, axis=1, out=g[:r], mode="clip")
+    # words 0…5 take digit rows 0…5, words 6…10 rows 0…4 again
+    i = np.searchsorted(words, 6)
+    g[:i] &= digits[words[:i]]
+    g[i:r] &= digits[words[i:] - 6]
+    del digits, m
     g[0] |= np.signbit(x) * np.frombuffer(b"-\0\0\0", np.uint32)[0]
     if r_exp:
-        g[r:r + 2] = np.take(_exponents(), np.where(expo, X + 324, 633), axis=1)
+        np.take(_exponents(), np.where(expo, X + 324, 633), axis=1, out=g[r:r + 2], mode="clip")
     g[r + r_exp:] = np.frombuffer(sep.ljust(w, b"\0"), np.uint32)[:, None]
     g[r + r_exp:, cols - 1::cols] = np.frombuffer(end.ljust(w, b"\0"), np.uint32)[:, None]
     if back.size:
         text = [b"%.17g" % c for c in x[back].tolist()]
         g[:6, back] = np.array(text, "S24").view(np.uint32).reshape(-1, 6).T
         g[6:r + r_exp, back] = 0
-    return g.T.tobytes().translate(None, b"\0")
+    raw = g.T.tobytes()
+    del g
+    return raw.translate(None, b"\0")
 
 
 def _json_value(v) -> str:
@@ -281,7 +315,10 @@ def load_config_file(path) -> dict:
     except UnicodeDecodeError as exc:
         raise KaonbraidError(f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} at offset "
                              f"{exc.start}") from None
-    # newline=None reads \r\n and \r line ends as text-mode open() does
+    # a leading BOM goes after decoding, so that the offset above counts the
+    # file's own bytes; newline=None reads \r\n and \r line ends as text-mode
+    # open() does
+    text = text.removeprefix("\ufeff")
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:

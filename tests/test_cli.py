@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,23 @@ KERNEL_CASES = np.array([
     9.9999999999999999e22, 0.99999999999999999, 99999999999999999.0,
 ])
 
+# 17-digit n that end in zeros, so that fewer than 17 digits are written: a
+# last quad of 0 after nonzero ones, only the first digit nonzero (n = 10**16,
+# 0.5, 1e5) or the first two, and a nonzero last quad that ends in 0
+TRAILING_ZEROS = np.array([1.234567890123, 123456789.0, 1.23456789012e-7, 9.87e250, 1e16,
+                           1e5, 0.5, 3.0, 0.25, 6.5e-300, 1.234567890123456])
+_rng = np.random.default_rng(19)
+_signs = np.where(_rng.random((512, 4)) < 0.5, -1.0, 1.0)
+# blocks of one kind only: every cell in exponent form, none, only zeros, and
+# only ties (which '%.17g' itself writes)
+HOMOGENEOUS = {
+    "exponent form": _signs * _rng.uniform(1, 10, (512, 4))
+    * 10.0 ** _rng.choice([-300, -8, 20, 300], (512, 4)),
+    "fixed form": _signs * 10.0 ** _rng.uniform(-4, 17, (512, 4)),
+    "zeros": _signs * 0.0,
+    "ties": np.concatenate([TIES, -TIES]).reshape(-1, 2),
+}
+
 
 class TestKernel:
     # fmt formats a block in one kernel call (write_table hands it KERNEL_CELLS
@@ -99,11 +117,60 @@ class TestKernel:
         block = np.concatenate([TIES, -TIES]).reshape(-1, 1)
         assert fmt(block) == per_cell(block)
 
+    def test_digits_ending_in_zeros(self):
+        rng = np.random.default_rng(8)
+        cells = np.concatenate([TRAILING_ZEROS, -TRAILING_ZEROS])
+        # alone, and scattered over cells of 17 digits
+        mixed = rng.normal(size=(64, 4))
+        mixed.ravel()[rng.permutation(mixed.size)[:len(cells)]] = cells
+        for block in (cells.reshape(-1, 2), mixed):
+            assert fmt(block) == per_cell(block)
+
+    @pytest.mark.parametrize("kind", sorted(HOMOGENEOUS))
+    def test_homogeneous_blocks(self, kind):
+        block = HOMOGENEOUS[kind]
+        if kind.endswith("form"):
+            exponents = {"e" in format(v, ".17g") for v in block.ravel().tolist()}
+            assert exponents == {kind == "exponent form"}
+        assert fmt(block) == per_cell(block)
+        assert fmt(block, ", ", "], [") == per_cell(block, ", ", "], [")
+
+    @pytest.mark.parametrize("k", [4, 7, 10])
+    @pytest.mark.parametrize("cells", [KERNEL_CELLS, KERNEL_CELLS + 1])
+    def test_block_of_kernel_cells(self, cells, k):
+        # the most cells write_table hands the kernel at once, and one more;
+        # a row of k cells may end inside the block, or not at its end
+        rng = np.random.default_rng(cells * k)
+        x = rng.normal(size=cells) * 10.0 ** rng.integers(-30, 30, size=cells)
+        x[rng.permutation(cells)[:len(KERNEL_CASES)]] = KERNEL_CASES
+        expected = "".join(format(v, ".17g") + ("\n" if i % k == k - 1 else ",")
+                           for i, v in enumerate(x.tolist()))
+        assert cli._cells(x, k, ",", "\n").decode() == expected
+
     def test_random_bit_patterns(self):
         # every exponent, subnormals and nan payloads
         rng = np.random.default_rng(2024)
         block = np.frombuffer(rng.bytes(8 * 200_000), np.float64).reshape(-1, 8)
         assert fmt(block) == per_cell(block)
+
+
+def test_block_memory_stays_bounded():
+    # the block size rests on the kernel's footprint, which frees each
+    # temporary once it is dead: one KERNEL_CELLS-cell fmt call on random bits
+    # peaked at 964,755 traced bytes (118 B per cell, numpy 2.4.6)
+    rng = np.random.default_rng(0)
+    block = np.frombuffer(rng.bytes(8 * KERNEL_CELLS), np.float64).reshape(-1, 4)
+    fmt(block[:1])  # the kernel's tables are built on first use
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    fmt(block)
+    peak = tracemalloc.get_traced_memory()[1] - held
+    if not tracing:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 def reference_json_value(v) -> str:
@@ -259,6 +326,24 @@ class TestConfig:
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(cfg) in err
         assert "0xff" in err and "offset 10" in err
+
+    def test_leading_bom_is_skipped(self, tmp_path):
+        # an editor's UTF-8 byte order mark is not part of the first key
+        text = b"sign = minus\nsteps = 7\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_config_file(bom) == load_config_file(plain) == {"sign": "minus", "steps": "7"}
+        args = build_parser().parse_args(["oscillate", "--config", str(bom)])
+        assert resolve(args)["sign"] == "minus"
+
+    def test_bom_file_not_utf8_names_its_own_byte(self, tmp_path, capsys):
+        # the offset counts the BOM's 3 bytes, as the file holds them
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfab\xff")
+        code, out, err = run_cli(capsys, "oscillate", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "byte 0xff at offset 5" in err
 
     def test_malformed_number_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -545,7 +630,7 @@ def test_cli_import_builds_no_format_table():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     sizes = json.loads(proc.stdout)
-    assert {"_powers", "_twos", "_quads", "_ends", "_masks", "_exponents",
+    assert {"_powers", "_quads", "_ends", "_masks", "_exponents",
             "_keep_freed_memory"} <= set(sizes)
     assert not any(sizes.values()), sizes
 

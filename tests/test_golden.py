@@ -49,7 +49,7 @@ CASES = {
 # them).  The evolve pin was taken from the per-cell writer that came before
 # the chunked one; the oscillate pins from the chunked writer, with every
 # cell checked to be '%.17g' of oscillation_curve's value.  The rho-report
-# pins span 9 blocks of 585 rows, on a grid where 1/(1/t) != t at some points.
+# pins span 5 blocks of 1,170 rows, on a grid where 1/(1/t) != t at some points.
 HASHED = {
     "oscillate --steps 9000 --format csv":
         "76629fd19a6695a0321a48b3e1e545691acf68cf0bd0e865a9bac05e67833e18",
