@@ -208,16 +208,17 @@ class TestWriteTable:
     # one row, both sides of the first block boundary, and two boundaries
     # crossed: n1 rows of a one-column table, whose blocks are KERNEL_CELLS
     # rows, and the rows at the same place before or after a boundary of
-    # blocks of KERNEL_CELLS // k rows for k columns
-    @pytest.mark.parametrize("n1", [1, KERNEL_CELLS - 1, KERNEL_CELLS, KERNEL_CELLS + 1,
-                                    2 * KERNEL_CELLS + 1])
+    # blocks of KERNEL_CELLS // k rows for k columns; below KERNEL_CELLS - 1,
+    # n1 rows of every width (both sides of the first boundary for two columns)
+    @pytest.mark.parametrize("n1", [1, 4095, 4096, 4097, KERNEL_CELLS - 1, KERNEL_CELLS,
+                                    KERNEL_CELLS + 1, 2 * KERNEL_CELLS + 1])
     # no shrinking: the bits come from a seed, so a smaller seed is no simpler
-    # table, and each attempt would rewrite about 8,200 cells twice
+    # table, and each attempt would rewrite up to 41,000 cells twice
     @settings(max_examples=4, deadline=None, phases=[Phase.explicit, Phase.generate])
     @given(k=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
            cells=st.lists(st.floats() | st.sampled_from(SPECIAL_CELLS), min_size=1, max_size=40))
     def test_chunked_matches_per_cell(self, n1, k, seed, cells):
-        blocks = round(n1 / KERNEL_CELLS)
+        blocks = (n1 + 1) // KERNEL_CELLS
         n = blocks * (KERNEL_CELLS // k) + n1 - blocks * KERNEL_CELLS
         # arbitrary float64 bit patterns (every exponent, subnormals, nan
         # payloads), with the drawn cells scattered over them
