@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .linalg import _nonnegative, elementwise, frobenius, tensor_product, trace4
+from .linalg import _nonnegative, cexp, elementwise, frobenius, tensor_product, trace4
 
 SIGNS = ("plus", "minus")
 
@@ -130,8 +130,8 @@ def unitary_r(spec: BraidSpec, x) -> np.ndarray:
     """
     theta = elementwise(math.atan, _nonnegative(x, "spectral parameter x"))
     bt = unitary_braid(spec)
-    cos, sin = (elementwise(f, theta)[..., None, None] for f in (math.cos, math.sin))
-    return cos * bt + sin * bt.conj().swapaxes(-1, -2)
+    rot = cexp(0.0, theta)[..., None, None]
+    return rot.real * bt + rot.imag * bt.conj().swapaxes(-1, -2)
 
 
 def _positive_t(t) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .braid import BraidSpec, unitary_braid, unitary_r
 from .errors import DomainError
-from .linalg import _nonnegative, elementwise, frobenius
+from .linalg import _nonnegative, cexp, elementwise, frobenius
 from .states import state_stack
 
 
@@ -103,8 +103,8 @@ def propagator(spec: BraidSpec, t0: float, t1) -> np.ndarray:
     if math.isnan(t0) or nan.any():
         raise DomainError(f"times must not be NaN: t0={t0}, t1={float(t1.flat[nan.argmax()])}")
     angle = _rotation_angle(t0, t1)
-    cos, sin = (elementwise(f, angle)[..., None, None] for f in (math.cos, math.sin))
-    return cos * np.eye(4) - (1j * sin) * hamiltonian_generator(spec)
+    rot = cexp(0.0, angle)[..., None, None]
+    return rot.real * np.eye(4) - (1j * rot.imag) * hamiltonian_generator(spec)
 
 
 def schrodinger_residual(state0, spec: BraidSpec, t):

@@ -1,5 +1,5 @@
 """Small-dimension complex linear algebra: tensor products and Frobenius
-residuals.
+residuals, and the per-element functions that keep math's bits.
 
 Everything here works on plain numpy arrays of shape (d, d), or on (N, d, d)
 stacks of them, whose shapes the callers know; nothing checks them again.
@@ -21,12 +21,32 @@ def elementwise(f, a):
     complex array; anything else is read as float.
 
     numpy's ufuncs are not math's bit for bit (numpy 2.4.6, 400,000 uniform
-    draws: np.arctan differs from math.atan on 549 in [-10, 10], np.tan from
-    math.tan on 2,022 in [-π/2, π/2]), so angles that a stack must share with
-    its points taken one by one go through math."""
+    draws: np.arctan differs from math.atan on 549 in [-10, 10]; 100,000
+    draws: np.expm1 from math.expm1 on 6,747 in [-10, 10]), so atan, expm1
+    and pow, which a stack must share with its points taken one by one, go
+    through math.  exp, cos and sin go through cexp instead."""
     kind = complex if np.iscomplexobj(a) else float
     a = np.asarray(a, dtype=kind)
     return np.fromiter(map(f, a.ravel().tolist()), kind, a.size).reshape(a.shape)
+
+
+def cexp(re, im) -> np.ndarray:
+    """e^{re + i·im} as a complex array of the broadcast shape (0-d for two
+    numbers), with the bits of cmath.exp(complex(re, im)) per element for
+    every re <= 0 (-inf included) and finite im.  So cexp(x, 0.0).real is
+    math.exp(x), and cexp(0.0, θ) is math.cos(θ) + i·math.sin(θ).
+
+    numpy's complex exp is not its SIMD float exp: it calls the C library's
+    cexp per element, in C, and glibc's cexp is exp(re)·(cos im + i·sin im)
+    from the exp, cos and sin that math calls, as cmath.exp is.  Above
+    re ≈ 708.4 the two rescale by e at different points (CPython above
+    log(DBL_MAX/4), glibc above 709), so there the bits may differ.  The
+    parts are set one by one: re + 1j·im would turn a -0.0 imaginary part
+    into 0.0."""
+    re, im = np.broadcast_arrays(re, im)
+    z = np.empty(re.shape, complex)
+    z.real, z.imag = re, im
+    return np.exp(z, out=z)
 
 
 def _nonnegative(a, name: str) -> np.ndarray:

@@ -9,7 +9,6 @@ chosen as a well-conditioned configuration default, not derived values.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .linalg import _nonnegative, elementwise
+from .linalg import _nonnegative, cexp, elementwise
 
 FLAVORS = ("K", "Kbar")
 
@@ -66,18 +65,9 @@ def _finite_phase(name: str, m, t, phase) -> None:
         raise DomainError(f"{name}*t overflows: {name} = {m!r}, t = {t!r}")
 
 
-def _complex(re, im) -> np.ndarray:
-    """re + i·im as a complex array of the broadcast shape, each part's bits
-    kept: re + 1j·im would turn a -0.0 imaginary part into 0.0."""
-    re, im = np.broadcast_arrays(re, im)
-    z = np.empty(re.shape, complex)
-    z.real, z.imag = re, im
-    return z
-
-
 def _exponents(params: KaonParams, t):
     """(Δm·t, y) with y = |γ_S - γ_L|·t/2 for a validated t; DomainError if
-    Δm·t overflows, on which cmath.exp raises.  Quiet, as Python floats are:
+    Δm·t overflows, as e^{i·Δm·t} then has no value.  Quiet, as Python floats are:
     Δm itself may overflow, inf·0 is nan, and y may overflow to inf, which
     makes e^{-y} = 0."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -91,8 +81,9 @@ def u_factors(params: KaonParams, t):
     """Decaying phases U_{S,L}(t) = e^{-alpha_{S,L}·t} for finite t >= 0.
 
     Two complex arrays of the broadcast shape of t and the parameters (0-d
-    for a number t and a single parameter set).  Each factor is one cmath.exp
-    pass over x + i·y with x = -(γ/2)·t and y = -(m + 0)·t.  Those are the
+    for a number t and a single parameter set).  Each factor is one
+    linalg.cexp of x + i·y with x = -(γ/2)·t and y = -(m + 0)·t: the bits of
+    cmath.exp per element, as x <= 0.  Those are the
     parts of Python's complex product -alpha·t but for the sign of a zero: on
     13 of the 36 (γ, m, t) in {0.0, -0.0, 1.0} × {±0.0, ±0.474} × {0, 1, 2.5}
     y is -0.0 where that product's imaginary part is +0.0, so U's imaginary
@@ -104,7 +95,7 @@ def u_factors(params: KaonParams, t):
         with np.errstate(over="ignore"):
             x, y = -(g / 2.0) * t, -(m + 0.0) * t
         _finite_phase(name, m, t, y)
-        factors.append(elementwise(cmath.exp, _complex(x, y)))
+        factors.append(cexp(x, y))
     return tuple(factors)
 
 
@@ -126,10 +117,10 @@ def transition_probability(params: KaonParams, t, frm: str, to):
     sums of non-negative terms: no cancellation near t = 0, and a product
     that would overflow is e^{-inf} = 0.  `to` may also be a sequence of
     flavors, such as FLAVORS: the result then gains a last axis, one column
-    per flavor, all from one math.exp, one math.expm1 and one cmath.exp pass.
-    Every t must be finite and >= 0; the functions are math's and cmath's per
-    element (linalg.elementwise), so an array gives the bits of its points
-    taken one by one.
+    per flavor, all from two linalg.cexp calls (a = cexp(-γ_min·t/2, 0).real
+    and w) and one math.expm1 pass (linalg.elementwise).  Every t must be
+    finite and >= 0; each exponential has the bits of math's or cmath's per
+    element, so an array gives the bits of its points taken one by one.
     """
     flavors = (to,) if isinstance(to, str) else tuple(to)
     if frm not in FLAVORS or not flavors or not set(flavors) <= set(FLAVORS):
@@ -137,9 +128,9 @@ def transition_probability(params: KaonParams, t, frm: str, to):
     t = _nonnegative(t, "time t")
     phase, y = _exponents(params, t)
     with np.errstate(over="ignore"):
-        a = elementwise(math.exp, -np.minimum(params.gamma_s, params.gamma_l) * t / 2.0)
+        a = cexp(-np.minimum(params.gamma_s, params.gamma_l) * t / 2.0, 0.0).real
     e = elementwise(math.expm1, -y)
-    w = elementwise(cmath.exp, _complex(-y / 2.0, phase / 2.0))
+    w = cexp(-y / 2.0, phase / 2.0)
     a2, quarter = a * a, e * e / 4.0
     same, flip = a2 * (quarter + w.real * w.real), a2 * (quarter + w.imag * w.imag)
     columns = [same if frm == f else flip for f in flavors]
@@ -151,7 +142,7 @@ def survival_probability(params: KaonParams, t):
     arrays of t or stacked parameters give an array."""
     t = _nonnegative(t, "time t")
     with np.errstate(over="ignore"):
-        es, el = [elementwise(math.exp, -g * t) for g in (params.gamma_s, params.gamma_l)]
+        es, el = [cexp(-g * t, 0.0).real for g in (params.gamma_s, params.gamma_l)]
     return (es + el) / 2.0
 
 
@@ -160,7 +151,7 @@ def oscillation_curve(params: KaonParams, t) -> np.ndarray:
 
     asymmetry = (P_same - P_flip)/(P_same + P_flip) = cos(Δm·t)·sech(y) with
     y = |γ_S - γ_L|·t/2, evaluated as 2·Re z/(1 + |z|²) with
-    z = e^{-y + i·Δm·t} (one cmath.exp pass): the ratio is 0/0 once both
+    z = e^{-y + i·Δm·t} (one linalg.cexp call): the ratio is 0/0 once both
     probabilities underflow, and cosh overflows.
     The table is of one parameter set: a stacked KaonParams raises.
     """
@@ -170,6 +161,6 @@ def oscillation_curve(params: KaonParams, t) -> np.ndarray:
     probabilities = transition_probability(params, t, "K", FLAVORS)
     t = np.asarray(t, dtype=float)
     phase, y = _exponents(params, t)
-    z = elementwise(cmath.exp, _complex(-y, phase))
+    z = cexp(-y, phase)
     asym = 2.0 * z.real / (1.0 + (z.real * z.real + z.imag * z.imag))
     return np.column_stack([t, probabilities, asym])

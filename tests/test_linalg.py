@@ -1,5 +1,10 @@
 import cmath
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kaonbraid.linalg import (
+    cexp,
     elementwise,
     hermiticity_residual,
     tensor_product,
@@ -80,6 +86,97 @@ class TestElementwise:
         for a in (2, [0, 1], np.arange(3)):
             out = elementwise(math.exp, a)
             assert out.dtype == float and out.shape == np.shape(a)
+
+
+def bits(a):
+    """The 64-bit patterns of a's parts, zero signs and NaN payloads included."""
+    return np.atleast_1d(np.asarray(a)).view(np.uint64).tolist()
+
+
+# cexp's domain: re <= 0, -inf included, and every finite im, with the
+# signed zeros, subnormals and huge magnitudes drawn often
+RE = (st.sampled_from([-math.inf, -0.0, 0.0, -5e-324, -(2.0 ** -1022), -745.2, -708.4, -1e308])
+      | st.floats(-1e308, 0.0))
+IM = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, math.pi, 1e300, -1e300])
+      | st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestCexp:
+    """cexp(re, im) is cmath.exp(complex(re, im)) per element, bit for bit, for
+    re <= 0; so its parts are math.exp, math.cos and math.sin."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(RE, IM), min_size=1, max_size=50))
+    @example([(-math.inf, -0.0), (-math.inf, 1.0), (-math.inf, -2.0), (-0.0, -0.0), (0.0, -0.0),
+              (-1e6, 1e300), (-1e308, -1e300), (-5e-324, 5e-324), (-745.2, -3.0)])
+    def test_is_cmath_exp(self, points):
+        re, im = (np.array(part) for part in zip(*points))
+        expected = [cmath.exp(complex(x, y)) for x, y in points]
+        assert bits(cexp(re, im)) == bits(np.array(expected))
+
+    def test_numbers_give_a_0d_array(self):
+        z = cexp(-1.5, -0.0)
+        assert z.shape == () and z.dtype == complex
+        assert bits(z) == bits(cmath.exp(complex(-1.5, -0.0)))
+
+    @settings(deadline=None)
+    @given(st.lists(RE, min_size=1, max_size=50))
+    # the last three are points where numpy's SIMD float exp is not math.exp
+    @example([-math.inf, -0.0, 0.0, -5e-324, -745.2, -745.1, -1e-300,
+              -0.15804366653970836, -2.4768151837032377, -642.9063460737776])
+    def test_real_axis_is_math_exp(self, x):
+        assert bits(cexp(np.array(x), 0.0).real) == bits(np.array([math.exp(v) for v in x]))
+
+    @settings(deadline=None)
+    @given(st.lists(IM, min_size=1, max_size=50))
+    @example([0.0, -0.0, 5e-324, math.pi / 2, math.pi, 1e22, 1e300, -1.7976931348623157e308])
+    def test_imaginary_axis_is_math_cos_and_sin(self, theta):
+        rot = cexp(0.0, np.array(theta))
+        assert bits(rot.real) == bits(np.array([math.cos(v) for v in theta]))
+        assert bits(rot.imag) == bits(np.array([math.sin(v) for v in theta]))
+
+    def test_diverges_above_the_domain(self):
+        # CPython rescales by e above log(DBL_MAX/4) ≈ 708.4 and glibc only
+        # above 709: between them the last bits may differ
+        got, expected = cexp(709.0, 0.5).item(), cmath.exp(complex(709.0, 0.5))
+        assert got != expected
+        assert abs(got - expected) <= 1e-15 * abs(expected)
+
+
+# glibc picks its exp, sin and cos variants by CPU feature; this tunable masks
+# those features in the child alone (glibc 2.36 silently ignores the
+# -AVX2_Usable,-FMA_Usable spelling).  On this variant math's bits themselves
+# may move, and cexp must move with them.
+LIBM_VARIANT = "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"
+IDENTITY_CHECK = textwrap.dedent("""
+    import cmath, math
+    import numpy as np
+    from kaonbraid.linalg import cexp
+
+    rng = np.random.default_rng(20)
+    n = 20000
+    re = np.concatenate([-np.exp(rng.uniform(-745.0, 709.0, n)), rng.uniform(-50.0, 0.0, n),
+                         [-np.inf, -0.0, 0.0, -5e-324]])
+    im = np.concatenate([rng.uniform(-20.0, 20.0, n), rng.uniform(-1e300, 1e300, n),
+                         [1.0, -0.0, 5e-324, 0.0]])
+    got = cexp(re, im)
+    want = np.array([cmath.exp(complex(x, y)) for x, y in zip(re.tolist(), im.tolist())])
+    e = np.array([math.exp(x) for x in re.tolist()])
+    cos = np.array([math.cos(y) for y in im.tolist()])
+    sin = np.array([math.sin(y) for y in im.tolist()])
+    rot = cexp(0.0, im)
+    for a, b in ((got, want), (cexp(re, 0.0).real, e), (rot.real, cos), (rot.imag, sin)):
+        print(int((a.view(np.uint64) != b.view(np.uint64)).sum()))
+""")
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="needs glibc's hwcaps tunable")
+def test_cexp_identity_holds_on_another_libm_variant():
+    proc = subprocess.run([sys.executable, "-c", IDENTITY_CHECK], capture_output=True, text=True,
+                          env={**os.environ, "GLIBC_TUNABLES": LIBM_VARIANT})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0", "0"]
 
 
 # signed zeros and the smallest subnormals often enough that a diagonal of

@@ -281,9 +281,10 @@ class TestFlavorStack:
 
 
 class TestPassCounts:
-    """Each exponential takes one math or cmath pass (linalg.elementwise) over
-    the whole array: the curve and the oscillation check share them across
-    flavors and parameter sets instead of repeating them."""
+    """Each exponential takes one pass over the whole array: exp, cos and sin
+    one linalg.cexp call in C, expm1 one math pass (linalg.elementwise).  The
+    curve and the oscillation check share them across flavors and parameter
+    sets instead of repeating them."""
 
     @staticmethod
     def counted(monkeypatch, name):
@@ -299,22 +300,26 @@ class TestPassCounts:
 
     def test_u_factors(self, monkeypatch):
         passes = self.counted(monkeypatch, "elementwise")
+        exps = self.counted(monkeypatch, "cexp")
         u_factors(KaonParams(), grid(12.0, 100))
-        assert [f for f, _ in passes] == [cmath.exp, cmath.exp]
+        assert len(exps) == 2 and passes == []
 
     def test_curve(self, monkeypatch):
         passes = self.counted(monkeypatch, "elementwise")
+        exps = self.counted(monkeypatch, "cexp")
         transitions = self.counted(monkeypatch, "transition_probability")
         oscillation_curve(KaonParams(), grid(12.0, 12000))
         # a, E and w for both flavors, then the asymmetry's z
-        assert [f for f, _ in passes] == [math.exp, math.expm1, cmath.exp, cmath.exp]
+        assert [f for f, _ in passes] == [math.expm1]
+        assert len(exps) == 3
         assert len(transitions) == 1
 
     def test_check_oscillation(self, monkeypatch):
         from kaonbraid.verify import check_oscillation
 
         passes = self.counted(monkeypatch, "elementwise")
+        exps = self.counted(monkeypatch, "cexp")
         check_oscillation(0)
-        # two curves (4 each), flip_back (3), survival (2) and the stacked
-        # draws: u_factors (2) and one flavor stack (3); 427 per draw before
-        assert len(passes) == 18
+        # two curves (3 cexp + 1 expm1 each), flip_back (2 + 1), survival (2)
+        # and the stacked draws: u_factors (2) and one flavor stack (2 + 1)
+        assert (len(exps), len(passes)) == (14, 4)
