@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__, braid, dynamics, oscillation, states, verify
 from .braid import BraidSpec
 from .errors import KaonbraidError
-from .linalg import frobenius
+from .linalg import norm4
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -482,21 +482,21 @@ def parse_state(text) -> states.TwoKaonState:
 
 def cmd_evolve(cfg) -> int:
     spec = BraidSpec(cfg["sign"], cfg["phi"])
-    psi0 = parse_state(cfg["state"])
+    psi0 = parse_state(cfg["state"]).vector
     t0, t1, steps = cfg["t0"], cfg["t1"], cfg["steps"]
     columns = ["t", "re_a0", "im_a0", "re_a1", "im_a1", "re_a2", "im_a2",
                "re_a3", "im_a3", "norm"]
     t = linear_grid(t0, t1, steps, lo_is_t0=True)
-    psi = dynamics.propagator(spec, t0, t) @ psi0.vector
+    psi = dynamics.evolve_state(psi0, spec, t0, t)
     # a complex (N, 4) array read as float is (N, 8): re_a0, im_a0, re_a1, ...
-    table = np.column_stack([t, psi.view(float), frobenius(psi[:, None, :])])
-    final = dynamics.propagator(spec, t0, t1) @ psi0.vector
-    round_trip = dynamics.propagator(spec, t1, t0) @ final
+    table = np.column_stack([t, psi.view(float), norm4(psi)])
+    final = dynamics.evolve_state(psi0, spec, t0, t1)
+    round_trip = dynamics.evolve_state(final, spec, t1, t0)
     extra = {
-        "norm_drift": abs(float(np.linalg.norm(final)) - 1.0),
-        "round_trip_error": float(np.linalg.norm(round_trip - psi0.vector)),
+        "norm_drift": abs(float(norm4(final)) - 1.0),
+        "round_trip_error": float(norm4(round_trip - psi0)),
         "schrodinger_residual": float(dynamics.schrodinger_residual(
-            psi0.vector, spec, (t0 + t1) / 2.0 if t0 != t1 else t0
+            psi0, spec, (t0 + t1) / 2.0 if t0 != t1 else t0
         )[0]),
     }
     _emit(cfg, "evolve", columns, table, extra)

@@ -1,17 +1,22 @@
 """Time evolution of two-kaon states under the braid-derived Hamiltonians.
 
-The generator is the constant Hermitian H₀ = -i·b̃² (so H₀² = I) with the
-even scalar envelope f(t) = 1/(1+t²):
+Let N = b - I.  Since b² - 2b + 2I = 0 and b + b† = 2I, N = b̃² (b̃ = b/√2),
+N² = -I and N† = -N.  The generator is the constant Hermitian H₀ = -i·b̃²
+= -i·N (so H₀² = I) with the even scalar envelope f(t) = 1/(1+t²):
 
     H±(t) = f(t)·H₀.
 
 All H(t) commute and H₀² = I, so the exact propagator from t0 to t1 is
 
-    U(t0, t1) = exp(-i·α·H₀) = cos α·I - i·sin α·H₀,  α = arctan t1 - arctan t0
+    U(t0, t1) = exp(-i·α·H₀) = cos α·I - sin α·N,  α = arctan t1 - arctan t0
     (taken without cancellation, see _rotation_angle),
 
 which also coincides with the relative action R̃(θ(t))·R̃(0)⁻¹ of the unitary
-spectral family (both equal exp(-θ·b̃²) since b̃⁴ = -I).
+spectral family (both equal exp(-θ·b̃²) since b̃⁴ = -I).  N's nonzero entries
+are b's off-diagonal ones, all on the anti-diagonal: q and -1/q at (0, 3)
+and (3, 0), ±1 at (1, 2) and (2, 1).  So a state evolves as
+ψ(t) = cos α·ψ₀ - sin α·(N·ψ₀) on two real numbers per time (evolve_state),
+and every matrix here is built from the one N of _generator.
 """
 
 from __future__ import annotations
@@ -20,16 +25,22 @@ import math
 
 import numpy as np
 
-from .braid import BraidSpec, unitary_braid, unitary_r
+from . import braid
+from .braid import BraidSpec, unitary_r
 from .errors import DomainError
 from .linalg import _nonnegative, cexp, elementwise, frobenius
 from .states import state_stack
 
 
+def _generator(spec: BraidSpec) -> np.ndarray:
+    """N = b - I, or the stack of them for an array-φ spec.  b comes through
+    the braid module, so that a braid_matrix patched there reaches it."""
+    return braid.braid_matrix(spec) - np.eye(4)
+
+
 def hamiltonian_generator(spec: BraidSpec) -> np.ndarray:
-    """H₀ = -i·b̃±²(φ): Hermitian with H₀² = I."""
-    bt = unitary_braid(spec)
-    return -1j * (bt @ bt)
+    """H₀ = -i·N = -i·b̃±²(φ): Hermitian with H₀² = I."""
+    return -1j * _generator(spec)
 
 
 def envelope(t: float) -> float:
@@ -46,8 +57,8 @@ def hamiltonian_at(spec: BraidSpec, t) -> np.ndarray:
 
 
 def _rotation_angle(t0: float, t1) -> np.ndarray:
-    """α = arctan t1 - arctan t0 per element of the array t1 (a float for a
-    0-d t1), for times that are not NaN.
+    """α = arctan t1 - arctan t0 per element of t1, a number or an array (a
+    float for a number); DomainError if t0 or any t1 is NaN.
 
     Where t0·t1 > 0 the difference cancels as both angles near ±π/2 (11%
     off at t0 = 1e8, t1 = 1e8 + 10), so α is arctan((t1 - t0)/(1 + t0·t1))
@@ -56,6 +67,10 @@ def _rotation_angle(t0: float, t1) -> np.ndarray:
     ±π/2) arctan(1/t0 - 1/t1), in which 1/∞ is 0.  Where t0·t1 <= 0,
     t0 = 0 included, the difference has no cancellation and stays.
     """
+    t1 = np.asarray(t1, dtype=float)
+    nan = np.isnan(t1)
+    if math.isnan(t0) or nan.any():
+        raise DomainError(f"times must not be NaN: t0={t0}, t1={float(t1.flat[nan.argmax()])}")
     if t1.ndim == 0:
         return _angle_of_floats(t0, float(t1))
     # math, not numpy, per element: each row then has the bits of its own call
@@ -91,20 +106,39 @@ def _angle_of_floats(t0: float, t1: float) -> float:
 
 
 def propagator(spec: BraidSpec, t0: float, t1) -> np.ndarray:
-    """Exact unitary propagator cos α·I - i·sin α·H₀, α = arctan t1 - arctan t0
+    """Exact unitary propagator cos α·I - sin α·N, α = arctan t1 - arctan t0
     (_rotation_angle).
 
     An array of t1 that broadcasts against an array-φ spec gives the stack of
-    shape broadcast(t1, φ) + (4, 4), from one H₀ per φ.  Infinite times are
+    shape broadcast(t1, φ) + (4, 4), from one N per φ.  Infinite times are
     allowed (arctan ±∞ = ±π/2); NaN raises DomainError.
     """
-    t1 = np.asarray(t1, dtype=float)
-    nan = np.isnan(t1)
-    if math.isnan(t0) or nan.any():
-        raise DomainError(f"times must not be NaN: t0={t0}, t1={float(t1.flat[nan.argmax()])}")
-    angle = _rotation_angle(t0, t1)
-    rot = cexp(0.0, angle)[..., None, None]
-    return rot.real * np.eye(4) - (1j * rot.imag) * hamiltonian_generator(spec)
+    rot = cexp(0.0, _rotation_angle(t0, t1))[..., None, None]
+    return rot.real * np.eye(4) - rot.imag * _generator(spec)
+
+
+def evolve_state(state0, spec: BraidSpec, t0: float, t1) -> np.ndarray:
+    """U(t0, t1)·ψ₀ = cos α·ψ₀ - sin α·(N·ψ₀) for the 4 amplitudes ψ₀ = state0,
+    taken as given: 4 amplitudes for a number t1, shape t1.shape + (4,) for
+    an array.  Times as in propagator.
+
+    No matrix product: N·ψ₀ is the four products (q·ψ₃, σ·ψ₂, -σ·ψ₁, -ψ₀/q)
+    of N's anti-diagonal with ψ₀ reversed, each as Python's complex product
+    forms it, and each real and imaginary part
+    is c·x - s·y from the parts c, s of cexp(0.0, α), then + 0.0 so that a
+    zero is +0.0 and prints as 0.  A row has the bits of its time alone.
+    """
+    rot = cexp(0.0, _rotation_angle(t0, t1))[..., None]
+    psi0 = np.ascontiguousarray(state0, dtype=complex)
+    n, p = _generator(spec)[..., ::-1].diagonal(0, -2, -1), psi0[::-1]
+    # in real arithmetic: numpy's complex multiply may fuse a·c - b·d (FMA)
+    n_psi0 = np.stack([n.real * p.real - n.imag * p.imag,
+                       n.real * p.imag + n.imag * p.real], axis=-1)
+    # a complex 4-vector read as float is its 8 parts: re_a0, im_a0, re_a1, ...
+    parts = rot.real * psi0.view(float)
+    parts -= rot.imag * n_psi0.reshape(n_psi0.shape[:-2] + (8,))
+    parts += 0.0
+    return parts.view(complex)
 
 
 def schrodinger_residual(state0, spec: BraidSpec, t):

@@ -1,8 +1,10 @@
-"""Small-dimension complex linear algebra: tensor products and Frobenius
-residuals, and the per-element functions that keep math's bits.
+"""Small-dimension complex linear algebra: tensor products, Frobenius
+residuals and state norms, and the per-element functions that keep math's
+bits.
 
-Everything here works on plain numpy arrays of shape (d, d), or on (N, d, d)
-stacks of them, whose shapes the callers know; nothing checks them again.
+Everything here works on plain numpy arrays of shape (d, d) or (4,), or on
+(N, d, d) or (N, 4) stacks of them, whose shapes the callers know; nothing
+checks them again.
 All functions are pure; nothing mutates its inputs.
 """
 
@@ -16,18 +18,16 @@ from .errors import DomainError
 
 
 def elementwise(f, a):
-    """A math-module function f of each element of a: an array of a's shape
-    (0-d for a number).  A complex a takes a cmath function and gives a
-    complex array; anything else is read as float.
+    """A math-module function f of each element of a, read as float: a float
+    array of a's shape (0-d for a number).
 
     numpy's ufuncs are not math's bit for bit (numpy 2.4.6, 400,000 uniform
-    draws: np.arctan differs from math.atan on 549 in [-10, 10]; 100,000
-    draws: np.expm1 from math.expm1 on 6,747 in [-10, 10]), so atan, expm1
+    draws: np.arctan differs from math.atan on 549 in [-10, 10]), so atan
     and pow, which a stack must share with its points taken one by one, go
-    through math.  exp, cos and sin go through cexp instead."""
-    kind = complex if np.iscomplexobj(a) else float
-    a = np.asarray(a, dtype=kind)
-    return np.fromiter(map(f, a.ravel().tolist()), kind, a.size).reshape(a.shape)
+    through math.  exp, cos and sin go through cexp instead, and expm1
+    through expm1."""
+    a = np.asarray(a, dtype=float)
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
 def cexp(re, im) -> np.ndarray:
@@ -47,6 +47,19 @@ def cexp(re, im) -> np.ndarray:
     z = np.empty(re.shape, complex)
     z.real, z.imag = re, im
     return np.exp(z, out=z)
+
+
+def expm1(x) -> np.ndarray:
+    """e^x - 1 as a float array of x's shape (0-d for a number), with the bits
+    of math.expm1 per element for every x <= 0 (-0.0 and -inf included).
+
+    numpy's float np.expm1 is not math's (100,000 uniform draws in [-10, 10]:
+    6,747 differ).  This is the real part of its complex np.expm1 on x + 0i,
+    which numpy computes per element in C as expm1(x)·cos 0 - 2·sin²(0/2):
+    the C library's expm1, which math.expm1 calls, times 1, minus 0."""
+    z = np.zeros(np.shape(x), complex)
+    z.real = x
+    return np.expm1(z, out=z).real
 
 
 def _nonnegative(a, name: str) -> np.ndarray:
@@ -69,6 +82,21 @@ def frobenius(m):
     rows = a.reshape(a.shape[:-2] + (1, -1))
     re, im = rows.real, rows.imag
     return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
+
+
+def norm4(psi):
+    """Euclidean norm of 4 complex amplitudes (0-d), or of each row of an
+    (N, 4) stack of them.
+
+    The 8 squared parts are summed in one fixed order, with no BLAS,
+    sqrt(((re₀² + im₀²) + (re₁² + im₁²)) + ((re₂² + im₂²) + (re₃² + im₃²))),
+    so the bits depend on no BLAS kernel and a stack gets those of its rows
+    taken one by one.  Nothing is rescaled: for amplitudes of states, whose
+    squares neither overflow nor all underflow."""
+    parts = np.ascontiguousarray(psi, dtype=complex).view(float)
+    sq = parts * parts
+    mod2 = sq[..., 0::2] + sq[..., 1::2]
+    return np.sqrt((mod2[..., 0] + mod2[..., 1]) + (mod2[..., 2] + mod2[..., 3]))
 
 
 def trace4(m):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .linalg import _nonnegative, cexp, elementwise
+from .linalg import _nonnegative, cexp, expm1
 
 FLAVORS = ("K", "Kbar")
 
@@ -118,7 +118,7 @@ def transition_probability(params: KaonParams, t, frm: str, to):
     that would overflow is e^{-inf} = 0.  `to` may also be a sequence of
     flavors, such as FLAVORS: the result then gains a last axis, one column
     per flavor, all from two linalg.cexp calls (a = cexp(-γ_min·t/2, 0).real
-    and w) and one math.expm1 pass (linalg.elementwise).  Every t must be
+    and w) and one linalg.expm1 call (E).  Every t must be
     finite and >= 0; each exponential has the bits of math's or cmath's per
     element, so an array gives the bits of its points taken one by one.
     """
@@ -129,7 +129,7 @@ def transition_probability(params: KaonParams, t, frm: str, to):
     phase, y = _exponents(params, t)
     with np.errstate(over="ignore"):
         a = cexp(-np.minimum(params.gamma_s, params.gamma_l) * t / 2.0, 0.0).real
-    e = elementwise(math.expm1, -y)
+    e = expm1(-y)
     w = cexp(-y / 2.0, phase / 2.0)
     a2, quarter = a * a, e * e / 4.0
     same, flip = a2 * (quarter + w.real * w.real), a2 * (quarter + w.imag * w.imag)

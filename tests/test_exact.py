@@ -81,6 +81,14 @@ def test_unitary_braid_fourth_power_and_generator_square(b):
     assert is_zero(h0 * h0 - I4)
 
 
+def test_generator_is_b_minus_identity(b):
+    # N = b - I is b̃² = b·b/2, so H₀ = -i·N and U = cos α·I - sin α·N
+    n = b - I4
+    assert is_zero(b * b / 2 - n)
+    assert is_zero(n * n + I4)
+    assert is_zero(dagger(n) + n)
+
+
 def test_braid_relation(b):
     assert is_zero(braid_residual(b))
 

@@ -15,7 +15,9 @@ from hypothesis.extra import numpy as hnp
 from kaonbraid.linalg import (
     cexp,
     elementwise,
+    expm1,
     hermiticity_residual,
+    norm4,
     tensor_product,
     trace4,
     unitarity_residual,
@@ -75,13 +77,6 @@ class TestPredicates:
 
 
 class TestElementwise:
-    def test_complex_in_complex_out(self):
-        z = np.array([[complex(-0.0, -0.0), complex(-1e3, 2.0)], [complex(0.5, -3.0), 1j]])
-        out = elementwise(cmath.exp, z)
-        assert out.dtype == complex and out.shape == (2, 2)
-        expected = np.array([cmath.exp(v) for v in z.ravel().tolist()]).reshape(2, 2)
-        assert out.tobytes() == expected.tobytes()  # the zero signs too
-
     def test_real_input_stays_float(self):
         for a in (2, [0, 1], np.arange(3)):
             out = elementwise(math.exp, a)
@@ -143,10 +138,27 @@ class TestCexp:
         assert abs(got - expected) <= 1e-15 * abs(expected)
 
 
-# glibc picks its exp, sin and cos variants by CPU feature; this tunable masks
-# those features in the child alone (glibc 2.36 silently ignores the
+class TestExpm1:
+    """expm1(x) is math.expm1 per element, bit for bit, for x <= 0."""
+
+    @settings(deadline=None)
+    @given(st.lists(RE, min_size=1, max_size=50))
+    # the last three are points where numpy's float np.expm1 is not math.expm1
+    @example([-math.inf, -0.0, 0.0, -5e-324, -(2.0 ** -1022), -745.2, -1e308, -1e-300,
+              -1.5052483042117748, -1.7857187817437192, -0.7319007239096598])
+    def test_is_math_expm1(self, x):
+        assert bits(expm1(np.array(x))) == bits(np.array([math.expm1(v) for v in x]))
+
+    def test_numbers_give_a_0d_array(self):
+        e = expm1(-0.0)
+        assert e.shape == () and e.dtype == float
+        assert bits(e) == bits(math.expm1(-0.0))
+
+
+# glibc picks its exp, expm1, sin and cos variants by CPU feature; this tunable
+# masks those features in the child alone (glibc 2.36 silently ignores the
 # -AVX2_Usable,-FMA_Usable spelling).  On this variant math's bits themselves
-# may move, and cexp must move with them.
+# may move, and cexp and expm1 must move with them.
 LIBM_VARIANT = "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"
 IDENTITY_CHECK = textwrap.dedent("""
     import cmath, math
@@ -170,13 +182,56 @@ IDENTITY_CHECK = textwrap.dedent("""
 """)
 
 
-@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
-                    reason="needs glibc's hwcaps tunable")
-def test_cexp_identity_holds_on_another_libm_variant():
-    proc = subprocess.run([sys.executable, "-c", IDENTITY_CHECK], capture_output=True, text=True,
+EXPM1_CHECK = textwrap.dedent("""
+    import math
+    import numpy as np
+    from kaonbraid.linalg import expm1
+
+    rng = np.random.default_rng(21)
+    n = 20000
+    x = np.concatenate([-np.exp(rng.uniform(-745.0, 709.0, n)), rng.uniform(-50.0, 0.0, n),
+                        [-np.inf, -0.0, 0.0, -5e-324]])
+    want = np.array([math.expm1(v) for v in x.tolist()])
+    print(int((expm1(x).view(np.uint64) != want.view(np.uint64)).sum()))
+""")
+
+on_glibc = pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                              reason="needs glibc's hwcaps tunable")
+
+
+def mismatches_on_libm_variant(script) -> list[str]:
+    """The counts `script` prints, run in a child on LIBM_VARIANT."""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "GLIBC_TUNABLES": LIBM_VARIANT})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0", "0"]
+    return proc.stdout.split()
+
+
+@on_glibc
+def test_cexp_identity_holds_on_another_libm_variant():
+    assert mismatches_on_libm_variant(IDENTITY_CHECK) == ["0", "0", "0", "0"]
+
+
+@on_glibc
+def test_expm1_identity_holds_on_another_libm_variant():
+    assert mismatches_on_libm_variant(EXPM1_CHECK) == ["0"]
+
+
+def norm4_reference(psi):
+    """The norm of 4 amplitudes in Python floats, in norm4's order."""
+    m = [z.real * z.real + z.imag * z.imag for z in psi]
+    return math.sqrt((m[0] + m[1]) + (m[2] + m[3]))
+
+
+@settings(deadline=None)
+@given(hnp.arrays(complex, st.tuples(st.integers(1, 20), st.just(4)),
+                  elements=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
+def test_norm4_rows_are_their_points(psi):
+    stacked = norm4(psi)
+    assert stacked.shape == (len(psi),)
+    for row, n in zip(psi, stacked.tolist()):
+        assert n == norm4(row) == norm4_reference(row.tolist())
+        assert abs(n - np.linalg.norm(row)) <= 4 * np.finfo(float).eps * max(n, 1e-300)
 
 
 # signed zeros and the smallest subnormals often enough that a diagonal of

@@ -281,10 +281,10 @@ class TestFlavorStack:
 
 
 class TestPassCounts:
-    """Each exponential takes one pass over the whole array: exp, cos and sin
-    one linalg.cexp call in C, expm1 one math pass (linalg.elementwise).  The
-    curve and the oscillation check share them across flavors and parameter
-    sets instead of repeating them."""
+    """Each exponential takes one pass over the whole array in C: exp, cos and
+    sin one linalg.cexp call, expm1 one linalg.expm1 call.  The curve and the
+    oscillation check share them across flavors and parameter sets instead
+    of repeating them."""
 
     @staticmethod
     def counted(monkeypatch, name):
@@ -299,25 +299,27 @@ class TestPassCounts:
         return calls
 
     def test_u_factors(self, monkeypatch):
-        passes = self.counted(monkeypatch, "elementwise")
+        passes = self.counted(monkeypatch, "expm1")
         exps = self.counted(monkeypatch, "cexp")
         u_factors(KaonParams(), grid(12.0, 100))
         assert len(exps) == 2 and passes == []
 
     def test_curve(self, monkeypatch):
-        passes = self.counted(monkeypatch, "elementwise")
+        passes = self.counted(monkeypatch, "expm1")
         exps = self.counted(monkeypatch, "cexp")
         transitions = self.counted(monkeypatch, "transition_probability")
         oscillation_curve(KaonParams(), grid(12.0, 12000))
-        # a, E and w for both flavors, then the asymmetry's z
-        assert [f for f, _ in passes] == [math.expm1]
+        # a, E and w for both flavors, then the asymmetry's z; no per-element
+        # math pass is left in the module
+        assert len(passes) == 1
         assert len(exps) == 3
         assert len(transitions) == 1
+        assert not hasattr(oscillation, "elementwise")
 
     def test_check_oscillation(self, monkeypatch):
         from kaonbraid.verify import check_oscillation
 
-        passes = self.counted(monkeypatch, "elementwise")
+        passes = self.counted(monkeypatch, "expm1")
         exps = self.counted(monkeypatch, "cexp")
         check_oscillation(0)
         # two curves (3 cexp + 1 expm1 each), flip_back (2 + 1), survival (2)

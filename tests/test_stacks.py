@@ -86,6 +86,7 @@ INVERSION_GRID = np.linspace(0.5, 12.0, 64)
 SCHRODINGER_T = (0.2, 0.5, 1.0, 2.0, 5.0)
 SCHRODINGER_SPECS = (BraidSpec("plus", 0.0), BraidSpec("minus", 1.0))
 _I2 = np.eye(2, dtype=complex)
+EPS = np.finfo(float).eps
 
 
 @st.composite
@@ -146,9 +147,20 @@ def rotation_angle_reference(t0, t1):
 
 
 def propagator_reference(spec, t0, t1):
-    """The per-point propagator in Python floats."""
+    """The per-point propagator cos α·I - sin α·N, N = b - I, in Python floats."""
     angle = rotation_angle_reference(t0, t1)
-    return math.cos(angle) * np.eye(4) - 1j * math.sin(angle) * hamiltonian_generator(spec)
+    return math.cos(angle) * np.eye(4) - math.sin(angle) * (braid_matrix(spec) - np.eye(4))
+
+
+def evolve_state_reference(psi0, spec, t0, t1):
+    """U(t0, t1)·ψ₀ for one time in Python scalars: each part c·x - s·y + 0.0
+    with y a part of N·ψ₀ = (q·ψ₃, σ·ψ₂, -σ·ψ₁, -ψ₀/q), N = b - I."""
+    angle = rotation_angle_reference(t0, t1)
+    c, s = math.cos(angle), math.sin(angle)
+    n = (braid_matrix(spec) - np.eye(4)).tolist()
+    n_psi0 = [n[k][3 - k] * psi0[3 - k] for k in range(4)]
+    return [complex(c * p.real - s * w.real + 0.0, c * p.imag - s * w.imag + 0.0)
+            for p, w in zip(psi0, n_psi0)]
 
 
 def separability_reference(rng, n):
@@ -414,6 +426,25 @@ class TestStackEqualsRows:
         for ti, u in zip(t1.tolist(), stacked):
             assert np.array_equal(u, propagator(spec, t0, ti))
             assert np.array_equal(u, propagator_reference(spec, t0, ti))
+
+    @settings(deadline=None)
+    @given(sign=st.sampled_from(SIGNS), phi=ANGLE, t0=TIME,
+           t1=hnp.arrays(float, st.integers(1, 50), elements=TIME),
+           psi=state_stacks().map(lambda a: a[0]))
+    @example(sign="plus", phi=0.0, t0=1.0,
+             t1=np.array([-1.0, 0.0, 1e200, 1e308, math.inf, -math.inf]),
+             psi=np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+    @example(sign="minus", phi=0.7, t0=-1.0, t1=np.array([-1.0, 0.0, 1.0, 2.0]),
+             psi=np.array([0.5, 0.5j, -0.5, -0.5j]))
+    def test_evolve_state(self, sign, phi, t0, t1, psi):
+        spec = BraidSpec(sign, phi)
+        stacked = dynamics.evolve_state(psi, spec, t0, t1)
+        assert stacked.shape == (len(t1), 4)
+        by_matrix = propagator(spec, t0, t1) @ psi
+        for ti, row, u_psi in zip(t1.tolist(), stacked, by_matrix):
+            assert bits(row) == bits(dynamics.evolve_state(psi, spec, t0, ti))
+            assert bits(row) == bits(evolve_state_reference(psi.tolist(), spec, t0, ti))
+            assert np.abs(row - u_psi).max() <= 4 * EPS
 
     @settings(deadline=None)
     @given(params=kaon_params(),
