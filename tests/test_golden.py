@@ -46,9 +46,9 @@ CASES = {
 # Every golden table is shorter than one block of cli.KERNEL_CELLS // k rows
 # (k columns), so these longer ones, which cross block boundaries, are pinned
 # by the sha256 of their stdout (the __main__ block below does not rewrite
-# them).  The evolve pin was taken from the per-cell writer that came before
-# the chunked one; the oscillate pins from the chunked writer, with every
-# cell checked to be '%.17g' of oscillation_curve's value.  The rho-report
+# them).  The evolve pin was taken from the chunked writer, with its table
+# from dynamics.evolve_state; the oscillate pins from the chunked writer,
+# with every cell checked to be '%.17g' of oscillation_curve's value.  The rho-report
 # pins span 5 blocks of 1,170 rows, on a grid where 1/(1/t) != t at some points.
 HASHED = {
     "oscillate --steps 9000 --format csv":
@@ -56,7 +56,7 @@ HASHED = {
     "oscillate --steps 9000 --format json":
         "28ebce04eaa4b5ed9709f52688b2e77c7eb8e0a79a438c9a779340e1c47fc6e8",
     "evolve --steps 5000 --format json":
-        "9121d4df05ad2b27f0cb4a2afb72a563e88762c7eb8f30225a1e2a24444b0b4e",
+        "50d728da51b7292b27adbf86e0ba4a97a90158488cffe07c57a5cd49469ce1ba",
     "rho-report --steps 5000 --format csv":
         "456860d16e0f05352e2b453b439e6d75be25473c880e42a7b1270f68d12925de",
     "rho-report --steps 5000 --format json":
