@@ -123,20 +123,21 @@ def evolve_state(state0, spec: BraidSpec, t0: float, t1) -> np.ndarray:
     an array.  Times as in propagator.
 
     No matrix product: N·ψ₀ is the four products (q·ψ₃, σ·ψ₂, -σ·ψ₁, -ψ₀/q)
-    of N's anti-diagonal with ψ₀ reversed, each as Python's complex product
-    forms it, and each real and imaginary part
-    is c·x - s·y from the parts c, s of cexp(0.0, α), then + 0.0 so that a
-    zero is +0.0 and prints as 0.  A row has the bits of its time alone.
+    of N's anti-diagonal with ψ₀ reversed, each with the parts of Python's
+    complex product.  Each part of each row is then c·x - s·y from the parts
+    c, s of cexp(0.0, α), plus 0.0 so that a zero is +0.0 and prints as 0.
+    A row has the bits of its time taken alone.
     """
     rot = cexp(0.0, _rotation_angle(t0, t1))[..., None]
     psi0 = np.ascontiguousarray(state0, dtype=complex)
     n, p = _generator(spec)[..., ::-1].diagonal(0, -2, -1), psi0[::-1]
-    # in real arithmetic: numpy's complex multiply may fuse a·c - b·d (FMA)
-    n_psi0 = np.stack([n.real * p.real - n.imag * p.imag,
-                       n.real * p.imag + n.imag * p.real], axis=-1)
+    # part by part: numpy's complex multiply may fuse a·c - b·d (FMA)
+    n_psi0 = np.empty(n.shape, complex)
+    n_psi0.real = n.real * p.real - n.imag * p.imag
+    n_psi0.imag = n.real * p.imag + n.imag * p.real
     # a complex 4-vector read as float is its 8 parts: re_a0, im_a0, re_a1, ...
     parts = rot.real * psi0.view(float)
-    parts -= rot.imag * n_psi0.reshape(n_psi0.shape[:-2] + (8,))
+    parts -= rot.imag * n_psi0.view(float)
     parts += 0.0
     return parts.view(complex)
 

@@ -471,6 +471,28 @@ class TestTables:
         assert all(abs(n - 1.0) < 1e-12 for n in norms)
         assert doc["meta"]["round_trip_error"] < 1e-12
 
+    @pytest.mark.parametrize("fmt_name", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        # two grids on which the parts c·x - s·y alone give -0.0 cells
+        "--steps 4 --state KK --phi 0.7 --t0 -1 --t1 2 --sign minus",
+        "--steps 3 --state KbarK --t0 3 --t1 -2",
+        # cos α < 0 late in the first grid and sin α < 0 all along the second
+        *(f"--steps 9 --state {state} --sign {sign} --phi 1.3 --t0 {t0} --t1 {t1}"
+          for state in ("KK", "KKbar", "KbarK", "KbarKbar", "0.5,-0.5,0.5,-0.5",
+                        "0.1,-0.2,0.3,0.4,-0.5,0.1,0.2,0.6324555320336758")
+          for sign in ("plus", "minus") for t0, t1 in (("-3", "3"), ("3", "-3"))),
+    ])
+    def test_evolve_prints_no_negative_zero(self, capsys, argv, fmt_name):
+        code, out, _ = run_cli(capsys, "evolve", *argv.split(), "--format", fmt_name)
+        assert code == 0
+        if fmt_name == "csv":
+            cells = [c for line in out.splitlines()[1:] for c in line.split(",")]
+        else:
+            rows = json.loads(out, parse_int=str, parse_float=str)["rows"]
+            cells = [c for row in rows for c in row]
+        assert len(cells) == 10 * int(argv.split()[1])
+        assert "-0" not in cells
+
     def test_evolve_equal_times_identity(self, capsys):
         code, out, _ = run_cli(
             capsys, "evolve", "--t0", "1", "--t1", "1", "--steps", "2",

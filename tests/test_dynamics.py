@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kaonbraid.braid import SIGNS, BraidSpec
 from kaonbraid.dynamics import (
     envelope,
+    evolve_state,
     hamiltonian_at,
     hamiltonian_generator,
     propagator,
@@ -155,18 +156,19 @@ class TestPropagator:
 
 
 class TestEvolveState:
-    """A state evolves as U(t0, t1) @ psi, as `evolve` forms it."""
+    """A state evolves as U(t0, t1)·ψ = cos α·ψ - sin α·(b - I)·ψ, as `evolve`
+    forms it with evolve_state."""
 
     def test_no_op_at_equal_times(self):
         psi = random_state()
-        out = propagator(BraidSpec("plus", 0.0), 1.5, 1.5) @ psi
+        out = evolve_state(psi, BraidSpec("plus", 0.0), 1.5, 1.5)
         assert np.linalg.norm(out - psi) < 1e-14
 
     def test_round_trip(self):
         psi = random_state()
         spec = BraidSpec("minus", math.pi / 2)
-        there = propagator(spec, 0.0, 3.0) @ psi
-        back = propagator(spec, 3.0, 0.0) @ there
+        there = evolve_state(psi, spec, 0.0, 3.0)
+        back = evolve_state(there, spec, 3.0, 0.0)
         assert np.linalg.norm(back - psi) < 1e-12
 
     def test_kk_to_t1(self):
@@ -174,15 +176,19 @@ class TestEvolveState:
         spec = BraidSpec("plus", 0.0)
         h0 = hamiltonian_generator(spec)
         e0 = np.array([1, 0, 0, 0], dtype=complex)
-        out = propagator(spec, 0.0, 1.0) @ e0
+        out = evolve_state(e0, spec, 0.0, 1.0)
         expected = math.cos(math.pi / 4) * e0 - 1j * math.sin(math.pi / 4) * (h0 @ e0)
         assert np.linalg.norm(out - expected) < 1e-12
 
     def test_norm_preserved(self):
         for _ in range(10):
             psi = random_state()
-            out = propagator(BraidSpec("plus", 1.0), 0.0, 4.2) @ psi
+            out = evolve_state(psi, BraidSpec("plus", 1.0), 0.0, 4.2)
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+    def test_rejects_nan_times(self):
+        with pytest.raises(DomainError, match="NaN"):
+            evolve_state(random_state(), BraidSpec("plus", 1.0), 0.0, [0.5, math.nan])
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):

@@ -9,12 +9,17 @@ with `PYTHONPATH=src python tests/test_golden.py`.
 import contextlib
 import hashlib
 import io
+import json
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
+import textwrap
 
 import pytest
 
+import kaonbraid
 from kaonbraid.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -94,6 +99,55 @@ def test_verify_matches_golden(fmt_name, tmp_path):
     stdout, report = render([*VERIFY, "--format", fmt_name], tmp_path / f"report.{fmt_name}")
     assert stdout == (GOLDEN_DIR / "verify-seed0.txt").read_bytes()
     assert report == (GOLDEN_DIR / f"verify-seed0.{fmt_name}").read_bytes()
+
+
+# OpenBLAS kernel sets a child process can be made to use, with the CPU
+# flags each one's code needs
+CORETYPES = {
+    "Prescott": {"pni"},  # SSE3
+    "Sandybridge": {"avx"},
+    "Haswell": {"avx2", "fma"},
+    "Zen": {"avx2", "fma"},
+    "SkylakeX": {"avx512f", "avx512bw", "avx512dq", "avx512vl", "avx512cd"},
+}
+DIGESTS = textwrap.dedent("""
+    import contextlib, hashlib, io, json, sys
+    from kaonbraid.cli import main
+
+    for argv in json.loads(sys.argv[1]):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        print(code, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest())
+""")
+
+
+def cpu_flags() -> set:
+    try:
+        text = pathlib.Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {f for line in text.splitlines() if line.startswith("flags")
+            for f in line.partition(":")[2].split()}
+
+
+@pytest.mark.parametrize("coretype", sorted(CORETYPES))
+def test_evolve_csv_bytes_do_not_depend_on_the_blas_kernel(coretype):
+    # the table takes no BLAS or LAPACK call, so every OpenBLAS kernel set
+    # writes the golden bytes; set for the child process alone
+    if not CORETYPES[coretype] <= cpu_flags():
+        pytest.skip(f"this CPU cannot run OpenBLAS's {coretype} kernels")
+    names = sorted(name for name in CASES if name.startswith("evolve"))
+    argvs = [[*CASES[name], "--format", "csv"] for name in names]
+    src = str(pathlib.Path(kaonbraid.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", DIGESTS, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    expected = [f"0 {hashlib.sha256((GOLDEN_DIR / f'{name}.csv').read_bytes()).hexdigest()}"
+                for name in names]
+    assert proc.stdout.splitlines() == expected
 
 
 if __name__ == "__main__":
