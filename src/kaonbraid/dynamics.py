@@ -119,8 +119,8 @@ def propagator(spec: BraidSpec, t0: float, t1) -> np.ndarray:
 
 def evolve_state(state0, spec: BraidSpec, t0: float, t1) -> np.ndarray:
     """U(t0, t1)·ψ₀ = cos α·ψ₀ - sin α·(N·ψ₀) for the 4 amplitudes ψ₀ = state0,
-    taken as given: 4 amplitudes for a number t1, shape t1.shape + (4,) for
-    an array.  Times as in propagator.
+    which are not validated: 4 amplitudes for a number t1, shape
+    t1.shape + (4,) for an array.  Times as in propagator.
 
     No matrix product: N·ψ₀ is the four products (q·ψ₃, σ·ψ₂, -σ·ψ₁, -ψ₀/q)
     of N's anti-diagonal with ψ₀ reversed, each with the parts of Python's

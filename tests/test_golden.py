@@ -53,8 +53,9 @@ CASES = {
 # by the sha256 of their stdout (the __main__ block below does not rewrite
 # them).  The evolve pin was taken from the chunked writer, with its table
 # from dynamics.evolve_state; the oscillate pins from the chunked writer,
-# with every cell checked to be '%.17g' of oscillation_curve's value.  The rho-report
-# pins span 5 blocks of 1,170 rows, on a grid where 1/(1/t) != t at some points.
+# with every cell checked to be '%.17g' of oscillation_curve's value.  The
+# rho-report pins span 5 blocks of 1,170 rows, on a grid where 1/(1/t) != t
+# at some points.
 HASHED = {
     "oscillate --steps 9000 --format csv":
         "76629fd19a6695a0321a48b3e1e545691acf68cf0bd0e865a9bac05e67833e18",
