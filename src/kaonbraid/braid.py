@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .linalg import _nonnegative, cexp, elementwise, frobenius, tensor_product, trace4
+from .linalg import _nonnegative, cexp, elementwise, frobenius, tensor_product
 
 SIGNS = ("plus", "minus")
 
@@ -101,7 +101,13 @@ def yang_baxterize(spec: BraidSpec, x) -> np.ndarray:
     """
     x = _nonnegative(x, "spectral parameter x")
     b = braid_matrix(spec)
-    return b + x[..., None, None] * b.conj().swapaxes(-1, -2)
+    # b + x·b† part by part: numpy's complex x·b† casts x to x + 0i and gives
+    # x times each part of b†, up to the sign of a zero product, which adding
+    # b's +0.0 or nonzero part erases; so these are its bits, with no cast
+    bh = np.ascontiguousarray(b.conj().swapaxes(-1, -2))
+    r = x[..., None, None] * bh.view(float)
+    r += b.view(float)
+    return r.view(complex)
 
 
 def check_qybe(spec: BraidSpec, x, y):
@@ -141,9 +147,24 @@ def _positive_t(t) -> np.ndarray:
     return t
 
 
-def _rho(spec: BraidSpec, t) -> np.ndarray:
-    """ϱ = R(t)·R(1/t), a 4x4 matrix or a stack of t's shape, once every t is
-    > 0 and both 1/t and the trace of ϱ are finite (else DomainError)."""
+# The diagonal (i, i) and anti-diagonal (i, 3 - i) of a 4x4 matrix, i = 0..3,
+# as flat indices: the entries that a matrix built from b can have nonzero.
+# _PARTS are the columns of their real parts, then of their imaginary parts,
+# in the float view of the matrix.
+_PATTERN = (0, 5, 10, 15, 3, 6, 9, 12)
+_PARTS = [2 * f + part for part in (0, 1) for f in _PATTERN]
+
+
+def _pattern_rows(r) -> np.ndarray:
+    """The 8 pattern entries of a 4x4 matrix or stack as entries-major float
+    rows of shape (2, 8) + the stack's shape: [0] the real parts, [1] the
+    imaginary; entries 0..3 are (i, i), entries 4..7 are (i, 3 - i)."""
+    return r.view(float).reshape(-1, 32).T[_PARTS].reshape((2, 8) + r.shape[:-2])
+
+
+def _rho_factors(spec: BraidSpec, t):
+    """The pattern rows of R(t) and R(1/t), once every t is > 0 and both 1/t
+    and the trace of ϱ = R(t)·R(1/t) are finite (else DomainError)."""
     t = _positive_t(t)
     with np.errstate(over="ignore"):
         t_inv = 1.0 / t
@@ -156,15 +177,45 @@ def _rho(spec: BraidSpec, t) -> np.ndarray:
     if huge.any():
         raise DomainError(f"t = {float(t[huge].flat[0])!r} is out of range: "
                           "the trace of ϱ = 2(t + 1/t)·I overflows")
-    return yang_baxterize(spec, t) @ yang_baxterize(spec, t_inv)
+    return _pattern_rows(yang_baxterize(spec, t)), _pattern_rows(yang_baxterize(spec, t_inv))
+
+
+def _sum_of_products(a, b, c, d):
+    """a·b + c·d on complex numbers given as (re, im) rows, with the bits of
+    Python's complex a*b + c*d: each product is (ar·br − ai·bi) + i(ar·bi +
+    ai·br), unfused.  numpy's complex * fuses them and differs in the last bit."""
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = a, b, c, d
+    return (ar * br - ai * bi) + (cr * dr - ci * di), (ar * bi + ai * br) + (cr * di + ci * dr)
+
+
+# R₁ = R(t) and R₂ = R(1/t) are zero off their diagonal and anti-diagonal, so
+# each pattern entry of ϱ = R₁·R₂ is a sum of two products and the other 8 are
+# exact zeros: ϱᵢᵢ = R₁ᵢᵢ·R₂ᵢᵢ + R₁ᵢ,₃₋ᵢ·R₂₃₋ᵢ,ᵢ and ϱᵢ,₃₋ᵢ = R₁ᵢᵢ·R₂ᵢ,₃₋ᵢ +
+# R₁ᵢ,₃₋ᵢ·R₂₃₋ᵢ,₃₋ᵢ.  In pattern rows, R₂₃₋ᵢ,ᵢ is entry 7 − i and R₂₃₋ᵢ,₃₋ᵢ
+# entry 3 − i.
+def _rho_diagonal(r1, r2):
+    return _sum_of_products(r1[:, :4], r2[:, :4], r1[:, 4:], r2[:, :3:-1])
+
+
+def _rho_antidiagonal(r1, r2):
+    return _sum_of_products(r1[:, :4], r2[:, 4:], r1[:, 4:], r2[:, 3::-1])
+
+
+def _mean(diagonal):
+    """tr ϱ/4 from ϱ's diagonal rows, summed in each part as np.trace sums a
+    complex 4x4 matrix: +0.0 + ((d₀ + d₁) + (d₂ + d₃)).  Without the leading
+    0.0 a part whose four entries are −0.0 would sum to −0.0."""
+    scalar = np.empty(np.shape(diagonal[0][0]), complex)
+    scalar.real, scalar.imag = ((0.0 + ((d[0] + d[1]) + (d[2] + d[3]))) / 4.0 for d in diagonal)
+    return scalar[()]
 
 
 def rho_scalar(spec: BraidSpec, t):
     """The mean diagonal entry tr(R(t)·R(1/t))/4 of the inversion relation,
-    bit for bit rho_check's scalar, without its residual.  An array of t
+    bit for bit rho_check's scalar, from ϱ's diagonal alone.  An array of t
     gives an array of its shape (0-d for a number); the t that rho_check
     rejects raise the same DomainError here."""
-    return trace4(_rho(spec, t)) / 4.0
+    return _mean(_rho_diagonal(*_rho_factors(spec, t)))
 
 
 def rho_check(spec: BraidSpec, t):
@@ -175,13 +226,22 @@ def rho_check(spec: BraidSpec, t):
     residual / |scalar| is below 1e-12, at any t accepted here.  The closed
     form is ϱ = 2(t + 1/t)·I, independent of φ.  An array of t gives three
     arrays of its shape (0-d for a number), and any t <= 0 raises.
+
+    ϱ is the product of R's actual entries, taken on the 8 entries where it
+    can be nonzero, in fixed-order real arithmetic with no BLAS call, so its
+    bits depend on no BLAS kernel.
     """
-    rho = _rho(spec, t)
-    scalar = trace4(rho) / 4.0
+    r1, r2 = _rho_factors(spec, t)
+    diagonal = _rho_diagonal(r1, r2)
+    scalar = _mean(diagonal)
     # scaled by 2^-k ~ 1/|scalar| so that no square overflows, then back: exact
     k = np.frexp(np.abs(scalar))[1]
-    scale = np.ldexp(1.0, -k)[..., None, None]
-    scaled = frobenius((rho - scalar[..., None, None] * np.eye(4)) * scale)
+    scale = np.ldexp(1.0, -k)
+    off = [(d - s) * scale for d, s in zip(diagonal, (scalar.real, scalar.imag))]
+    anti = [a * scale for a in _rho_antidiagonal(r1, r2)]
+    # row i's two squared moduli, then the rows summed as _mean sums: fixed order
+    m = (off[0] * off[0] + off[1] * off[1]) + (anti[0] * anti[0] + anti[1] * anti[1])
+    scaled = np.sqrt((m[0] + m[1]) + (m[2] + m[3]))
     residual = np.ldexp(scaled, k)
     # relative to |ϱ| >= 4, which grows like t + 1/t, as does its rounding error
     ok = scaled < 1e-12 * np.ldexp(np.abs(scalar), -k)

@@ -400,13 +400,17 @@ def resolve(args) -> dict:
 
 
 def linear_grid(lo, hi, n, lo_is_t0=False) -> np.ndarray:
-    """n evenly spaced points from lo to hi; only a time range can overflow
-    hi - lo, or (hi - lo)·(n - 1) on the way to the last point.  The error
-    names hi as --t1, and lo as --t0 only where the user's --t0 is the start
-    (`lo_is_t0`): elsewhere the command fixed the start itself."""
+    """n evenly spaced points from lo to hi, the last one hi itself, as
+    np.linspace sets it (lo + (hi - lo)·(n - 1)/(n - 1) can be an ulp off); only
+    a time range can overflow hi - lo, or (hi - lo)·(n - 1) on the way to the
+    last point.  The error names hi as --t1, and lo as --t0 only where the
+    user's --t0 is the start (`lo_is_t0`): elsewhere the command fixed the
+    start itself."""
     width = hi - lo
     if math.isfinite(width * (n - 1)):
-        return lo + width * np.arange(n) / (n - 1)
+        grid = lo + width * np.arange(n) / (n - 1)
+        grid[-1] = hi
+        return grid
     if lo_is_t0:
         ends, start = f"--t0 {lo!r} and --t1 {hi!r} are too far apart", "t0"
     else:

@@ -99,21 +99,6 @@ def norm4(psi):
     return np.sqrt((mod2[..., 0] + mod2[..., 1]) + (mod2[..., 2] + mod2[..., 3]))
 
 
-def trace4(m):
-    """Trace of a 4x4 matrix (a complex scalar), or an array of them for a
-    stack, with the bits of np.trace(m, axis1=-2, axis2=-1).
-
-    np.trace reduces the strided diagonal through numpy's generic reduction:
-    0.18 ms on a (1000, 4, 4) stack where these four adds take 0.01 ms (numpy
-    2.4.6 on a 2-vCPU Xeon).  The order is fixed: np.trace starts from add's
-    identity +0.0 and adds the four entries as numpy's pairwise sum does 8
-    floats, (d0 + d1) + (d2 + d3) in each part.  ((d0 + d1) + d2) + d3, einsum, or a sum of the real and
-    imaginary parts apart differ from it in the last bit, and without the
-    leading 0.0 a part whose four entries are -0.0 would sum to -0.0."""
-    d = m.diagonal(0, -2, -1)
-    return 0.0 + ((d[..., 0] + d[..., 1]) + (d[..., 2] + d[..., 3]))
-
-
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product of two matrices, or of two (N, ·, ·) stacks pair by pair
     (either side may be one matrix)."""

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from kaonbraid import cli
@@ -514,6 +514,13 @@ class TestTables:
         assert code == 0
         assert out.startswith("t,re_a0") and err == ""
 
+    def test_evolve_last_t_is_t1(self, capsys):
+        # lo + (hi - lo)·(n - 1)/(n - 1) is 4.4373428174895055 here
+        code, out, _ = run_cli(capsys, "evolve", "--t0", "-7.074863082399303",
+                               "--t1", "4.437342817489506", "--steps", "3")
+        assert code == 0
+        assert float(out.splitlines()[-1].split(",")[0]) == 4.437342817489506
+
     def test_rho_report_huge_time_is_quiet(self, capsys):
         # ϱ's entries near 4e307: nothing overflows, and the table is written
         code, out, err = run_cli(capsys, "rho-report", "--phi", "0.3", "--t0", "1e200",
@@ -627,6 +634,26 @@ class TestTables:
             assert abs(scalar - 2.0 * (t + 1.0 / t)) < 1e-12
             assert discrepancy > 0.0  # printed formula disagrees; reported
             assert symmetry < 1e-12
+
+
+def ulps_away(x, k):
+    """The float k representable steps above x (below it for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(deadline=None)
+@given(lo=st.floats(-1e300, 1e300), n=st.integers(2, 60), far=st.floats(-1e300, 1e300),
+       ulps=st.none() | st.integers(-8, 8))
+@example(lo=-7.074863082399303, n=3, far=4.437342817489506, ulps=None)
+def test_linear_grid_runs_from_lo_to_hi(lo, n, far, ulps):
+    # hi anywhere, or a few ulp from lo, where the spacing is below one ulp
+    hi = far if ulps is None else ulps_away(lo, ulps)
+    grid = cli.linear_grid(lo, hi, n)
+    assert len(grid) == n and grid[0] == lo and grid[-1] == hi
+    steps = np.diff(grid)
+    assert (steps >= 0).all() if hi >= lo else (steps <= 0).all()
 
 
 def test_json_numbers_round_trip(capsys):

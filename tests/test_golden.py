@@ -133,21 +133,27 @@ def cpu_flags() -> set:
 
 
 @pytest.mark.parametrize("coretype", sorted(CORETYPES))
-def test_evolve_csv_bytes_do_not_depend_on_the_blas_kernel(coretype):
-    # the table takes no BLAS or LAPACK call, so every OpenBLAS kernel set
-    # writes the golden bytes; set for the child process alone
+def test_evolve_and_rho_report_bytes_do_not_depend_on_the_blas_kernel(coretype):
+    # neither table takes a BLAS or LAPACK call (rho-report's ϱ is multiplied
+    # on its diagonal and anti-diagonal in numpy's float ufuncs), so every
+    # OpenBLAS kernel set writes the golden bytes; set for the child process alone
     if not CORETYPES[coretype] <= cpu_flags():
         pytest.skip(f"this CPU cannot run OpenBLAS's {coretype} kernels")
-    names = sorted(name for name in CASES if name.startswith("evolve"))
-    argvs = [[*CASES[name], "--format", "csv"] for name in names]
+    files = sorted([f"{name}.csv" for name in CASES if name.startswith("evolve")]
+                   + [f"{name}.{ext}" for name in CASES if name.startswith("rho-report")
+                      for ext in ("csv", "json")])
+    argvs = [[*CASES[file.rpartition(".")[0]], "--format", file.rpartition(".")[2]]
+             for file in files]
+    pins = sorted(argv for argv in HASHED if argv.startswith("rho-report"))
+    argvs += [argv.split() for argv in pins]
     src = str(pathlib.Path(kaonbraid.__file__).resolve().parent.parent)
     env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", DIGESTS, json.dumps(argvs)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    expected = [f"0 {hashlib.sha256((GOLDEN_DIR / f'{name}.csv').read_bytes()).hexdigest()}"
-                for name in names]
+    expected = [f"0 {hashlib.sha256((GOLDEN_DIR / file).read_bytes()).hexdigest()}"
+                for file in files] + [f"0 {HASHED[argv]}" for argv in pins]
     assert proc.stdout.splitlines() == expected
 
 

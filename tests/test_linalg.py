@@ -19,7 +19,6 @@ from kaonbraid.linalg import (
     hermiticity_residual,
     norm4,
     tensor_product,
-    trace4,
     unitarity_residual,
 )
 
@@ -232,24 +231,3 @@ def test_norm4_rows_are_their_points(psi):
     for row, n in zip(psi, stacked.tolist()):
         assert n == norm4(row) == norm4_reference(row.tolist())
         assert abs(n - np.linalg.norm(row)) <= 4 * np.finfo(float).eps * max(n, 1e-300)
-
-
-# signed zeros and the smallest subnormals often enough that a diagonal of
-# four -0.0 parts turns up; sums of four stay below overflow
-PART = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1e300, -1e300])
-        | st.floats(-1e300, 1e300))
-
-
-@settings(deadline=None)
-@given(m=hnp.arrays(complex,
-                    st.sampled_from([(), (1,), (7,), (50,), (2, 3), (3, 1)])
-                    .map(lambda lead: lead + (4, 4)),
-                    elements=st.builds(complex, PART, PART)))
-@example(m=np.full((4, 4), complex(-0.0, -0.0)))
-@example(m=np.array([np.full((4, 4), complex(-0.0, 1.0)), np.full((4, 4), complex(2.0, -0.0))]))
-def test_trace4_is_np_trace_bit_for_bit(m):
-    expected = np.trace(m, axis1=-2, axis2=-1)
-    got = trace4(m)
-    assert type(got) is type(expected)
-    assert np.atleast_1d(got).view(np.uint64).tolist() == \
-        np.atleast_1d(expected).view(np.uint64).tolist()

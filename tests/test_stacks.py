@@ -133,6 +133,28 @@ def qybe_reference(spec, x, y):
     return float(np.linalg.norm(r1(x) @ r2(x * y) @ r1(y) - r2(y) @ r1(x * y) @ r2(x)))
 
 
+def rho_reference(spec, t):
+    """(is_scalar, scalar, residual) of ϱ = R(t)·R(1/t) at one t, in Python
+    scalars: ϱ's diagonal and anti-diagonal as Python complex sums of two
+    products, the trace summed as np.trace sums it, and the 16 scaled squares
+    summed row by row, then (m₀ + m₁) + (m₂ + m₃)."""
+    r1, r2 = yang_baxterize(spec, t).tolist(), yang_baxterize(spec, 1.0 / t).tolist()
+    diagonal = [r1[i][i] * r2[i][i] + r1[i][3 - i] * r2[3 - i][i] for i in range(4)]
+    anti = [r1[i][i] * r2[i][3 - i] + r1[i][3 - i] * r2[3 - i][3 - i] for i in range(4)]
+    scalar = complex(*((0.0 + ((d[0] + d[1]) + (d[2] + d[3]))) / 4.0
+                       for d in ([z.real for z in diagonal], [z.imag for z in diagonal])))
+    k = math.frexp(abs(scalar))[1]
+    scale = math.ldexp(1.0, -k)
+    m = []
+    for d, a in zip(diagonal, anti):
+        parts = [(d.real - scalar.real) * scale, (d.imag - scalar.imag) * scale,
+                 a.real * scale, a.imag * scale]
+        m.append((parts[0] * parts[0] + parts[1] * parts[1])
+                 + (parts[2] * parts[2] + parts[3] * parts[3]))
+    scaled = math.sqrt((m[0] + m[1]) + (m[2] + m[3]))
+    return scaled < 1e-12 * math.ldexp(abs(scalar), -k), scalar, math.ldexp(scaled, k)
+
+
 def rotation_angle_reference(t0, t1):
     """α = arctan t1 - arctan t0 in Python floats, without the cancellation
     where t0·t1 > 0."""
@@ -322,12 +344,16 @@ class TestStackEqualsRows:
         ok, scalar, residual = rho_check(spec, t)
         printed = rho_printed_formula(spec, t)
         for i, ti in enumerate(t.tolist()):
-            rho = yang_baxterize(spec, ti) @ yang_baxterize(spec, 1.0 / ti)
-            reference = complex(np.trace(rho)) / 4.0
-            assert rho_check(spec, ti) == (ok[i], scalar[i], residual[i])
-            assert scalar[i] == reference
-            assert residual[i] == float(np.linalg.norm(rho - reference * np.eye(4)))
+            reference = rho_reference(spec, ti)
+            assert rho_check(spec, ti) == (ok[i], scalar[i], residual[i]) == reference
+            assert bits(scalar[i]) == bits(reference[1])
             assert printed[i] == rho_printed_formula(spec, ti)
+            # the dense product sums in the BLAS kernel's order: to rounding
+            rho = yang_baxterize(spec, ti) @ yang_baxterize(spec, 1.0 / ti)
+            dense = complex(np.trace(rho)) / 4.0
+            tol = 4 * EPS * abs(scalar[i])
+            assert abs(scalar[i] - dense) <= tol
+            assert abs(residual[i] - np.linalg.norm(rho - dense * np.eye(4))) <= tol
 
     @settings(deadline=None)
     @given(sign=st.sampled_from(SIGNS), t=spectral_values(1e-3), data=st.data())
@@ -346,8 +372,9 @@ class TestStackEqualsRows:
         stacked = yang_baxterize(spec, x)
         for xi, r in zip(x.tolist(), stacked):
             b = braid_matrix(spec)
-            assert np.array_equal(r, yang_baxterize(spec, xi))
-            assert np.array_equal(r, b + xi * b.conj().T)
+            assert bits(r) == bits(yang_baxterize(spec, xi))
+            # numpy's complex arithmetic, zero signs included
+            assert bits(r) == bits(b + xi * b.conj().T)
 
     @settings(deadline=None)
     @given(sign=st.sampled_from(SIGNS),
