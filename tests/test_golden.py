@@ -64,9 +64,9 @@ HASHED = {
     "evolve --steps 5000 --format json":
         "50d728da51b7292b27adbf86e0ba4a97a90158488cffe07c57a5cd49469ce1ba",
     "rho-report --steps 5000 --format csv":
-        "456860d16e0f05352e2b453b439e6d75be25473c880e42a7b1270f68d12925de",
+        "0dac5b46cada133ea8bdcfb245074f693b5c8efe99e8cfd917b1ad8c71370181",
     "rho-report --steps 5000 --format json":
-        "885fb97a8809391b6768a2a60816e99d681b3eba10b79294c42adcf86d889bc0",
+        "26ce04a6f3116dd0b4217469e24654c8ce1f46362440f66183f0dd4ef37817ab",
 }
 
 # the metrics are the worst residuals over the node grids and the seeded
