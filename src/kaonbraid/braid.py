@@ -180,34 +180,47 @@ def _rho_factors(spec: BraidSpec, t):
     return _pattern_rows(yang_baxterize(spec, t)), _pattern_rows(yang_baxterize(spec, t_inv))
 
 
-def _sum_of_products(a, b, c, d):
-    """a·b + c·d on complex numbers given as (re, im) rows, with the bits of
-    Python's complex a*b + c*d: each product is (ar·br − ai·bi) + i(ar·bi +
-    ai·br), unfused.  numpy's complex * fuses them and differs in the last bit."""
-    (ar, ai), (br, bi), (cr, ci), (dr, di) = a, b, c, d
-    return (ar * br - ai * bi) + (cr * dr - ci * di), (ar * bi + ai * br) + (cr * di + ci * dr)
-
-
 # R₁ = R(t) and R₂ = R(1/t) are zero off their diagonal and anti-diagonal, so
-# each pattern entry of ϱ = R₁·R₂ is a sum of two products and the other 8 are
-# exact zeros: ϱᵢᵢ = R₁ᵢᵢ·R₂ᵢᵢ + R₁ᵢ,₃₋ᵢ·R₂₃₋ᵢ,ᵢ and ϱᵢ,₃₋ᵢ = R₁ᵢᵢ·R₂ᵢ,₃₋ᵢ +
-# R₁ᵢ,₃₋ᵢ·R₂₃₋ᵢ,₃₋ᵢ.  In pattern rows, R₂₃₋ᵢ,ᵢ is entry 7 − i and R₂₃₋ᵢ,₃₋ᵢ
-# entry 3 − i.
-def _rho_diagonal(r1, r2):
-    return _sum_of_products(r1[:, :4], r2[:, :4], r1[:, 4:], r2[:, :3:-1])
+# ϱ = R₁·R₂ is too, its other 8 entries exact zeros, and each pattern entry is
+# a sum of two products: ϱᵢᵢ = R₁ᵢᵢ·R₂ᵢᵢ + R₁ᵢ,₃₋ᵢ·R₂₃₋ᵢ,ᵢ and ϱᵢ,₃₋ᵢ =
+# R₁ᵢᵢ·R₂ᵢ,₃₋ᵢ + R₁ᵢ,₃₋ᵢ·R₂₃₋ᵢ,₃₋ᵢ.  In pattern rows R₂₃₋ᵢ,ᵢ is entry 7 − i and
+# R₂₃₋ᵢ,₃₋ᵢ entry 3 − i, so the second factors are R₂'s rows in order (y) and
+# reversed (w).
+def _rho(r1, r2, halves: int) -> np.ndarray:
+    """ϱ's diagonal (halves = 1), or its diagonal and anti-diagonal (halves =
+    2), from the pattern rows of R₁ and R₂, as float rows of shape (2,
+    halves, 4) + S: [0] the real parts, [1] the imaginary.  Each product is
+    Python's complex product, (ar·br − ai·bi) + i(ar·bi + ai·br) unfused
+    (numpy's complex * fuses them and differs in the last bit), and the two
+    are summed part by part."""
+    shape = (2, 2, 4) + r2.shape[2:]
+    y, w = r2.reshape(shape)[:, :halves], r2[:, ::-1].reshape(shape)[:, :halves]
+    # p[j, k] is part j of R₁ᵢᵢ times part k of its second factor
+    p = r1[:, None, None, :4] * y
+    q = r1[:, None, None, 4:] * w
+    rho = np.empty(p.shape[1:])
+    np.subtract(p[0, 0], p[1, 1], out=rho[0])
+    rho[0] += q[0, 0] - q[1, 1]
+    np.add(p[0, 1], p[1, 0], out=rho[1])
+    rho[1] += q[0, 1] + q[1, 0]
+    return rho
 
 
-def _rho_antidiagonal(r1, r2):
-    return _sum_of_products(r1[:, :4], r2[:, 4:], r1[:, 4:], r2[:, 3::-1])
+def _mean(diagonal) -> np.ndarray:
+    """tr ϱ/4 in each part from ϱ's (2, 4) + S diagonal rows, summed as
+    np.trace sums a complex 4x4 matrix: +0.0 + ((d₀ + d₁) + (d₂ + d₃)).
+    Without the leading 0.0 a part whose four entries are −0.0 would sum to
+    −0.0."""
+    d = diagonal
+    return (0.0 + ((d[:, 0] + d[:, 1]) + (d[:, 2] + d[:, 3]))) / 4.0
 
 
-def _mean(diagonal):
-    """tr ϱ/4 from ϱ's diagonal rows, summed in each part as np.trace sums a
-    complex 4x4 matrix: +0.0 + ((d₀ + d₁) + (d₂ + d₃)).  Without the leading
-    0.0 a part whose four entries are −0.0 would sum to −0.0."""
-    scalar = np.empty(np.shape(diagonal[0][0]), complex)
-    scalar.real, scalar.imag = ((0.0 + ((d[0] + d[1]) + (d[2] + d[3]))) / 4.0 for d in diagonal)
-    return scalar[()]
+def _complex(parts):
+    """The complex array, or numpy scalar for shape (), with real part
+    parts[0] and imaginary part parts[1]."""
+    z = np.empty(parts.shape[1:], complex)
+    z.real, z.imag = parts
+    return z[()]
 
 
 def rho_scalar(spec: BraidSpec, t):
@@ -215,7 +228,7 @@ def rho_scalar(spec: BraidSpec, t):
     bit for bit rho_check's scalar, from ϱ's diagonal alone.  An array of t
     gives an array of its shape (0-d for a number); the t that rho_check
     rejects raise the same DomainError here."""
-    return _mean(_rho_diagonal(*_rho_factors(spec, t)))
+    return _complex(_mean(_rho(*_rho_factors(spec, t), 1)[:, 0]))
 
 
 def rho_check(spec: BraidSpec, t):
@@ -231,20 +244,22 @@ def rho_check(spec: BraidSpec, t):
     can be nonzero, in fixed-order real arithmetic with no BLAS call, so its
     bits depend on no BLAS kernel.
     """
-    r1, r2 = _rho_factors(spec, t)
-    diagonal = _rho_diagonal(r1, r2)
-    scalar = _mean(diagonal)
-    # scaled by 2^-k ~ 1/|scalar| so that no square overflows, then back: exact
-    k = np.frexp(np.abs(scalar))[1]
-    scale = np.ldexp(1.0, -k)
-    off = [(d - s) * scale for d, s in zip(diagonal, (scalar.real, scalar.imag))]
-    anti = [a * scale for a in _rho_antidiagonal(r1, r2)]
+    rho = _rho(*_rho_factors(spec, t), 2)
+    parts = _mean(rho[:, 0])
+    scalar = _complex(parts)
+    magnitude = np.abs(scalar)
+    # ϱ − scalar·I, scaled by 2^-k ~ 1/|scalar| so that no square overflows,
+    # then back: exact
+    k = np.frexp(magnitude)[1]
+    rho[:, 0] -= parts[:, None]
+    rho *= np.ldexp(1.0, -k)
+    rho *= rho
     # row i's two squared moduli, then the rows summed as _mean sums: fixed order
-    m = (off[0] * off[0] + off[1] * off[1]) + (anti[0] * anti[0] + anti[1] * anti[1])
+    m = (rho[0, 0] + rho[1, 0]) + (rho[0, 1] + rho[1, 1])
     scaled = np.sqrt((m[0] + m[1]) + (m[2] + m[3]))
     residual = np.ldexp(scaled, k)
     # relative to |ϱ| >= 4, which grows like t + 1/t, as does its rounding error
-    ok = scaled < 1e-12 * np.ldexp(np.abs(scalar), -k)
+    ok = scaled < 1e-12 * np.ldexp(magnitude, -k)
     return ok, scalar, residual
 
 

@@ -281,10 +281,9 @@ class TestPattern:
         spec = BraidSpec(sign, PATTERN_PHI)
         dense = yang_baxterize(spec, t) @ yang_baxterize(spec, 1.0 / t)
         assert (dense[:, ~PATTERN] == 0).all()
-        r1, r2 = braid._rho_factors(spec, t)
+        rho = braid._rho(*braid._rho_factors(spec, t), 2)
         i = np.arange(4)
+        pattern = np.stack([dense[:, i, i], dense[:, i, 3 - i]])  # (half, φ, i)
         tol = 4 * np.spacing(2.0 * (t + 1.0 / t))
-        for (re, im), entries in ((braid._rho_diagonal(r1, r2), dense[:, i, i]),
-                                  (braid._rho_antidiagonal(r1, r2), dense[:, i, 3 - i])):
-            assert np.abs(entries.real - re.T).max() <= tol
-            assert np.abs(entries.imag - im.T).max() <= tol
+        assert np.abs(pattern.real - rho[0].swapaxes(-1, -2)).max() <= tol
+        assert np.abs(pattern.imag - rho[1].swapaxes(-1, -2)).max() <= tol

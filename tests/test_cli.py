@@ -554,8 +554,8 @@ class TestTables:
          ["--t1 -5.0", "grid's start 0.5", "last point is -5.0"]),
         (["rho-report", "--t1", "0"], ["--t1 0.0", "grid's start 0.5", "> 0"]),
         (["rho-report", "--t0", "3", "--t1", "-2"], ["--t1 -2.0", "--t0 3.0", "> 0"]),
-        # the last point 0.5 + (1e-310 - 0.5) rounds to 0
-        (["rho-report", "--t1", "1e-310"], ["--t1 1e-310", "last point is 0.0"]),
+        # the grid ends at --t1 itself, whose 1/t overflows
+        (["rho-report", "--t1", "1e-310"], ["t = 1e-310", "1/t overflows"]),
         # 1/t overflows: the message names t, not the spectral parameter 1/t
         (["rho-report", "--t0", "5e-324", "--t1", "1", "--steps", "3"],
          ["t = 5e-324", "1/t overflows"]),
