@@ -206,12 +206,11 @@ def _rho(r1, r2, halves: int) -> np.ndarray:
     return rho
 
 
-def _mean(diagonal) -> np.ndarray:
-    """tr ϱ/4 in each part from ϱ's (2, 4) + S diagonal rows, summed as
+def _mean(d) -> np.ndarray:
+    """tr ϱ/4 in each part from ϱ's (2, 4) + S diagonal rows d, summed as
     np.trace sums a complex 4x4 matrix: +0.0 + ((d₀ + d₁) + (d₂ + d₃)).
     Without the leading 0.0 a part whose four entries are −0.0 would sum to
     −0.0."""
-    d = diagonal
     return (0.0 + ((d[:, 0] + d[:, 1]) + (d[:, 2] + d[:, 3]))) / 4.0
 
 
