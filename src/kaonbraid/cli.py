@@ -7,10 +7,11 @@ command computes its table as one (N, k) float array, and write_table writes
 it KERNEL_CELLS // k rows at a time, one fmt call per block, straight to the
 stream; fmt's numpy kernel writes a block's '%.17g' text byte for byte, as a
 (words, cells) grid of ASCII from which the words NUL in every cell are
-dropped before it is transposed to text.  A block is 8,192 cells: the
-kernel frees each temporary once it is dead, so a block peaks at about 120 B
-a cell, and a table pays the kernel's fixed cost (about 0.1 ms, some 90
-numpy calls) once per 8,192 cells.  Only verify's report, whose rows start
+dropped before it is transposed to text a slice at a time.  A block is
+10,240 cells: the kernel works in place where it can and frees each
+temporary once it is dead, so a block peaks at about 90 B a cell, and a
+table pays the kernel's fixed cost (about 0.1 ms, some 100 numpy calls)
+once per 10,240 cells.  Only verify's report, whose rows start
 with a name, is written cell by cell.  main first has glibc's malloc
 keep freed memory for reuse, so that the temporaries of one block or command
 do not page-fault in fresh memory for the next.
@@ -39,15 +40,16 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 
 
-# cells per block of a table (per fmt call).  The kernel frees each temporary
-# once it is dead, so a block peaks at about 120 B a cell (0.96 MB traced at
-# 8,192 cells, where 4,096-cell blocks took 1.09 MB while every temporary
-# lived to the end); the text held at once stays the same however long the
-# table is.  Each block pays the kernel's fixed cost (about 0.1 ms) once: the
-# text of oscillate's 12,000 × 4 table took 6.4 ms in blocks of 2,048 cells,
-# 5.4 ms in 4,096 and 5.1 ms in 8,192 or 16,384 (min of 100 interleaved
-# calls, 2-vCPU Xeon)
-KERNEL_CELLS = 8192
+# cells per block of a table (per fmt call): the most, in multiples of 1,024,
+# whose kernel call stays under 1 MB.  The kernel works in place and frees
+# each temporary once it is dead, so a block peaks at about 90 B a cell
+# (0.92 MB traced on random bits at 10,240 cells, CSV or JSON; 1.01 MB at
+# 11,264); the text held at once stays the same however long the table is.
+# Each block pays the kernel's fixed cost (about 0.1 ms) once: the text of
+# oscillate's 12,000 × 4 table took 6.4 ms in blocks of 2,048 cells, 5.4 ms
+# in 4,096 and 5.1 ms in 8,192 or 16,384 (min of 100 interleaved calls,
+# 2-vCPU Xeon), and evolve --steps 1000, 10,000 cells, is one block
+KERNEL_CELLS = 10240
 
 
 def fmt(x, sep=",", end="\n") -> str:
@@ -134,41 +136,53 @@ def _exponents():
 
 def _scaled(f, k, s):
     """Nearest integer to f·2**k·10**s, and the fraction it drops, from a
-    double-double product (error below 1e-13 for results under 1e17)."""
+    double-double product (error below 1e-13 for results under 1e17).  Each
+    product goes into a buffer whose value is dead by then."""
     HI, LO, EX = _powers()
     s = np.add(s, 310, dtype=np.intp)
+    # Dekker splits hi = hh + hl and f = fh + fl, each half of 26 bits
     hi = np.take(HI, s)
-    c = 134217729.0 * hi
-    hh = c - (c - hi)
-    hl = hi - hh
-    c = 134217729.0 * f
-    fh = c - (c - f)
-    fl = f - fh
-    p = f * hi
-    err = ((fh * hh - p) + fh * hl + fl * hh) + fl * hl
-    del c, hi, hh, hl, fh, fl
+    hl = np.multiply(hi, 134217729.0)
+    hh = np.subtract(hl, hi)
+    np.subtract(hl, hh, out=hh)
+    np.subtract(hi, hh, out=hl)
+    fl = np.multiply(f, 134217729.0)
+    fh = np.subtract(fl, f)
+    np.subtract(fl, fh, out=fh)
+    np.subtract(f, fh, out=fl)
+    p = np.multiply(f, hi, out=hi)
+    # err = ((fh·hh - p) + fh·hl + fl·hh) + fl·hl
+    err = np.multiply(fh, hh)
+    err -= p
+    err += np.multiply(fh, hl, out=fh)
+    err += np.multiply(fl, hh, out=hh)
+    err += np.multiply(fl, hl, out=hl)
+    del fh, hh, hl
     # p·2**q is at least 9e15 > 2**53, so it is already an integer; a power
     # of two this small scales exactly.  q stays int32: with an int64 q,
     # ldexp casts, at about 15 times the cost
     q = np.take(EX, s) + k
-    tail = np.ldexp(err + f * np.take(LO, s), q)
-    r = np.rint(tail)
-    n = np.ldexp(p, q).astype(np.int64)
+    err += np.multiply(f, np.take(LO, s, out=fl, mode="clip"), out=fl)
+    del s
+    tail = np.ldexp(err, q, out=err)
+    r = np.rint(tail, out=fl)
+    n = np.ldexp(p, q, out=p).astype(np.int64)
+    del p
     n += r.astype(np.int64)
     tail -= r
     return n, tail
 
 
 def _digits(x):
-    """|x|, and n, frac and X with |x| = (n + frac)·10**(X - 16), n an
-    integer of 17 digits and |frac| <= 1/2 (n = 10**16 and X = 0 where x is
-    0, inf or nan).  Each temporary is freed once it is dead."""
-    a = np.abs(x)
-    v = np.where((a > 0) & (a < np.inf), a, 1.0)
+    """n, frac and X with |x| = (n + frac)·10**(X - 16), n an integer of 17
+    digits and |frac| <= 1/2 (n = 10**16 and X = 0 where x is 0, inf or nan).
+    |x| becomes log10 |x| in place, and each temporary is freed once it is
+    dead."""
+    v = np.abs(x)
+    np.copyto(v, 1.0, where=~((v > 0) & (v < np.inf)))
     f, k = np.frexp(v)
-    e = np.log10(v)
+    e = np.floor(np.log10(v, out=v), out=v).astype(np.int32)
     del v
-    e = np.floor(e, out=e).astype(np.int32)
     n, frac = _scaled(f, k, 16 - e)
     # log10 can be off by one next to a power of ten: n then has 16 or 18
     # digits (n = 10**16 has 17 unless frac < 0)
@@ -177,10 +191,17 @@ def _digits(x):
     if fix.size:
         e[fix] += np.where(n[fix] > 10**17, 1, -1)
         n[fix], frac[fix] = _scaled(f[fix], k[fix], 16 - e[fix])
+    del f, k
     carry = n == 10**17  # rounding reached the next power of ten
     n[carry] = 10**16
     e += carry
-    return a, n, frac, e
+    return n, frac, e
+
+
+# cells per slice where _cells would otherwise hold a copy of the whole block
+# next to its grid: the transposed text, and the Python objects of the cells
+# that '%.17g' writes itself
+_SLICE = 1024
 
 
 def _cells(x, cols, sep, end) -> bytes:
@@ -194,9 +215,10 @@ def _cells(x, cols, sep, end) -> bytes:
     then the separator (from 52).  Bytes 0…43 are the 17 digits rendered
     twice, with '.000' between, ANDed with a mask for the cell's layout, so
     deleting the NULs shifts each into place.  Words NUL in every cell are
-    left out before the grid is transposed to text.  Cells within 1e-6 of a
-    rounding tie, inf and nan take '%.17g' itself."""
-    a, n, frac, X = _digits(x)
+    left out, and the grid is transposed to text _SLICE cells at a time.
+    Cells within 1e-6 of a rounding tie, inf and nan take '%.17g' itself,
+    also _SLICE at a time."""
+    n, frac, X = _digits(x)
     back = np.flatnonzero(~np.isfinite(x) | (np.abs(frac) > 0.5 - 1e-6))
     del frac
     # n's first digit and its four quads, in int32, whose division is the
@@ -217,17 +239,25 @@ def _cells(x, cols, sep, end) -> bytes:
     nd = np.take(ends[30000:], q[4], mode="clip")
     z = np.flatnonzero(nd == 0)
     if z.size:
-        nd[z] = np.take(ends, q[1:4, z] + np.arange(0, 30000, 10000)[:, None]).max(axis=0)
-    digits = np.empty((6, len(x)), np.uint32)
-    np.take(_quads(), q, out=digits[:5], mode="clip")
-    digits[5] = _quads()[10000]
+        # take, not q[1:4, z], whose fancy index along the last axis is slow
+        qz = np.take(q[1:4], z, axis=1)
+        qz += np.array([[0], [10000], [20000]], np.int32)
+        nd[z] = np.take(ends, qz, mode="clip").max(axis=0)
+    # the digit rows, one take each: a take of all five would copy q to intp
+    # at once.  Row 5, '.000', is the same in every cell
+    quads = _quads()
+    digits = np.empty((5, len(x)), np.uint32)
+    for i in range(5):
+        np.take(quads, q[i], out=digits[i], mode="clip")
     del q
     expo = (X < -4) | (X >= 17)
     # column 17·layout + nd - 1 of the masks; a zero has nd = 1
     m = np.where(expo, -1, np.multiply(X, 17, dtype=np.intp) + 84)
     m += np.maximum(nd, 1, out=nd)
-    m[a == 0] = 17 * 22
-    del a, nd
+    m[x == 0] = 17 * 22
+    del nd
+    exponent = np.where(expo, X + 324, 633) if expo.any() else None
+    del X, expo
     # a word whose mask is NUL for every cell's layout is left out, so that
     # translate scans fewer bytes; word 0, which takes the sign, always has a
     # digit or '0'
@@ -238,26 +268,30 @@ def _cells(x, cols, sep, end) -> bytes:
     words = np.flatnonzero(keep)
     sep, end = sep.encode(), end.encode()
     w = -(-max(len(sep), len(end)) // 4) * 4
-    r, r_exp = len(words), 2 * expo.any()
+    r, r_exp = len(words), 0 if exponent is None else 2
     g = np.empty((r + r_exp + w // 4, len(x)), np.uint32)
     np.take(masks[words], m, axis=1, out=g[:r], mode="clip")
-    # words 0…5 take digit rows 0…5, words 6…10 rows 0…4 again
-    i = np.searchsorted(words, 6)
-    g[:i] &= digits[words[:i]]
-    g[i:r] &= digits[words[i:] - 6]
-    del digits, m
+    del m
+    # words 0…4 take digit rows 0…4, word 5 '.000' and words 6…10 rows 0…4
+    # again, one word at a time, so that no row is copied
+    for i, word in enumerate(words.tolist()):
+        g[i] &= quads[10000] if word == 5 else digits[word % 6]
+    del digits
     g[0] |= np.signbit(x) * np.frombuffer(b"-\0\0\0", np.uint32)[0]
     if r_exp:
-        np.take(_exponents(), np.where(expo, X + 324, 633), axis=1, out=g[r:r + 2], mode="clip")
+        np.take(_exponents(), exponent, axis=1, out=g[r:r + 2], mode="clip")
+        del exponent
     g[r + r_exp:] = np.frombuffer(sep.ljust(w, b"\0"), np.uint32)[:, None]
     g[r + r_exp:, cols - 1::cols] = np.frombuffer(end.ljust(w, b"\0"), np.uint32)[:, None]
-    if back.size:
-        text = [b"%.17g" % c for c in x[back].tolist()]
-        g[:6, back] = np.array(text, "S24").view(np.uint32).reshape(-1, 6).T
-        g[6:r + r_exp, back] = 0
-    raw = g.T.tobytes()
+    for i in range(0, back.size, _SLICE):
+        part = back[i:i + _SLICE]
+        text = [b"%.17g" % c for c in x[part].tolist()]
+        g[:6, part] = np.array(text, "S24").view(np.uint32).reshape(-1, 6).T
+        g[6:r + r_exp, part] = 0
+    pieces = [g[:, i:i + _SLICE].T.tobytes().translate(None, b"\0")
+              for i in range(0, len(x), _SLICE)]
     del g
-    return raw.translate(None, b"\0")
+    return b"".join(pieces)
 
 
 def _json_value(v) -> str:
@@ -494,7 +528,8 @@ def cmd_evolve(cfg) -> int:
     psi = dynamics.evolve_state(psi0, spec, t0, t)
     # a complex (N, 4) array read as float is (N, 8): re_a0, im_a0, re_a1, ...
     table = np.column_stack([t, psi.view(float), norm4(psi)])
-    final = dynamics.evolve_state(psi0, spec, t0, t1)
+    # the grid ends at t1 itself, and a row has the bits of its time taken alone
+    final = psi[-1]
     round_trip = dynamics.evolve_state(final, spec, t1, t0)
     extra = {
         "norm_drift": abs(float(norm4(final)) - 1.0),
