@@ -15,7 +15,7 @@ behind a flag purely as a diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,33 +29,51 @@ _I2 = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True)
 class BraidSpec:
-    """Sign variant (plus/minus) and deformation phase φ, canonicalized to [0, 2π);
-    an array of φ stands for the stack of specs sharing the sign.  Such a spec
-    can be neither hashed nor compared with ==."""
+    """Sign variant (plus/minus) and deformation phase φ, canonicalized to [0, 2π).
+    An array of φ, or of signs, or of both broadcasting together, stands for
+    the stack of specs of the broadcast shape; such a spec can be neither
+    hashed nor compared with ==.
 
-    sign: str
+    q = e^{iφ} and σ = ±1 are formed once, here: a Python complex and int for
+    one spec; for a stack, read-only arrays of its shape (σ stays an int for
+    one sign).  The arrays a spec holds are all read-only."""
+
+    sign: str | np.ndarray
     phi: float | np.ndarray = 0.0
+    q: complex | np.ndarray = field(init=False, repr=False, compare=False)
+    sigma: int | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.sign not in SIGNS:
-            raise ValidationError(f"sign must be one of {SIGNS}, got {self.sign!r}")
+        sign = self.sign
+        if isinstance(sign, str):
+            if sign not in SIGNS:
+                raise ValidationError(f"sign must be one of {SIGNS}, got {sign!r}")
+            sigma = 1 if sign == "plus" else -1
+        else:
+            sign = np.array(sign)
+            plus, minus = sign == "plus", sign == "minus"
+            bad = ~(plus | minus)
+            if bad.any():
+                raise ValidationError(f"sign must be one of {SIGNS}, got {sign[bad].tolist()[0]!r}")
+            sigma = np.where(plus, 1, -1)
         phi = np.asarray(self.phi, dtype=float)
-        if not np.isfinite(phi).all():
+        phi = phi if phi.ndim else float(phi)
+        if not (math.isfinite(phi) if isinstance(phi, float) else np.isfinite(phi).all()):
             raise ValidationError("phi must be finite")
-        phi = (phi if phi.ndim else float(phi)) % (2.0 * math.pi)
+        phi = phi % (2.0 * math.pi)
         # a tiny negative φ rounds φ mod 2π up to 2π itself
-        object.__setattr__(self, "phi", phi * (phi < 2.0 * math.pi))
-
-    @property
-    def q(self):
-        """e^{iφ}: a Python complex, or a complex array for an array of φ."""
-        if isinstance(self.phi, float):
-            return complex(math.cos(self.phi), math.sin(self.phi))
-        return np.cos(self.phi) + 1j * np.sin(self.phi)
-
-    @property
-    def sigma(self) -> int:
-        return 1 if self.sign == "plus" else -1
+        phi = phi * (phi < 2.0 * math.pi)
+        if isinstance(phi, float):
+            q = complex(math.cos(phi), math.sin(phi))
+        else:
+            q = np.cos(phi) + 1j * np.sin(phi)
+            phi.flags.writeable = q.flags.writeable = False
+        if not isinstance(sign, str):
+            shape = np.broadcast_shapes(sign.shape, np.shape(phi))
+            q, sigma = np.broadcast_to(q, shape), np.broadcast_to(sigma, shape)
+            sign.flags.writeable = False
+        # frozen: the fields are set past __setattr__
+        self.__dict__.update(sign=sign, phi=phi, q=q, sigma=sigma)
 
 
 # b±(φ) without its φ-dependent corners (1, 4) and (4, 1), keyed by (sigma, corrected)
@@ -64,19 +82,29 @@ _FIXED = {(s, c): np.array([[1, 0, 0, 0], [0, 1, s, 0], [0, -s, 1, 0 if c else 1
 
 
 def braid_matrix(spec: BraidSpec, corrected: bool = True) -> np.ndarray:
-    """The unnormalized 4x4 braid matrix b±(φ), or the (N, 4, 4) stack for an
-    array of φ; satisfies b b† = 2I.
+    """The unnormalized 4x4 braid matrix b±(φ), or the stack of shape S +
+    (4, 4) for a spec of stack shape S; satisfies b b† = 2I.
 
     corrected=False reproduces the misprinted variant with a stray 1 at
     (3, 4), which fails the braid relation (diagnostic use only).
     """
-    q, shape = spec.q, getattr(spec.phi, "shape", ())
+    q, sigma = spec.q, spec.sigma
+    shape = getattr(q, "shape", ())
     b = np.empty(shape + (4, 4), dtype=complex)
-    b[...] = _FIXED[spec.sigma, corrected]
+    if isinstance(sigma, int):
+        b[...] = _FIXED[sigma, corrected]
+    else:
+        # σ = ±1 per element, at (1, 2) and (2, 1) as in _FIXED
+        b[...] = _FIXED[1, corrected]
+        b[..., 1, 2], b[..., 2, 1] = sigma, -sigma
     b[..., 0, 3] = q
     # Python's complex division: numpy's multiplies by a reciprocal and can
     # differ in the last bit, so a stack would not match its specs one by one
-    b[..., 3, 0] = [-1 / z for z in q.tolist()] if shape else -1 / q
+    if isinstance(q, complex):
+        b[3, 0] = -1 / q
+    else:
+        # a list into b's flat stack: np.array of it would cost more
+        b.reshape(-1, 4, 4)[:, 3, 0] = [-1 / z for z in q.ravel().tolist()]
     return b
 
 

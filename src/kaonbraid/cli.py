@@ -318,9 +318,7 @@ def write_table(stream, columns, rows, meta, fmt_name):
     if isinstance(rows, np.ndarray):
         step = max(1, KERNEL_CELLS // rows.shape[1])
         blocks = (rows[i:i + step] for i in range(0, len(rows), step))
-        # JSON "a, b], [c, d], [" -> "[a, b], [c, d]"
-        chunks = (fmt(b) for b in blocks) if csv else (
-            "[" + fmt(b, ", ", "], [")[:-3] for b in blocks)
+        chunks = (fmt(b) for b in blocks) if csv else _json_rows(blocks)
     elif csv:
         chunks = ["".join(",".join([name, *map(_json_value, cells)]) + "\n"
                           for name, *cells in rows)]
@@ -328,15 +326,25 @@ def write_table(stream, columns, rows, meta, fmt_name):
         chunks = [", ".join("[" + ", ".join(map(_json_value, row)) + "]" for row in rows)]
     if csv:
         stream.write(",".join(columns) + "\n")
-        for chunk in chunks:
-            stream.write(chunk)
-        return
-    items = ", ".join(f"{_json_value(k)}: {_json_value(v)}" for k, v in meta.items())
-    stream.write(f'{{"meta": {{{items}}}, "columns": [{", ".join(map(_json_value, columns))}], '
-                 '"rows": [')
-    for i, chunk in enumerate(chunks):
-        stream.write(", " + chunk if i else chunk)
-    stream.write("]}\n")
+    else:
+        items = ", ".join(f"{_json_value(k)}: {_json_value(v)}" for k, v in meta.items())
+        stream.write(f'{{"meta": {{{items}}}, "columns": [{", ".join(map(_json_value, columns))}], '
+                     '"rows": [')
+    for chunk in chunks:
+        stream.write(chunk)
+    if not csv:
+        stream.write("]}\n")
+
+
+def _json_rows(blocks):
+    """The JSON rows "[a, b], [c, d]" of (n, k) float blocks, as pieces to
+    write in turn: "[" (", [" from the second block on), then the block's
+    text with "], [" after each row, decoded without its last ", [" and not
+    copied again."""
+    for i, b in enumerate(blocks):
+        yield ", [" if i else "["
+        text = _cells(np.ascontiguousarray(b, dtype=np.float64).ravel(), b.shape[1], ", ", "], [")
+        yield str(memoryview(text)[:-3], "ascii")
 
 
 def load_config_file(path) -> dict:

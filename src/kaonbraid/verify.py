@@ -4,6 +4,11 @@ Every check returns a CheckResult with the worst observed metric, the
 tolerance it is held to, and a short detail string.  run_suite() composes
 the full battery used by `kaonbraid verify`; the acceptance tests call the
 individual check functions directly.
+
+The checks of b±, R(x), R̃, H and ϱ run on SPEC, one stack of both signs at
+the 7 φ nodes, built once: each makes one call per kernel, whose every
+element has the bits of its sign and φ taken alone.  The Schrödinger check
+keeps one spec per sign, as its residuals have shape (N,) + t.shape.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from .linalg import elementwise, frobenius, hermiticity_residual, unitarity_resi
 # nodes each check proves its identity up to rounding.
 X_NODES = np.array([0.0, 1.0, 2.0])
 PHI_NODES = 2 * math.pi * np.arange(7) / 7
+# both signs at every φ node, shape (2, 7); a node array of x, y or t takes
+# an axis in front of it, as X_NODES[:, None, None] does
+SPEC = BraidSpec(np.array(braid.SIGNS)[:, None], PHI_NODES)
 
 
 @dataclass(frozen=True)
@@ -37,21 +45,15 @@ class CheckResult:
     detail: str = ""
 
 
-def _specs():
-    """One spec per sign over PHI_NODES: the stacks the checks run on."""
-    return [BraidSpec(sign, PHI_NODES) for sign in braid.SIGNS]
-
-
 def check_braid_relation(uncorrected: bool = False) -> CheckResult:
-    worst = max(float(braid.check_braid_relation(s, corrected=not uncorrected).max())
-                for s in _specs())
+    worst = float(braid.check_braid_relation(SPEC, corrected=not uncorrected).max())
     label = "uncorrected (3,4)=1 matrix" if uncorrected else "corrected matrix"
     return CheckResult("braid_relation", worst, 1e-12, label)
 
 
 def check_uncorrected_diagnostic() -> CheckResult:
     """The misprinted matrix must clearly fail the braid relation."""
-    least = min(float(braid.check_braid_relation(s, corrected=False).min()) for s in _specs())
+    least = float(braid.check_braid_relation(SPEC, corrected=False).min())
     # pass iff the minimum residual exceeds 0.1
     metric = 0.0 if least > 0.1 else 1.0
     return CheckResult(
@@ -61,44 +63,39 @@ def check_uncorrected_diagnostic() -> CheckResult:
 
 def check_eigenvalues() -> CheckResult:
     expected = np.array([1 - 1j, 1 - 1j, 1 + 1j, 1 + 1j])
-    worst = 0.0
-    for spec in _specs():
-        ev = np.linalg.eigvals(braid.braid_matrix(spec))
-        ev = np.take_along_axis(ev, np.argsort(ev.imag), axis=-1)
-        worst = max(worst, float(np.max(np.abs(ev - expected))))
+    ev = np.linalg.eigvals(braid.braid_matrix(SPEC))
+    ev = np.take_along_axis(ev, np.argsort(ev.imag), axis=-1)
+    worst = float(np.max(np.abs(ev - expected)))
     return CheckResult("braid_eigenvalues", worst, 1e-10, "multiset {1+i, 1-i} twice")
 
 
 def check_qybe() -> CheckResult:
-    # (9, 1) columns of (x, y) against the 7 φ of each spec
-    x, y = (g.reshape(-1, 1) for g in np.meshgrid(X_NODES, X_NODES))
-    worst = max(float(braid.check_qybe(spec, x, y).max()) for spec in _specs())
+    # (9, 1, 1) columns of (x, y) against the (2, 7) signs and φ
+    x, y = (g.reshape(-1, 1, 1) for g in np.meshgrid(X_NODES, X_NODES))
+    worst = float(braid.check_qybe(SPEC, x, y).max())
     return CheckResult("qybe", worst, 1e-10, "all x, y, phi: 3x3 (x, y) nodes x 7 phi nodes")
 
 
 def check_asymptotic() -> CheckResult:
-    worst = max(float(np.max(np.abs(braid.yang_baxterize(spec, 0.0) - braid.braid_matrix(spec))))
-                for spec in _specs())
+    worst = float(np.max(np.abs(braid.yang_baxterize(SPEC, 0.0) - braid.braid_matrix(SPEC))))
     return CheckResult("asymptotic_r0_equals_b", worst, 0.0, "exact entrywise")
 
 
 def check_unitarity_grid() -> CheckResult:
-    worst = max(float(unitarity_residual(braid.unitary_r(spec, X_NODES[:, None])).max())
-                for spec in _specs())
+    worst = float(unitarity_residual(braid.unitary_r(SPEC, X_NODES[:, None, None])).max())
     return CheckResult("unitary_r_grid", worst, 1e-12, "all theta, phi: 3 x nodes x 7 phi nodes")
 
 
 def check_hamiltonian_hermitian() -> CheckResult:
     t = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 10.0, -10.0])
-    worst = max(float(hermiticity_residual(dynamics.hamiltonian_at(spec, t)).max())
-                for spec in _specs())
+    worst = float(hermiticity_residual(dynamics.hamiltonian_at(SPEC, t)).max())
     return CheckResult("hamiltonian_hermitian", worst, 1e-12)
 
 
 def check_hamiltonian_even() -> CheckResult:
     t = np.array([0.5, 1.0, 10.0])
     h = dynamics.hamiltonian_at
-    worst = max(float(np.max(np.abs(h(s, t) - h(s, -t)))) for s in _specs())
+    worst = float(np.max(np.abs(h(SPEC, t) - h(SPEC, -t))))
     return CheckResult("hamiltonian_even_in_t", worst, 0.0, "H(t) = H(-t) exactly")
 
 
@@ -107,16 +104,15 @@ def check_hamiltonian_t1_printed() -> CheckResult:
     and the paper's f(1)·(-i·b̃·b̃) built here against the printed form too:
     H₀ = -i·(b - I) has the printed entries, so H(1) alone would be compared
     with the same formula and read 0."""
-    worst = 0.0
-    for spec in _specs():
-        q, s = spec.q, spec.sigma
-        printed = np.zeros(q.shape + (4, 4), dtype=complex)
-        printed[:, 0, 3], printed[:, 1, 2], printed[:, 2, 1] = -q, -s, s
-        printed[:, 3, 0] = [1 / z for z in q.tolist()]  # Python's complex division
-        bt = braid.unitary_braid(spec)
-        defined = dynamics.envelope(1.0) * (-1j * (bt @ bt))
-        for h in (dynamics.hamiltonian_at(spec, 1.0), defined):
-            worst = max(worst, float(np.max(np.abs(h - (1j / 2) * printed))))
+    q, s = SPEC.q, SPEC.sigma
+    printed = np.zeros(q.shape + (4, 4), dtype=complex)
+    printed[..., 0, 3], printed[..., 1, 2], printed[..., 2, 1] = -q, -s, s
+    # Python's complex division
+    printed[..., 3, 0] = np.array([1 / z for z in q.ravel().tolist()]).reshape(q.shape)
+    bt = braid.unitary_braid(SPEC)
+    defined = dynamics.envelope(1.0) * (-1j * (bt @ bt))
+    worst = max(float(np.max(np.abs(h - (1j / 2) * printed)))
+                for h in (dynamics.hamiltonian_at(SPEC, 1.0), defined))
     return CheckResult("hamiltonian_t1_printed_form", worst, 1e-14)
 
 
@@ -132,8 +128,7 @@ def check_schrodinger(seed: int) -> CheckResult:
 
 
 def check_r_hamiltonian_consistency() -> CheckResult:
-    worst = max(float(dynamics.r_vs_hamiltonian_consistency(spec, X_NODES[:, None]).max())
-                for spec in _specs())
+    worst = float(dynamics.r_vs_hamiltonian_consistency(SPEC, X_NODES[:, None, None]).max())
     return CheckResult("r_vs_hamiltonian", worst, 1e-11)
 
 
@@ -201,13 +196,10 @@ def check_deformation_sweep() -> CheckResult:
 
 
 def check_rho() -> CheckResult:
-    worst = 0.0
-    t = np.array([0.5, 1.0, 2.0, 5.0])[:, None]  # t > 0, and 4 nodes for degree 2
-    for spec in _specs():
-        ok, scalar, residual = braid.rho_check(spec, t)
-        gap = scalar - 2.0 * (t + 1.0 / t)
-        worst = max(worst, residual.max(), np.hypot(gap.real, gap.imag).max(),
-                    0.0 if ok.all() else 1.0)
+    t = np.array([0.5, 1.0, 2.0, 5.0])[:, None, None]  # t > 0, and 4 nodes for degree 2
+    ok, scalar, residual = braid.rho_check(SPEC, t)
+    gap = scalar - 2.0 * (t + 1.0 / t)
+    worst = max(residual.max(), np.hypot(gap.real, gap.imag).max(), 0.0 if ok.all() else 1.0)
     printed = braid.rho_printed_formula(BraidSpec("plus", 0.0), 1.0)
     detail = f"computed 2(t+1/t); printed formula gives {printed.real:g} at t=1, phi=0"
     return CheckResult("rho_inversion", worst, 1e-12, detail)

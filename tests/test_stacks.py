@@ -705,6 +705,73 @@ def test_phi_array_spec_is_a_stack_not_a_key():
     assert {BraidSpec("plus", 1.0)} == {BraidSpec("plus", 1.0 + 2 * math.pi)}
 
 
+class TestSignStacks:
+    """A spec over an array of signs broadcast against φ is the stack of the
+    single specs: each kernel gives each element the bits, zero signs
+    included, of the spec of that sign and φ taken alone."""
+
+    @settings(deadline=None)
+    @given(signs=st.lists(st.sampled_from(SIGNS), min_size=1, max_size=3),
+           phi=hnp.arrays(float, st.integers(1, 5), elements=ANGLE),
+           nodes=hnp.arrays(float, st.tuples(st.integers(1, 3), st.just(3)),
+                            elements=st.floats(0.01, 10.0)),
+           t0=TIME)
+    @example(signs=list(SIGNS), phi=np.array([0.0, -0.0, 1e-300, -1e-300, math.pi]),
+             nodes=np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 0.5]]), t0=0.0)
+    def test_kernels_match_their_single_specs(self, signs, phi, nodes, t0):
+        stack = BraidSpec(np.array(signs)[:, None], phi)
+        x, y, t = (a[:, None, None] for a in nodes.T)
+        results = {
+            "braid_matrix": braid_matrix(stack),
+            "braid_relation": check_braid_relation(stack),
+            "yang_baxterize": yang_baxterize(stack, x),
+            "unitary_r": unitary_r(stack, x),
+            "qybe": check_qybe(stack, x, y),
+            "rho_check": np.stack(rho_check(stack, t)).astype(complex),
+            "propagator": propagator(stack, t0, t),
+        }
+        for i, sign in enumerate(signs):
+            for j, p in enumerate(phi.tolist()):
+                single = BraidSpec(sign, p)
+                assert (stack.q[i, j], stack.sigma[i, j]) == (single.q, single.sigma)
+                assert bits(results["braid_matrix"][i, j].copy()) == bits(braid_matrix(single))
+                assert bits(results["braid_relation"][i, j]) == bits(check_braid_relation(single))
+                for k, (xk, yk, tk) in enumerate(zip(x.ravel().tolist(), y.ravel().tolist(),
+                                                     t.ravel().tolist())):
+                    for name, value in (
+                            ("yang_baxterize", yang_baxterize(single, xk)),
+                            ("unitary_r", unitary_r(single, xk)),
+                            ("qybe", check_qybe(single, xk, yk)),
+                            ("rho_check", np.array(rho_check(single, tk), complex)),
+                            ("propagator", propagator(single, t0, tk))):
+                        got = results[name][:, k, i, j] if name == "rho_check" else \
+                            results[name][k, i, j]
+                        assert bits(got.copy()) == bits(value), (name, sign, p, xk, yk, tk)
+
+    @settings(deadline=None)
+    @given(signs=st.lists(st.sampled_from(SIGNS), min_size=1, max_size=4), phi=ANGLE)
+    def test_signs_against_one_phi(self, signs, phi):
+        stack = BraidSpec(signs, phi)
+        assert stack.q.shape == stack.sigma.shape == (len(signs),)
+        assert bits(braid_matrix(stack)) == bits([braid_matrix(BraidSpec(s, phi)) for s in signs])
+
+    def test_a_stack_holds_read_only_arrays(self):
+        stack = BraidSpec(np.array(SIGNS)[:, None], np.array([0.0, 1.0, 2.0]))
+        assert stack.q.shape == stack.sigma.shape == (2, 3)
+        assert stack.sigma.tolist() == [[1, 1, 1], [-1, -1, -1]]
+        for held in (stack.sign, stack.phi, stack.q, stack.sigma,
+                     BraidSpec("plus", np.array([0.0, 1.0])).q):
+            with pytest.raises(ValueError, match="read-only"):
+                held[...] = 0
+
+    @pytest.mark.parametrize("signs,bad", [(np.array(["plus", "pm"]), "'pm'"),
+                                           (["minus", "Plus", "x"], "'Plus'"),
+                                           (np.array([[None], ["plus"]], dtype=object), "None")])
+    def test_every_sign_is_validated(self, signs, bad):
+        with pytest.raises(ValidationError, match=f"got {bad}$"):
+            BraidSpec(signs, 0.0)
+
+
 class TestValidation:
     @settings(deadline=None)
     @given(psi=state_stacks(), data=st.data(),
