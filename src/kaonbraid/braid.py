@@ -25,6 +25,8 @@ from .linalg import _nonnegative, cexp, elementwise, frobenius, tensor_product
 SIGNS = ("plus", "minus")
 
 _I2 = np.eye(2, dtype=complex)
+# b₊(φ) but for its corners (1, 4) and (4, 1); σ = −1 negates (2, 3) and (3, 2)
+_B_PLUS = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, -1, 1, 0], [0, 0, 0, 1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -34,14 +36,16 @@ class BraidSpec:
     the stack of specs of the broadcast shape; such a spec can be neither
     hashed nor compared with ==.
 
-    q = e^{iφ} and σ = ±1 are formed once, here: a Python complex and int for
-    one spec; for a stack, read-only arrays of its shape (σ stays an int for
-    one sign).  The arrays a spec holds are all read-only."""
+    q = e^{iφ}, σ = ±1 and b are formed once, here: q and σ a Python complex
+    and int for one spec, for a stack arrays of its shape (σ stays an int for
+    one sign); b the 4x4 matrix, or the stack, that braid_matrix copies.  The
+    arrays a spec holds are all read-only."""
 
     sign: str | np.ndarray
     phi: float | np.ndarray = 0.0
     q: complex | np.ndarray = field(init=False, repr=False, compare=False)
     sigma: int | np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sign = self.sign
@@ -72,45 +76,37 @@ class BraidSpec:
             shape = np.broadcast_shapes(sign.shape, np.shape(phi))
             q, sigma = np.broadcast_to(q, shape), np.broadcast_to(sigma, shape)
             sign.flags.writeable = False
+        b = np.empty(np.shape(q) + (4, 4), dtype=complex)
+        b[...] = _B_PLUS
+        b[..., 1, 2], b[..., 2, 1] = sigma, -sigma
+        b[..., 0, 3] = q
+        # Python's complex division per element: numpy's multiplies by a
+        # reciprocal, and a stack would not match its specs one by one
+        b[..., 3, 0] = -1 / np.asarray(q, dtype=object)
+        b.flags.writeable = False
         # frozen: the fields are set past __setattr__
-        self.__dict__.update(sign=sign, phi=phi, q=q, sigma=sigma)
-
-
-# b±(φ) without its φ-dependent corners (1, 4) and (4, 1), keyed by (sigma, corrected)
-_FIXED = {(s, c): np.array([[1, 0, 0, 0], [0, 1, s, 0], [0, -s, 1, 0 if c else 1], [0, 0, 0, 1]],
-                           dtype=complex) for s in (1, -1) for c in (True, False)}
+        self.__dict__.update(sign=sign, phi=phi, q=q, sigma=sigma, b=b)
 
 
 def braid_matrix(spec: BraidSpec, corrected: bool = True) -> np.ndarray:
     """The unnormalized 4x4 braid matrix b±(φ), or the stack of shape S +
-    (4, 4) for a spec of stack shape S; satisfies b b† = 2I.
+    (4, 4) for a spec of stack shape S; satisfies b b† = 2I.  A new, writable
+    copy of spec.b on every call.
 
     corrected=False reproduces the misprinted variant with a stray 1 at
     (3, 4), which fails the braid relation (diagnostic use only).
     """
-    q, sigma = spec.q, spec.sigma
-    shape = getattr(q, "shape", ())
-    b = np.empty(shape + (4, 4), dtype=complex)
-    if isinstance(sigma, int):
-        b[...] = _FIXED[sigma, corrected]
-    else:
-        # σ = ±1 per element, at (1, 2) and (2, 1) as in _FIXED
-        b[...] = _FIXED[1, corrected]
-        b[..., 1, 2], b[..., 2, 1] = sigma, -sigma
-    b[..., 0, 3] = q
-    # Python's complex division: numpy's multiplies by a reciprocal and can
-    # differ in the last bit, so a stack would not match its specs one by one
-    if isinstance(q, complex):
-        b[3, 0] = -1 / q
-    else:
-        # a list into b's flat stack: np.array of it would cost more
-        b.reshape(-1, 4, 4)[:, 3, 0] = [-1 / z for z in q.ravel().tolist()]
+    b = spec.b.copy()
+    if not corrected:
+        b[..., 2, 3] = 1
     return b
 
 
 def unitary_braid(spec: BraidSpec) -> np.ndarray:
     """b̃± = b±/√2: unitary, eigenvalues e^{±iπ/4}, b̃⁴ = -I."""
-    return braid_matrix(spec) / math.sqrt(2.0)
+    b = braid_matrix(spec)
+    b /= math.sqrt(2.0)
+    return b
 
 
 def check_braid_relation(spec: BraidSpec, corrected: bool = True):

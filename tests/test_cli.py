@@ -29,6 +29,55 @@ from kaonbraid.cli import (
 from kaonbraid.errors import KaonbraidError
 
 
+# argv the CLI must reject with exit code 2, and the texts its error line
+# must name (tests/test_reach.py runs them too)
+BOUNDARY_INPUTS = [
+    (["verify", "--seed", "-1"], ["--seed", "'-1'"]),
+    (["verify", "--tol", "nan"], ["--tol", "'nan'"]),
+    (["verify", "--tol", "inf"], ["--tol", "'inf'"]),
+    (["evolve", "--t1", "inf"], ["--t1", "'inf'"]),
+    (["rho-report", "--t1", "inf"], ["--t1", "'inf'"]),
+    # the grid 0.5, -1.33, -3.17, -5 has non-positive t: the error names --t1 and the start
+    (["rho-report", "--t1", "-5", "--steps", "4"],
+     ["--t1 -5.0", "grid's start 0.5", "last point is -5.0"]),
+    (["rho-report", "--t1", "0"], ["--t1 0.0", "grid's start 0.5", "> 0"]),
+    (["rho-report", "--t0", "3", "--t1", "-2"], ["--t1 -2.0", "--t0 3.0", "> 0"]),
+    # the grid ends at --t1 itself, whose 1/t overflows
+    (["rho-report", "--t1", "1e-310"], ["t = 1e-310", "1/t overflows"]),
+    # 1/t overflows: the message names t, not the spectral parameter 1/t
+    (["rho-report", "--t0", "5e-324", "--t1", "1", "--steps", "3"],
+     ["t = 5e-324", "1/t overflows"]),
+    (["evolve", "--t0=-1e308", "--t1=1e308"], ["--t0 -1e+308", "--t1 1e+308"]),
+    (["oscillate", "--dm", "1e300", "--t1", "1e10"], ["delta_m", "1e+300"]),
+    # oscillate's table runs over [0, t1]
+    (["oscillate", "--t1", "-5e-1"], ["--t1 -0.5", "> 0"]),
+    (["oscillate", "--t1", "0"], ["--t1 0.0", "> 0"]),
+    (["bell", "--dm=--"], ["--dm", "'--'"]),
+    # (t1 - t0)·(steps - 1) overflows though t1 - t0 does not
+    (["evolve", "--t0", "1e300", "--t1", "1e308", "--steps", "3"],
+     ["--t0 1e+300", "--t1 1e+308", "overflows"]),
+    (["oscillate", "--t1", "1e308", "--steps", "3"],
+     ["--t1 1e+308", "grid's start 0.0", "overflows"]),
+    # t0 <= 0: the grid starts at 0.5, which is not the user's --t0
+    (["rho-report", "--t0", "-5", "--t1", "1e308", "--steps", "3"],
+     ["--t1 1e+308", "grid's start 0.5", "overflows"]),
+    (["rho-report", "--t0", "1e300", "--t1", "1e308", "--steps", "3"],
+     ["--t0 1e+300", "--t1 1e+308", "overflows"]),
+    # the trace of ϱ = 2(t + 1/t)·I overflows, at t and at 1/t
+    (["rho-report", "--t0", "4e307", "--t1", "4e307", "--steps", "2"],
+     ["t = 4e+307", "overflows"]),
+    (["rho-report", "--t0", "1e-308", "--t1", "1", "--steps", "2"],
+     ["t = 1e-308", "overflows"]),
+    # np.arange(2**63 - 1) is an empty array, not an error
+    (["oscillate", f"--steps={2**63 - 1}"], ["--steps", "2 to 2**53"]),
+    # --state: 3 amplitudes, an unnormalized state and a NaN amplitude
+    (["evolve", "--state", "1,0,0"],
+     ["state must be a basis label, 4 real amplitudes, or 8 re,im values"]),
+    (["evolve", "--state", "1,1,0,0"], ["not normalized", "1.41421356237"]),
+    (["evolve", "--state", "nan,0,0,0"], ["amplitudes must be finite"]),
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -549,52 +598,25 @@ class TestTables:
         assert out == ""
         assert "--t1" in err and "'nan'" in err
 
-    @pytest.mark.parametrize("argv, named", [
-        (["verify", "--seed", "-1"], ["--seed", "'-1'"]),
-        (["verify", "--tol", "nan"], ["--tol", "'nan'"]),
-        (["verify", "--tol", "inf"], ["--tol", "'inf'"]),
-        (["evolve", "--t1", "inf"], ["--t1", "'inf'"]),
-        (["rho-report", "--t1", "inf"], ["--t1", "'inf'"]),
-        # the grid 0.5, -1.33, -3.17, -5 has non-positive t: the error names --t1 and the start
-        (["rho-report", "--t1", "-5", "--steps", "4"],
-         ["--t1 -5.0", "grid's start 0.5", "last point is -5.0"]),
-        (["rho-report", "--t1", "0"], ["--t1 0.0", "grid's start 0.5", "> 0"]),
-        (["rho-report", "--t0", "3", "--t1", "-2"], ["--t1 -2.0", "--t0 3.0", "> 0"]),
-        # the grid ends at --t1 itself, whose 1/t overflows
-        (["rho-report", "--t1", "1e-310"], ["t = 1e-310", "1/t overflows"]),
-        # 1/t overflows: the message names t, not the spectral parameter 1/t
-        (["rho-report", "--t0", "5e-324", "--t1", "1", "--steps", "3"],
-         ["t = 5e-324", "1/t overflows"]),
-        (["evolve", "--t0=-1e308", "--t1=1e308"], ["--t0 -1e+308", "--t1 1e+308"]),
-        (["oscillate", "--dm", "1e300", "--t1", "1e10"], ["delta_m", "1e+300"]),
-        # oscillate's table runs over [0, t1]
-        (["oscillate", "--t1", "-5e-1"], ["--t1 -0.5", "> 0"]),
-        (["oscillate", "--t1", "0"], ["--t1 0.0", "> 0"]),
-        (["bell", "--dm=--"], ["--dm", "'--'"]),
-        # (t1 - t0)·(steps - 1) overflows though t1 - t0 does not
-        (["evolve", "--t0", "1e300", "--t1", "1e308", "--steps", "3"],
-         ["--t0 1e+300", "--t1 1e+308", "overflows"]),
-        (["oscillate", "--t1", "1e308", "--steps", "3"],
-         ["--t1 1e+308", "grid's start 0.0", "overflows"]),
-        # t0 <= 0: the grid starts at 0.5, which is not the user's --t0
-        (["rho-report", "--t0", "-5", "--t1", "1e308", "--steps", "3"],
-         ["--t1 1e+308", "grid's start 0.5", "overflows"]),
-        (["rho-report", "--t0", "1e300", "--t1", "1e308", "--steps", "3"],
-         ["--t0 1e+300", "--t1 1e+308", "overflows"]),
-        # the trace of ϱ = 2(t + 1/t)·I overflows, at t and at 1/t
-        (["rho-report", "--t0", "4e307", "--t1", "4e307", "--steps", "2"],
-         ["t = 4e+307", "overflows"]),
-        (["rho-report", "--t0", "1e-308", "--t1", "1", "--steps", "2"],
-         ["t = 1e-308", "overflows"]),
-        # np.arange(2**63 - 1) is an empty array, not an error
-        (["oscillate", f"--steps={2**63 - 1}"], ["--steps", "2 to 2**53"]),
-    ])
+    @pytest.mark.parametrize("argv, named", BOUNDARY_INPUTS)
     def test_boundary_input_rejected(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
         assert all(text in err for text in named), err
+
+    def test_evolve_where_t0_times_t1_overflows(self, capsys):
+        # t0·t1 = 1e500 overflows, so the angle is atan((t1 - t0)/t1/t0), about
+        # 1e-200: atan((t1 - t0)/(1 + t0·t1)) would give 0 and no motion at all
+        code, out, err = run_cli(capsys, "evolve", "--t0", "1e200", "--t1", "1e300",
+                                 "--steps", "2", "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["meta"]["round_trip_error"] < 1e-15
+        assert [row[0] for row in doc["rows"]] == [1e200, 1e300]
+        assert doc["rows"][-1][7] == pytest.approx(1e-200, rel=1e-12)
+        assert [row[-1] for row in doc["rows"]] == [1.0, 1.0]
 
     @pytest.mark.parametrize("argv", [["oscillate", "--t1", "1e308", "--steps", "3"],
                                       ["rho-report", "--t0", "-5", "--t1", "1e308",

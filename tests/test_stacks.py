@@ -764,6 +764,36 @@ class TestSignStacks:
             with pytest.raises(ValueError, match="read-only"):
                 held[...] = 0
 
+    @staticmethod
+    def specs():
+        """One spec, a φ stack and a sign × φ stack, at φ = ±0.0, ±1e-300 and π."""
+        phi = np.array([0.0, -0.0, 1e-300, -1e-300, math.pi])
+        yield from (BraidSpec(sign, p) for sign in SIGNS for p in phi.tolist())
+        yield from (BraidSpec(sign, phi) for sign in SIGNS)
+        yield BraidSpec(np.array(SIGNS)[:, None], phi)
+
+    def test_spec_b_is_read_only_with_the_bits_of_braid_matrix(self):
+        for spec in self.specs():
+            assert spec.b.shape == np.shape(spec.q) + (4, 4)
+            assert bits(spec.b) == bits(braid_matrix(spec))
+            with pytest.raises(ValueError, match="read-only"):
+                spec.b[..., 0, 0] = 0
+
+    def test_each_call_returns_a_new_writable_array(self):
+        for spec in self.specs():
+            held = bits(spec.b)
+            b = braid_matrix(spec)
+            assert not np.shares_memory(b, spec.b)
+            b[...] = 7
+            assert bits(spec.b) == held == bits(braid_matrix(spec))
+
+    def test_uncorrected_differs_only_at_the_stray_entry(self):
+        for spec in self.specs():
+            stray = braid_matrix(spec, corrected=False)
+            assert (stray[..., 2, 3] == 1).all() and (spec.b[..., 2, 3] == 0).all()
+            stray[..., 2, 3] = spec.b[..., 2, 3]
+            assert bits(stray) == bits(spec.b)
+
     @pytest.mark.parametrize("signs,bad", [(np.array(["plus", "pm"]), "'pm'"),
                                            (["minus", "Plus", "x"], "'Plus'"),
                                            (np.array([[None], ["plus"]], dtype=object), "None")])
