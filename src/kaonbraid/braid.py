@@ -70,7 +70,7 @@ class BraidSpec:
         if isinstance(phi, float):
             q = complex(math.cos(phi), math.sin(phi))
         else:
-            q = np.cos(phi) + 1j * np.sin(phi)
+            q = cexp(0.0, phi)
             phi.flags.writeable = q.flags.writeable = False
         if not isinstance(sign, str):
             shape = np.broadcast_shapes(sign.shape, np.shape(phi))
@@ -105,7 +105,8 @@ def braid_matrix(spec: BraidSpec, corrected: bool = True) -> np.ndarray:
 def unitary_braid(spec: BraidSpec) -> np.ndarray:
     """b̃± = b±/√2: unitary, eigenvalues e^{±iπ/4}, b̃⁴ = -I."""
     b = braid_matrix(spec)
-    b /= math.sqrt(2.0)
+    # numpy's complex b / √2 multiplies each part by 1/√2 too: the same bits
+    b.view(float)[...] *= 1.0 / math.sqrt(2.0)
     return b
 
 

@@ -555,12 +555,11 @@ def cmd_sweep_phi(cfg) -> int:
     # row i of b̃(φ) is the image of basis state i
     images = braid.unitary_braid(BraidSpec(cfg["sign"], phi)).reshape(-1, 4)
     deformed = states.deformed_bell(phi)
-    s_op, cp = states.strangeness_op(), states.cp_op()
+    ops = np.stack([states.cp_op(), states.strangeness_op()])
     table = np.column_stack([
         phi,
         states.concurrence(images).reshape(-1, 4),
-        states.correlation(deformed, cp, cp),
-        states.correlation(deformed, s_op, s_op),
+        states.correlation(deformed, ops, ops).T,
     ])
     columns = ["phi", "c1", "c2", "c3", "c4", "corr_cp", "corr_s"]
     _emit(cfg, "sweep-phi", columns, table)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import hermiticity_residual, tensor_product
+from .linalg import cexp, hermiticity_residual, norm4, tensor_product
 
 BASIS_LABELS = ("KK", "KKbar", "KbarK", "KbarKbar")
 
@@ -29,7 +29,9 @@ def state_stack(psi) -> np.ndarray:
     if a.ndim not in (1, 2) or a.shape[-1] != 4:
         raise ValidationError("a two-kaon state needs exactly 4 amplitudes")
     a = a.reshape(-1, 4)
-    norms = np.sqrt(np.einsum("ij,ij->i", a.conj(), a).real)
+    # an amplitude past ~1e154 squares to inf, and the norm check below fails it
+    with np.errstate(over="ignore"):
+        norms = norm4(a)
     off = np.abs(norms - 1.0)
     if not off.max(initial=0.0) <= NORM_TOL:  # a NaN or inf amplitude fails here too
         if not np.isfinite(a).all():
@@ -101,8 +103,8 @@ def deformed_bell(phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     a = np.zeros(phi.shape + (4,), dtype=complex)
     a[..., 0] = 1 / _SQ2
-    a[..., 3].real = np.cos(phi) / _SQ2
-    a[..., 3].imag = np.sin(phi) / _SQ2
+    # e^{iφ}/√2 part by part: numpy's complex division may differ in the last bit
+    a.view(float)[..., 6:] = cexp(0.0, phi)[..., None].view(float) / _SQ2
     return a
 
 
@@ -110,18 +112,14 @@ def cp_s_eigentable() -> np.ndarray:
     """Simultaneous Ŝ⊗Ŝ and CP⊗CP eigenvalues of the Bell quartet: a (4, 2)
     array, rows Φ₁..Φ₄, columns Ŝ⊗Ŝ and CP⊗CP.
 
-    Verifies, in one stacked pass, that each Φᵢ really is an eigenvector of
-    both lifted operators op ⊗ op, with eigenvalue +1 or -1.
+    λ = ⟨Φᵢ|op⊗op|Φᵢ⟩, from one correlation call.  op⊗op is a Hermitian
+    involution, so ||(op⊗op)Φᵢ − λΦᵢ||² = 1 − λ²: an eigenvector iff |λ| = 1.
     """
     ops = np.stack([strangeness_op(), cp_op()])
-    v = bell_quartet()
-    # images[j, i] = (op_j ⊗ op_j)·Φᵢ and lam[j, i] = ⟨Φᵢ|images[j, i]⟩
-    images = (tensor_product(ops, ops)[:, None] @ v[:, :, None])[..., 0]
-    lam = (v.conj()[:, None, :] @ images[..., None])[..., 0, 0]
+    lam = correlation(bell_quartet(), ops, ops)
     # eigenvalues are exactly +-1; snap off the fp dust from the products
-    snapped = np.round(lam.real)
-    off = np.linalg.norm(images - lam[..., None] * v, axis=-1)
-    bad = (off > 1e-12) | (np.abs(lam - snapped) > 1e-12) | (np.abs(snapped) != 1.0)
+    snapped = np.round(lam)
+    bad = (np.abs(lam - snapped) > 1e-12) | (np.abs(snapped) != 1.0)
     if bad.any():
         i = bad.any(axis=0).argmax() + 1
         raise ValidationError(f"Phi{i} is not an eigenvector with eigenvalue +-1; internal error")
@@ -130,14 +128,15 @@ def cp_s_eigentable() -> np.ndarray:
 
 def correlation(psi, op_a, op_b):
     """⟨Ψ| A⊗B |Ψ⟩ for Hermitian single-kaon operators A, B, one per row of
-    state_stack(psi): an (N,) array."""
+    state_stack(psi): an (N,) array; for two (K, 2, 2) operator stacks, the
+    (K, N) array whose row k has the bits of the pair (A[k], B[k]) alone."""
     op_a, op_b = np.asarray(op_a, dtype=complex), np.asarray(op_b, dtype=complex)
-    if op_a.shape != (2, 2) or op_b.shape != (2, 2):
+    if op_a.shape != op_b.shape or op_a.ndim not in (2, 3) or op_a.shape[-2:] != (2, 2):
         raise ValidationError("correlation requires 2x2 single-kaon operators")
     # `<=`, not `> 1e-12`, so that a NaN or infinite entry fails too
     if not (hermiticity_residual(np.stack([op_a, op_b])) <= 1e-12).all():
         raise ValidationError("correlation requires Hermitian operators")
     v = state_stack(psi)
     # stacked matmul, not einsum: each row then sums in np.vdot's order
-    w = tensor_product(op_a, op_b) @ v[:, :, None]
-    return (v.conj()[:, None, :] @ w)[:, 0, 0].real
+    w = tensor_product(op_a, op_b)[..., None, :, :] @ v[:, :, None]
+    return (v.conj()[:, None, :] @ w)[..., 0, 0].real

@@ -107,8 +107,8 @@ def check_hamiltonian_t1_printed() -> CheckResult:
     q, s = SPEC.q, SPEC.sigma
     printed = np.zeros(q.shape + (4, 4), dtype=complex)
     printed[..., 0, 3], printed[..., 1, 2], printed[..., 2, 1] = -q, -s, s
-    # Python's complex division
-    printed[..., 3, 0] = np.array([1 / z for z in q.ravel().tolist()]).reshape(q.shape)
+    # Python's complex division per element
+    printed[..., 3, 0] = 1 / np.asarray(q, dtype=object)
     bt = braid.unitary_braid(SPEC)
     defined = dynamics.envelope(1.0) * (-1j * (bt @ bt))
     worst = max(float(np.max(np.abs(h - (1j / 2) * printed)))
@@ -181,11 +181,12 @@ def check_separability(seed: int) -> CheckResult:
 
 
 def check_deformation_sweep() -> CheckResult:
-    s_op, cp = states.strangeness_op(), states.cp_op()
+    ops = np.stack([states.cp_op(), states.strangeness_op()])
     phi = np.linspace(0.0, 2 * math.pi, 41)
     psi = states.deformed_bell(phi)
-    worst = float(max(np.max(np.abs(states.correlation(psi, cp, cp) - np.cos(phi))),
-                      np.max(np.abs(states.correlation(psi, s_op, s_op) - 1.0)),
+    corr_cp, corr_s = states.correlation(psi, ops, ops)
+    worst = float(max(np.max(np.abs(corr_cp - elementwise(math.cos, phi))),
+                      np.max(np.abs(corr_s - 1.0)),
                       np.max(np.abs(states.concurrence(psi) - 1.0))))
     return CheckResult(
         "deformation_sweep",

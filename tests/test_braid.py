@@ -88,6 +88,16 @@ class TestBraidMatrix:
         expected = np.array([1, 0, 0, -1]) / math.sqrt(2)
         assert np.linalg.norm(image - expected) < 1e-15
 
+    def test_unitary_braid_is_b_divided_by_sqrt2(self):
+        # the bits, zero signs included, of numpy's complex division of b by √2
+        phi = np.concatenate([np.linspace(0.0, 2 * math.pi, 577),
+                              np.random.default_rng(5).uniform(-10.0, 10.0, 20_000),
+                              [0.0, -0.0, 1e-300, -1e-300, math.pi / 2, math.pi]])
+        for sign in SIGNS:
+            spec = BraidSpec(sign, phi)
+            expected = braid_matrix(spec) / math.sqrt(2.0)
+            assert np.array_equal(unitary_braid(spec).view(np.uint64), expected.view(np.uint64))
+
     def test_det_unit_modulus(self):
         for spec in all_specs():
             assert abs(abs(np.linalg.det(unitary_braid(spec))) - 1.0) < 1e-12

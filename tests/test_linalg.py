@@ -1,3 +1,4 @@
+import ast
 import cmath
 import math
 import os
@@ -5,6 +6,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import kaonbraid
 from kaonbraid.linalg import (
     cexp,
     elementwise,
@@ -23,6 +26,7 @@ from kaonbraid.linalg import (
 )
 
 RNG = np.random.default_rng(42)
+PACKAGE = Path(kaonbraid.__file__).parent
 
 
 def random_complex(dim):
@@ -231,3 +235,21 @@ def test_norm4_rows_are_their_points(psi):
     for row, n in zip(psi, stacked.tolist()):
         assert n == norm4(row) == norm4_reference(row.tolist())
         assert abs(n - np.linalg.norm(row)) <= 4 * np.finfo(float).eps * max(n, 1e-300)
+
+
+# numpy functions whose bits are not math's, or whose sums are not in a fixed
+# order; linalg wraps the ones the package needs
+LINALG_ONLY = {"cos", "sin", "exp", "expm1", "arctan", "einsum"}
+
+
+def test_only_linalg_calls_numpy_transcendentals():
+    """Every exp, cos and sin goes through linalg.cexp, expm1 through
+    linalg.expm1, atan through elementwise and every state norm through
+    norm4: no module but linalg names np.cos, np.sin, np.exp, np.expm1,
+    np.arctan or np.einsum."""
+    found = [f"{path.name}:{node.lineno} np.{node.attr}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in LINALG_ONLY
+             and isinstance(node.value, ast.Name) and node.value.id == "np"]
+    assert found == []

@@ -330,12 +330,17 @@ class TestStackEqualsRows:
             assert sep == is_separable(row, 1e-8)[0]
 
     @settings(deadline=None)
-    @given(psi=state_stacks(), op_a=hermitian_2x2(), op_b=hermitian_2x2())
-    def test_correlation(self, psi, op_a, op_b):
+    @given(psi=state_stacks(), op_a=hermitian_2x2(), op_b=hermitian_2x2(),
+           op_c=hermitian_2x2(), op_d=hermitian_2x2())
+    def test_correlation(self, psi, op_a, op_b, op_c, op_d):
         stacked = correlation(psi, op_a, op_b)
         for row, value in zip(psi, stacked):
             reference = complex(np.vdot(row, np.kron(op_a, op_b) @ row)).real
             assert value == correlation(row, op_a, op_b)[0] == reference
+        # a (2, 2, 2) stack of operator pairs: row k is pair k taken alone
+        pairs = correlation(psi, np.stack([op_a, op_c]), np.stack([op_b, op_d]))
+        assert pairs.shape == (2, len(psi))
+        assert bits(pairs) == bits(np.stack([stacked, correlation(psi, op_c, op_d)]))
 
     @settings(deadline=None)
     @given(sign=st.sampled_from(SIGNS), phi=ANGLE, t=spectral_values(1e-3))

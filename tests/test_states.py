@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kaonbraid import states
 from kaonbraid.braid import BraidSpec, unitary_braid
 from kaonbraid.cli import parse_state
 from kaonbraid.errors import ValidationError
@@ -58,6 +59,11 @@ class TestCanonicalBasis:
     def test_norm_validation(self):
         with pytest.raises(ValidationError):
             TwoKaonState([1, 0, 0, 1])
+
+    def test_overflowing_norm_is_not_normalized(self):
+        # the squares overflow to inf; that is a rejected state, not a warning
+        with pytest.raises(ValidationError, match=r"\|\|a\|\| = inf"):
+            TwoKaonState([0, 0, 0, 1e308])
 
 
 class TestConcurrence:
@@ -162,6 +168,14 @@ class TestOperators:
         assert table.dtype == float
         assert table.tolist() == [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
 
+    def test_eigentable_rejects_a_non_eigenvector(self, monkeypatch):
+        # (|KK⟩ + |KK̄⟩)/√2 is a unit vector with ⟨Ŝ⊗Ŝ⟩ = ⟨CP⊗CP⟩ = 0
+        quartet = bell_quartet()
+        quartet[0] = [1 / SQ2, 1 / SQ2, 0, 0]
+        monkeypatch.setattr(states, "bell_quartet", lambda: quartet)
+        with pytest.raises(ValidationError, match="^Phi1 is not an eigenvector"):
+            cp_s_eigentable()
+
 
 class TestCorrelation:
     def test_cp_cp_on_deformed_bell(self):
@@ -190,3 +204,11 @@ class TestCorrelation:
             for a, b in ((op, cp_op()), (cp_op(), op)):
                 with pytest.raises(ValidationError):
                     correlation(bell_quartet()[0], a, b)
+
+    def test_rejects_other_shapes(self):
+        ops = np.stack([strangeness_op(), cp_op()])
+        for a, b in ((ops, ops[:1]), (ops, cp_op()), (cp_op(), ops),
+                     (ops[None], ops[None]), (np.eye(4)[None], np.eye(4)[None]),
+                     (np.eye(2)[:, None], np.eye(2)[:, None])):
+            with pytest.raises(ValidationError, match="requires 2x2 single-kaon operators"):
+                correlation(bell_quartet(), a, b)
