@@ -7,16 +7,20 @@ command computes its table as one (N, k) float array, and write_table writes
 it KERNEL_CELLS // k rows at a time, one fmt call per block, straight to the
 stream; fmt's numpy kernel writes a block's '%.17g' text byte for byte, as a
 (words, cells) grid of ASCII from which the words NUL in every cell are
-dropped before it is transposed to text a slice at a time.  A block is
+dropped before it is transposed to text a slice at a time.  A cell's column
+starts with the separator before it, whose last byte shares word 0 with the
+sign, the first digit and the point: a cell 0.ddd of an oscillate table
+takes 6 words (24 bytes) of the grid for its 20 bytes of text.  A block is
 10,240 cells: the kernel works in place where it can and frees each
 temporary once it is dead, so a block peaks at about 90 B a cell, and a
 table pays the kernel's fixed cost (about 0.1 ms, some 100 numpy calls)
-once per 10,240 cells.  Only verify's report, whose rows start
-with a name, is written cell by cell.  main first has glibc's malloc
+once per 10,240 cells.  Only verify's report, whose rows start with a name,
+is written cell by cell.  main first has glibc's malloc
 keep freed memory for reuse, so that the temporaries of one block or command
 do not page-fault in fresh memory for the next.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration/validation error.
+Exit codes: 0 success, 1 verification failure, 2 configuration/validation error,
+130 interrupted (Ctrl-C), 141 stdout closed by its reader (as in `| head`).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import argparse
 import functools
 import io
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -38,13 +43,16 @@ from .linalg import norm4
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
+EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE: stdout's reader went away (`| head`)
 
 
 # cells per block of a table (per fmt call): the most, in multiples of 1,024,
 # whose kernel call stays under 1 MB.  The kernel works in place and frees
 # each temporary once it is dead, so a block peaks at about 90 B a cell
-# (0.92 MB traced on random bits at 10,240 cells, CSV or JSON; 1.01 MB at
-# 11,264); the text held at once stays the same however long the table is.
+# (traced on random bits at 10,240 cells: 0.89 MB with CSV's separators and
+# 0.93 MB with JSON's; 1.02 MB at 11,264 with JSON's); the text held at once
+# stays the same however long the table is.
 # Each block pays the kernel's fixed cost (about 0.1 ms) once: the text of
 # oscillate's 12,000 × 4 table took 6.4 ms in blocks of 2,048 cells, 5.4 ms
 # in 4,096 and 5.1 ms in 8,192 or 16,384 (min of 100 interleaved calls,
@@ -83,29 +91,31 @@ def _powers():
 
 @functools.cache
 def _quads():
-    """uint32 whose 4 bytes are the ASCII of '%04d' % i for i < 10,000, and
-    of '.000' at 10,000."""
+    """uint32 whose 4 bytes are the ASCII of '%04d' % i, for i < 10,000."""
     digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48
-    return np.append(digits.astype(np.uint8), np.frombuffer(b".000", np.uint8)).view(np.uint32)
+    return digits.astype(np.uint8).view(np.uint32).ravel()
 
 
 @functools.cache
 def _ends():
-    """(40,000,): at 10,000·j + i, the digits up to the last nonzero one of a
-    17-digit n whose quad j + 1 is i ≠ 0 (4j + 1 + the digits of '%04d' % i
-    up to its last nonzero one), and 0 for i = 0."""
+    """(40,000,): at 10,000·j + i, for a 17-digit n whose quad j + 1 is i,
+    the digits up to the last nonzero one (4j + 1 + the digits of '%04d' % i
+    up to its last nonzero one) where i ≠ 0, and 0 where i = 0; but 1 at
+    index 0, as n = d·10**16, whose quads 1…4 are all 0, has one digit."""
     i = np.arange(10000)
     last = 5 - (i % 10 == 0) - (i % 100 == 0) - (i % 1000 == 0)
-    return np.where(i > 0, np.arange(0, 16, 4)[:, None] + last, 0).astype(np.uint8).ravel()
+    ends = np.where(i > 0, np.arange(0, 16, 4)[:, None] + last, 0).astype(np.uint8).ravel()
+    ends[0] = 1
+    return ends
 
 
 @functools.cache
 def _masks():
     """(11, 391) uint32 masks of grid words 0…10 (bytes 0…43), column
     17·L + nd - 1 for layout L and nd digits up to the last nonzero one: 0xFF
-    keeps a byte, 0 drops it and '0' writes a zero ('0' & any digit is '0').
-    L = 0 is exponent form, L = 1 … 21 fixed form with X = L - 5 and L = 22 a
-    zero."""
+    keeps a byte, 0 drops it, and '0' or '.' writes itself ('0' & any digit
+    is '0'; word 5, which holds only the point, is not ANDed).  L = 0 is
+    exponent form, L = 1 … 21 fixed form with X = L - 5 and L = 22 a zero."""
     ff, rows = b"\xff", []
     for L in range(23):
         X = L - 5
@@ -116,22 +126,34 @@ def _masks():
         elif X < 0:
             head, first = b"0", 0  # 0.000ddd
         else:
-            head, first = ff * (X + 1), X + 1  # ddd.ddd
+            head, first = ff, X + 1  # ddd.ddd
+        ints = ff * X if 5 < L < 22 else b""
         zeros = ff * (-1 - X) if 0 < L < 5 else b""
         for nd in range(1, 18):
-            dot = ff if nd > first else b"\0"
+            point = b"." if nd > first else b"\0"
             frac = b"\0" * first + ff * (nd - first)
-            rows.append(b"\0" * 3 + head.ljust(17, b"\0") + dot + zeros.ljust(3, b"\0")
-                        + b"\0" * 3 + frac.ljust(17, b"\0"))
+            # the point follows the first digit, or the integer digits
+            lead, point = (b"\0", point) if ints else (point, b"\0")
+            rows.append(ff + b"\0" + head + lead + ints.ljust(16, b"\0") + point + b"\0" * 3
+                        + zeros.rjust(3, b"\0") + frac.ljust(17, b"\0"))
     return np.frombuffer(b"".join(rows), np.uint32).reshape(-1, 11).T.copy()
 
 
 @functools.cache
 def _exponents():
-    """(2, 634) uint32: the ASCII of 'e%+03d' % X in column X + 324,
-    NUL-padded to 8 bytes; column 633 empty."""
-    text = [b"e%+03d" % X for X in range(-324, 309)] + [b""]
+    """(2, 633) uint32: in column X + 324, the ASCII of 'e%+03d' % X where X
+    takes exponent form (X < -4 or X > 16), NUL-padded to 8 bytes; NUL
+    elsewhere."""
+    text = [b"e%+03d" % X if X < -4 or X > 16 else b"" for X in range(-324, 309)]
     return np.array(text, "S8").view(np.uint32).reshape(-1, 2).T.copy()
+
+
+@functools.cache
+def _bases():
+    """(633,) intp: at X + 324, the column 17·L - 1 of _masks for
+    exponent X (L = 0 in exponent form), to which a cell adds its nd."""
+    X = np.arange(-324, 309)
+    return np.where((X < -4) | (X > 16), 0, 17 * (X + 5)).astype(np.intp) - 1
 
 
 def _scaled(f, k, s):
@@ -174,12 +196,13 @@ def _scaled(f, k, s):
 
 
 def _digits(x):
-    """n, frac and X with |x| = (n + frac)·10**(X - 16), n an integer of 17
-    digits and |frac| <= 1/2 (n = 10**16 and X = 0 where x is 0, inf or nan).
-    |x| becomes log10 |x| in place, and each temporary is freed once it is
-    dead."""
+    """n, frac, X and the indices of the cells that are 0, inf or nan, with
+    |x| = (n + frac)·10**(X - 16), n an integer of 17 digits and |frac| <= 1/2
+    (n = 10**16 and X = 0 at those indices).  |x| becomes log10 |x| in place,
+    and each temporary is freed once it is dead."""
     v = np.abs(x)
-    np.copyto(v, 1.0, where=~((v > 0) & (v < np.inf)))
+    special = np.flatnonzero(~((v > 0) & (v < np.inf)))
+    v[special] = 1.0
     f, k = np.frexp(v)
     e = np.floor(np.log10(v, out=v), out=v).astype(np.int32)
     del v
@@ -195,7 +218,7 @@ def _digits(x):
     carry = n == 10**17  # rounding reached the next power of ten
     n[carry] = 10**16
     e += carry
-    return n, frac, e
+    return n, frac, e, special
 
 
 # cells per slice where _cells would otherwise hold a copy of the whole block
@@ -209,18 +232,27 @@ def _cells(x, cols, sep, end) -> bytes:
     closes a row of `cols` cells, and by `sep` elsewhere.
 
     A cell x = ±n·10**(X-16), with n of 17 digits, is one column of a
-    (words, cells) uint32 grid, NUL wherever a character is absent: sign
-    (byte 0), the integer digits (3…19), '.' (20), leading zeros (21…23), the
-    fraction digits (27…43), 'e', the exponent's sign and digits (44…48),
-    then the separator (from 52).  Bytes 0…43 are the 17 digits rendered
-    twice, with '.000' between, ANDed with a mask for the cell's layout, so
-    deleting the NULs shifts each into place.  Words NUL in every cell are
-    left out, and the grid is transposed to text _SLICE cells at a time.
-    Cells within 1e-6 of a rounding tie, inf and nan take '%.17g' itself,
+    (words, cells) uint32 grid, NUL wherever a character is absent.  It
+    starts with the separator before it (none before the block's first
+    cell): all but its last byte in words of their own, none for a 1-byte
+    separator, then word 0: that last byte (byte 0), the sign (1), the first
+    digit or '0' (2) and the point after a lone integer digit (3).  The other
+    integer digits follow (bytes 4…19), then their point (20), the leading
+    zeros of 0.000ddd (24…26), the fraction digits (27…43), and 'e', the
+    exponent's sign and digits (44…48).  Bytes 4…19 are n's last 16 digits
+    and bytes 24…43 '000' and n's 17 digits, ANDed with a mask for the cell's
+    layout, so deleting the NULs shifts each into place.  Words NUL in every
+    cell are left out, and the grid is transposed to text _SLICE cells at a
+    time; the last cell's own separator follows.  Cells within 1e-6 of a
+    rounding tie, inf and nan take '%.17g' itself in the 6 rows after word 0,
     also _SLICE at a time."""
-    n, frac, X = _digits(x)
-    back = np.flatnonzero(~np.isfinite(x) | (np.abs(frac) > 0.5 - 1e-6))
-    del frac
+    if not len(x):
+        return b""
+    n, frac, X, special = _digits(x)
+    zero = x[special] == 0
+    back = np.concatenate([special[~zero], np.flatnonzero(np.abs(frac, out=frac) > 0.5 - 1e-6)])
+    zero = special[zero]
+    del frac, special
     # n's first digit and its four quads, in int32, whose division is the
     # faster: n // 10**8 and n % 10**8 (both fit), each then split by 10**4
     q = np.empty((5, len(x)), np.int32)
@@ -243,54 +275,74 @@ def _cells(x, cols, sep, end) -> bytes:
         qz = np.take(q[1:4], z, axis=1)
         qz += np.array([[0], [10000], [20000]], np.int32)
         nd[z] = np.take(ends, qz, mode="clip").max(axis=0)
+        del qz
+    del z
     # the digit rows, one take each: a take of all five would copy q to intp
-    # at once.  Row 5, '.000', is the same in every cell
+    # at once
     quads = _quads()
     digits = np.empty((5, len(x)), np.uint32)
     for i in range(5):
         np.take(quads, q[i], out=digits[i], mode="clip")
     del q
-    expo = (X < -4) | (X >= 17)
-    # column 17·layout + nd - 1 of the masks; a zero has nd = 1
-    m = np.where(expo, -1, np.multiply(X, 17, dtype=np.intp) + 84)
-    m += np.maximum(nd, 1, out=nd)
-    m[x == 0] = 17 * 22
-    del nd
-    exponent = np.where(expo, X + 324, 633) if expo.any() else None
-    del X, expo
+    # column 17·layout + nd - 1 of the masks; a zero has nd = 1.  X stays
+    # int32, half the bytes of m while both are held
+    X += 324
+    m = np.take(_bases(), X, mode="clip")
+    m += nd
+    m[zero] = 17 * 22
+    del nd, zero
+    # the exponent's words: 'e-05' fills the first, and only a 3-digit
+    # exponent needs the second.  A column of either that some cell needs
+    # lies between the least and the greatest X, which need it too
+    exponents = _exponents()
+    exponents = exponents[exponents[:, X.min():X.max() + 1].any(axis=1)]
     # a word whose mask is NUL for every cell's layout is left out, so that
-    # translate scans fewer bytes; word 0, which takes the sign, always has a
-    # digit or '0'
+    # translate scans fewer bytes; every cell has a word 0
     masks = _masks()
     keep = masks[:, np.bincount(m, minlength=masks.shape[1]) > 0].any(axis=1)
     if back.size:
-        keep[:6] = True  # '%.17g' takes at most 24 bytes
+        # '%.17g' writes at most 24 bytes, into the 6 rows after word 0: where
+        # fewer follow it, the first words left out are kept too
+        short = 6 - np.count_nonzero(keep[1:]) - len(exponents)
+        keep[np.flatnonzero(~keep)[:max(short, 0)]] = True
     words = np.flatnonzero(keep)
     sep, end = sep.encode(), end.encode()
-    w = -(-max(len(sep), len(end)) // 4) * 4
-    r, r_exp = len(words), 0 if exponent is None else 2
-    g = np.empty((r + r_exp + w // 4, len(x)), np.uint32)
-    np.take(masks[words], m, axis=1, out=g[:r], mode="clip")
+    # all but the last byte of a separator go in words ahead of word 0
+    p, r = -(-max(len(sep) - 1, len(end) - 1, 0) // 4), len(words)
+    g = np.empty((p + r + len(exponents), len(x)), np.uint32)
+    np.take(masks[words], m, axis=1, out=g[p:p + r], mode="clip")
     del m
-    # words 0…4 take digit rows 0…4, word 5 '.000' and words 6…10 rows 0…4
-    # again, one word at a time, so that no row is copied
+    np.take(exponents, X, axis=1, out=g[p + r:], mode="clip")
+    del X
+    # words 1…4 take digit rows 1…4 and words 6…10 rows 0…4, one word at a
+    # time, so that no row is copied; then row 0, '000' and the first digit,
+    # becomes word 0's [separator's last byte]['0'][first digit]['.'] in place
     for i, word in enumerate(words.tolist()):
-        g[i] &= quads[10000] if word == 5 else digits[word % 6]
-    del digits
-    g[0] |= np.signbit(x) * np.frombuffer(b"-\0\0\0", np.uint32)[0]
-    if r_exp:
-        np.take(_exponents(), exponent, axis=1, out=g[r:r + 2], mode="clip")
-        del exponent
-    g[r + r_exp:] = np.frombuffer(sep.ljust(w, b"\0"), np.uint32)[:, None]
-    g[r + r_exp:, cols - 1::cols] = np.frombuffer(end.ljust(w, b"\0"), np.uint32)[:, None]
+        if word not in (0, 5):
+            g[p + i] &= digits[word % 6]
+    sep_byte, end_byte = (sep[-1:] or b"\0")[0], (end[-1:] or b"\0")[0]
+    head = np.right_shift(digits[0], 8, out=digits[0])
+    head ^= np.uint32((sep_byte ^ ord("0")) | ord(".") << 24)
+    g[p] &= head
+    del digits, head
+    g[p] |= np.signbit(x) * np.uint32(ord("-") << 8)
+    # the separator before each cell: `end` before a row's first cell, none
+    # before the block's first
+    g[p, cols::cols] ^= sep_byte ^ end_byte
+    g[p, 0] &= 0xFFFFFF00
+    g[:p] = np.frombuffer(sep[:-1].ljust(4 * p, b"\0"), np.uint32)[:, None]
+    g[:p, cols::cols] = np.frombuffer(end[:-1].ljust(4 * p, b"\0"), np.uint32)[:, None]
+    g[:p, 0] = 0
     for i in range(0, back.size, _SLICE):
         part = back[i:i + _SLICE]
         text = [b"%.17g" % c for c in x[part].tolist()]
-        g[:6, part] = np.array(text, "S24").view(np.uint32).reshape(-1, 6).T
-        g[6:r + r_exp, part] = 0
+        g[p, part] &= 0xFF
+        g[p + 1:p + 7, part] = np.array(text, "S24").view(np.uint32).reshape(-1, 6).T
+        g[p + 7:, part] = 0
     pieces = [g[:, i:i + _SLICE].T.tobytes().translate(None, b"\0")
               for i in range(0, len(x), _SLICE)]
     del g
+    pieces.append(end if len(x) % cols == 0 else sep)
     return b"".join(pieces)
 
 
@@ -675,7 +727,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = resolve(args)
-        return COMMANDS[args.command](cfg)
+        code = COMMANDS[args.command](cfg)
+        if sys.stdout is not None:  # None where the process began with no stdout
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing reads stdout any more.  Python's recipe: point it at
+        # devnull, so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except (KaonbraidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

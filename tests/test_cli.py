@@ -203,6 +203,56 @@ class TestKernel:
         assert fmt(block) == per_cell(block)
 
 
+# cells that '%.17g' itself writes: exact ties of the 17th digit in exponent
+# form and with one or two integer digits ((2**17 + j)·2**-18 in [0.5, 1) and
+# odd a·2**-16 in [10, 16) have 18 digits, ending in 5), inf and nan
+BACK_CELLS = np.concatenate([TIES, TIES / 2, np.arange(655361, 2**20, 2**13 + 2) * 2.0**-16])
+BACK_CELLS = np.concatenate([BACK_CELLS, -BACK_CELLS, [math.inf, -math.inf, math.nan]])
+# the kinds of cell a drawn block mixes: fixed form with X from X[0] to
+# X[1], exponent form, ±0, subnormals and the cells above
+BLOCK_KINDS = ("fixed", "exponent", "zero", "subnormal", "back")
+
+
+@settings(max_examples=60, deadline=None)
+# a block of oscillate's kind, 0.000ddd to d.ddd, leaves 5 words after word 0
+# for its two back-path cells to write in
+@example(cols=4, cells=KERNEL_CELLS, kinds={"fixed"}, X=[-4, 0], seed=0,
+         first=float(TIES[0] / 2), row_start=5, row_cell=float(-TIES[1]))
+@given(cols=st.integers(1, 12), cells=st.integers(1, KERNEL_CELLS + 1),
+       kinds=st.sets(st.sampled_from(BLOCK_KINDS), min_size=1),
+       X=st.tuples(st.integers(-4, 16), st.integers(-4, 16)).map(sorted),
+       seed=st.integers(0, 2**32 - 1), first=st.sampled_from(BACK_CELLS.tolist()),
+       row_start=st.integers(0), row_cell=st.sampled_from(BACK_CELLS.tolist()))
+def test_kernel_matches_per_cell_on_drawn_blocks(cols, cells, kinds, X, seed, first, row_start,
+                                                row_cell):
+    # a block of some kinds only leaves words out; the back path's cells
+    # must then still find their rows, as the block's first cell and at a
+    # row start
+    rng = np.random.default_rng(seed)
+    size = rng.uniform(1, 10, cells) * rng.choice([-1.0, 1.0], cells)
+    exponents = np.r_[-320:-4, 17:308]
+    cases = {
+        "fixed": size * 10.0 ** rng.integers(X[0], X[1] + 1, cells),
+        "exponent": size * 10.0 ** rng.choice(exponents, cells),
+        "zero": np.copysign(0.0, size),
+        "subnormal": np.sign(size) * rng.integers(1, 2**52, cells) * 5e-324,
+        "back": rng.choice(BACK_CELLS, cells),
+    }
+    block = np.choose(rng.integers(len(kinds), size=cells),
+                      [cases[kind] for kind in sorted(kinds)])
+    block[0] = first
+    if cells > cols:
+        block[cols * (1 + row_start % ((cells - 1) // cols))] = row_cell
+    # whole rows, as write_table hands the kernel, and a block that ends
+    # inside a row
+    rows = block[:cells - cells % cols].reshape(-1, cols)
+    for sep, end in ((",", "\n"), (", ", "], [")):
+        assert fmt(rows, sep, end) == per_cell(rows, sep, end)
+        expected = "".join(format(v, ".17g") + (end if i % cols == cols - 1 else sep)
+                           for i, v in enumerate(block.tolist()))
+        assert cli._cells(block, cols, sep, end).decode() == expected
+
+
 def test_block_memory_stays_bounded():
     # the block size rests on the kernel's footprint, which works in place and
     # frees each temporary once it is dead: one KERNEL_CELLS-cell fmt call on
@@ -690,6 +740,45 @@ def test_json_numbers_round_trip(capsys):
     doc = json.loads(out)
     reparsed = json.loads(json.dumps(doc))
     assert reparsed == doc
+
+
+def test_closed_stdout_exits_quietly():
+    # `kaonbraid oscillate ... | head -1`: the reader closes the pipe after
+    # the first line, while the table (some 15 MB) is still being written
+    proc = subprocess.Popen([sys.executable, "-m", "kaonbraid.cli", "oscillate",
+                             "--steps", "200000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"t,p_k_to_k,p_k_to_kbar,asymmetry\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE_CLOSED == 141, err
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
+def test_no_stdout_at_all(tmp_path):
+    # started with stdout closed (`>&-`), Python has sys.stdout None; a table
+    # written to --out needs no stdout
+    out = tmp_path / "f.csv"
+    script = 'exec "$0" -m kaonbraid.cli oscillate --steps 10 --out "$1" >&-'
+    proc = subprocess.run(["sh", "-c", script, sys.executable, str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(out.read_text().splitlines()) == 11
+
+
+def test_interrupt_exits_quietly(tmp_path, monkeypatch, capsys):
+    # Ctrl-C while the table is written: one line on stderr, no traceback
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_table", interrupted)
+    code, out, err = run_cli(capsys, "oscillate", "--steps", "2000",
+                             "--out", str(tmp_path / "f.csv"))
+    assert code == cli.EXIT_INTERRUPTED == 130
+    assert out == "" and err == "error: interrupted\n"
 
 
 def test_cli_import_does_not_load_scipy():

@@ -76,6 +76,18 @@ UNREACHED = {
         "internal check: every meta value the commands make is a str, None, int or float",
     ("cli._keep_freed_memory", "return"):
         "off Linux, or a C library without mallopt",
+    ("cli._cells", 'return b""'):
+        "library API: the text of an empty array; every command's table has rows",
+    ("cli.main", "devnull = os.open(os.devnull, os.O_WRONLY)"):
+        "a closed stdout: test_cli.py's test_closed_stdout_exits_quietly closes the pipe",
+    ("cli.main", "os.dup2(devnull, sys.stdout.fileno())"):
+        "a closed stdout: test_cli.py's test_closed_stdout_exits_quietly closes the pipe",
+    ("cli.main", "return EXIT_PIPE_CLOSED"):
+        "a closed stdout: test_cli.py's test_closed_stdout_exits_quietly closes the pipe",
+    ("cli.main", 'print("error: interrupted", file=sys.stderr)'):
+        "Ctrl-C: test_cli.py's test_interrupt_exits_quietly raises KeyboardInterrupt",
+    ("cli.main", "return EXIT_INTERRUPTED"):
+        "Ctrl-C: test_cli.py's test_interrupt_exits_quietly raises KeyboardInterrupt",
 }
 
 
