@@ -188,21 +188,23 @@ def _pattern_rows(r) -> np.ndarray:
 
 
 def _rho_factors(spec: BraidSpec, t):
-    """The pattern rows of R(t) and R(1/t), once every t is > 0 and both 1/t
-    and the trace of ϱ = R(t)·R(1/t) are finite (else DomainError)."""
+    """The pattern rows of R(t), R(1/t) and R(1/(1/t)), from one yang_baxterize
+    stack, once every t is > 0 and both 1/t and the trace of ϱ = R(t)·R(1/t)
+    are finite (else DomainError); then 1/t passes the same checks."""
     t = _positive_t(t)
     with np.errstate(over="ignore"):
         t_inv = 1.0 / t
+        # each entry of R(t)·R(1/t), and the trace of ϱ, is at most 8·max(t, 1/t)
+        huge = np.isinf(8.0 * np.maximum(t, t_inv))
     if np.isinf(t_inv).any():
         tiny = float(t[np.isinf(t_inv)].flat[0])
         raise DomainError(f"t = {tiny!r} is too small: 1/t overflows")
-    # each entry of R(t)·R(1/t), and the trace of ϱ, is at most 8·max(t, 1/t)
-    with np.errstate(over="ignore"):
-        huge = np.isinf(8.0 * np.maximum(t, t_inv))
     if huge.any():
         raise DomainError(f"t = {float(t[huge].flat[0])!r} is out of range: "
                           "the trace of ϱ = 2(t + 1/t)·I overflows")
-    return _pattern_rows(yang_baxterize(spec, t)), _pattern_rows(yang_baxterize(spec, t_inv))
+    # the stack's axis goes ahead of the spec's
+    x = np.stack([t, t_inv, 1.0 / t_inv]).reshape(3, *[1] * (np.ndim(spec.q) - t.ndim), *t.shape)
+    return np.moveaxis(_pattern_rows(yang_baxterize(spec, x)), 2, 0)
 
 
 # R₁ = R(t) and R₂ = R(1/t) are zero off their diagonal and anti-diagonal, so
@@ -247,28 +249,22 @@ def _complex(parts):
     return z[()]
 
 
-def rho_scalar(spec: BraidSpec, t):
-    """The mean diagonal entry tr(R(t)·R(1/t))/4 of the inversion relation,
-    bit for bit rho_check's scalar, from ϱ's diagonal alone.  An array of t
-    gives an array of its shape (0-d for a number); the t that rho_check
-    rejects raise the same DomainError here."""
-    return _complex(_mean(_rho(*_rho_factors(spec, t), 1)[:, 0]))
-
-
 def rho_check(spec: BraidSpec, t):
     """Inversion relation ϱ = R(t)·R(1/t) from the unnormalized R.
 
-    Returns (is_scalar, scalar, residual) where scalar is the mean diagonal
-    entry and residual = ||ϱ - scalar·I||_F; is_scalar holds when
-    residual / |scalar| is below 1e-12, at any t accepted here.  The closed
-    form is ϱ = 2(t + 1/t)·I, independent of φ.  An array of t gives three
-    arrays of its shape (0-d for a number), and any t <= 0 raises.
+    Returns (is_scalar, scalar, residual, scalar_inv): scalar is the mean
+    diagonal entry and residual = ||ϱ - scalar·I||_F; is_scalar holds when
+    residual / |scalar| is below 1e-12, at any t accepted here; scalar_inv is
+    rho_check(spec, 1/t)'s scalar, bit for bit, from the R(1/t) built here.
+    The closed form is ϱ = 2(t + 1/t)·I, independent of φ.  An array of t
+    gives four arrays of its shape (0-d for a number), and any t <= 0 raises.
 
     ϱ is the product of R's actual entries, taken on the 8 entries where it
     can be nonzero, in fixed-order real arithmetic with no BLAS call, so its
     bits depend on no BLAS kernel.
     """
-    rho = _rho(*_rho_factors(spec, t), 2)
+    r_t, r_inv, r_back = _rho_factors(spec, t)
+    rho = _rho(r_t, r_inv, 2)
     parts = _mean(rho[:, 0])
     scalar = _complex(parts)
     magnitude = np.abs(scalar)
@@ -284,7 +280,7 @@ def rho_check(spec: BraidSpec, t):
     residual = np.ldexp(scaled, k)
     # relative to |ϱ| >= 4, which grows like t + 1/t, as does its rounding error
     ok = scaled < 1e-12 * np.ldexp(magnitude, -k)
-    return ok, scalar, residual
+    return ok, scalar, residual, _complex(_mean(_rho(r_inv, r_back, 1)[:, 0]))
 
 
 def rho_printed_formula(spec: BraidSpec, t):

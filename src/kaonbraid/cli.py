@@ -640,9 +640,9 @@ def cmd_rho_report(cfg) -> int:
         named = f"--t0 {start!r}" if t0_read else f"the grid's start {start!r}"
         raise KaonbraidError(f"--t1 {cfg['t1']!r}: rho-report's t runs from {named} to t1 "
                              f"and must stay > 0, but its last point is {float(t[-1])!r}")
-    ok, scalar, _ = braid.rho_check(spec, t)
-    # R(1/t)·R(1/(1/t)), not R(1/t)·R(t): 1/(1/t) != t at some grid points
-    scalar_inv = braid.rho_scalar(spec, 1.0 / t)
+    # scalar_inv is of R(1/t)·R(1/(1/t)), not R(1/t)·R(t): 1/(1/t) != t at
+    # some grid points
+    ok, scalar, _, scalar_inv = braid.rho_check(spec, t)
     printed = braid.rho_printed_formula(spec, t)
     gap, inversion = scalar - printed, scalar - scalar_inv
     # np.hypot is Python's abs() of a complex bit for bit; np.abs is not

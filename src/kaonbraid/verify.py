@@ -198,7 +198,7 @@ def check_deformation_sweep() -> CheckResult:
 
 def check_rho() -> CheckResult:
     t = np.array([0.5, 1.0, 2.0, 5.0])[:, None, None]  # t > 0, and 4 nodes for degree 2
-    ok, scalar, residual = braid.rho_check(SPEC, t)
+    ok, scalar, residual, _ = braid.rho_check(SPEC, t)
     gap = scalar - 2.0 * (t + 1.0 / t)
     worst = max(residual.max(), np.hypot(gap.real, gap.imag).max(), 0.0 if ok.all() else 1.0)
     printed = braid.rho_printed_formula(BraidSpec("plus", 0.0), 1.0)

@@ -224,24 +224,23 @@ class TestUnitaryR:
 
 class TestRhoCheck:
     def test_scalar_values(self):
-        ok, scalar, _ = rho_check(BraidSpec("plus", 0.0), 1.0)
+        ok, scalar, _, _ = rho_check(BraidSpec("plus", 0.0), 1.0)
         assert ok and scalar == pytest.approx(4.0)
-        ok, scalar, _ = rho_check(BraidSpec("plus", 0.0), 2.0)
+        ok, scalar, _, _ = rho_check(BraidSpec("plus", 0.0), 2.0)
         assert ok and scalar == pytest.approx(5.0)  # 2(t + 1/t)
 
     def test_closed_form_and_symmetry(self):
         for spec in all_specs((0.0, 1.0, 2.5)):
             for t in (0.5, 1.0, 2.0, 5.0):
-                ok, scalar, residual = rho_check(spec, t)
+                ok, scalar, residual, scalar_inv = rho_check(spec, t)
                 assert ok and residual < 1e-12
                 assert scalar == pytest.approx(2.0 * (t + 1.0 / t), abs=1e-12)
-                _, scalar_inv, _ = rho_check(spec, 1.0 / t)
                 assert scalar == pytest.approx(scalar_inv, abs=1e-12)
 
     def test_printed_formula_mismatch_is_reported(self):
         # the printed scalar differs from the computed one; both stay exposed
         spec = BraidSpec("plus", 0.0)
-        _, scalar, _ = rho_check(spec, 1.0)
+        scalar = rho_check(spec, 1.0)[1]
         assert scalar == pytest.approx(4.0)
         assert rho_printed_formula(spec, 1.0) == pytest.approx(0.0)
 
@@ -253,7 +252,7 @@ class TestRhoCheck:
         # with the norm's squares overflowing, from about 1e154 up, where the
         # residual also read inf
         for spec in (BraidSpec(sign, phi) for sign in SIGNS):
-            ok, scalar, residual = rho_check(spec, t)
+            ok, scalar, residual, _ = rho_check(spec, t)
             assert ok and residual < 1e-12 * abs(scalar)
             stacked = rho_check(spec, np.array([1.0, t]))
             assert stacked[0].all()
@@ -262,6 +261,26 @@ class TestRhoCheck:
     def test_rejects_t_zero(self):
         with pytest.raises(DomainError):
             rho_check(BraidSpec("plus", 0.0), 0.0)
+
+    @pytest.mark.parametrize("edge", [np.finfo(float).max / 8.0, 8.0 / np.finfo(float).max])
+    def test_an_accepted_t_makes_its_inverse_accepted(self, edge):
+        # scalar_inv is of ϱ(1/t), which rho_check does not validate apart:
+        # over 40 ulps on each side of the largest and the smallest accepted
+        # t, each t accepted makes 1/t accepted, with scalar_inv its scalar
+        spec = BraidSpec("minus", 0.3)
+        below, above = [edge], [edge]
+        for _ in range(40):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], np.inf))
+        accepted = 0
+        for t in below + above[1:]:
+            try:
+                scalar_inv = rho_check(spec, t)[3]
+            except DomainError:
+                continue
+            accepted += 1
+            assert scalar_inv.tobytes() == rho_check(spec, 1.0 / t)[1].tobytes()
+        assert 0 < accepted < 81
 
 
 # the diagonal (i, i) and the anti-diagonal (i, 3 - i) of a 4x4 matrix
@@ -291,7 +310,8 @@ class TestPattern:
         spec = BraidSpec(sign, PATTERN_PHI)
         dense = yang_baxterize(spec, t) @ yang_baxterize(spec, 1.0 / t)
         assert (dense[:, ~PATTERN] == 0).all()
-        rho = braid._rho(*braid._rho_factors(spec, t), 2)
+        r_t, r_inv, _ = braid._rho_factors(spec, t)
+        rho = braid._rho(r_t, r_inv, 2)
         i = np.arange(4)
         pattern = np.stack([dense[:, i, i], dense[:, i, 3 - i]])  # (half, φ, i)
         tol = 4 * np.spacing(2.0 * (t + 1.0 / t))

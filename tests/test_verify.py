@@ -23,7 +23,7 @@ def node_specs():
 
 
 def rho_point(spec, t):
-    _, scalar, residual = braid.rho_check(spec, t)
+    _, scalar, residual, _ = braid.rho_check(spec, t)
     return max(residual, abs(scalar - 2.0 * (t + 1.0 / t)))
 
 
