@@ -286,7 +286,10 @@ def rho_check(spec: BraidSpec, t):
 def rho_printed_formula(spec: BraidSpec, t):
     """The scalar q² + q⁻² - t - 1/t as printed in the source; kept for the
     side-by-side discrepancy report (direct computation gives 2(t + 1/t)).
+    It is real, 2·cos 2φ - t - 1/t, and taken as 0.0 - ((t - 1)²/t + 4·sin²φ):
+    two terms >= 0, with no cancellation near t = 1, φ = 0, and +0.0 there.
     An array of t gives an array of its shape (0-d for a number)."""
     t = _positive_t(t)
-    q = spec.q
-    return q**2 + q**-2 - t - 1.0 / t
+    d, s = t - 1.0, spec.q.imag
+    # (t - 1)·((t - 1)/t), as (t - 1)² would overflow from t ~ 1e154
+    return 0.0 - (d * (d / t) + 4.0 * (s * s))

@@ -647,7 +647,7 @@ def cmd_rho_report(cfg) -> int:
     gap, inversion = scalar - printed, scalar - scalar_inv
     # np.hypot is Python's abs() of a complex bit for bit; np.abs is not
     table = np.column_stack([
-        t, ok, scalar.real, 2.0 * (t + 1.0 / t), printed.real,
+        t, ok, scalar.real, 2.0 * (t + 1.0 / t), printed,
         np.hypot(gap.real, gap.imag), np.hypot(inversion.real, inversion.imag),
     ])
     columns = ["t", "is_scalar", "scalar", "closed_form", "printed_formula",

@@ -202,7 +202,7 @@ def check_rho() -> CheckResult:
     gap = scalar - 2.0 * (t + 1.0 / t)
     worst = max(residual.max(), np.hypot(gap.real, gap.imag).max(), 0.0 if ok.all() else 1.0)
     printed = braid.rho_printed_formula(BraidSpec("plus", 0.0), 1.0)
-    detail = f"computed 2(t+1/t); printed formula gives {printed.real:g} at t=1, phi=0"
+    detail = f"computed 2(t+1/t); printed formula gives {printed:g} at t=1, phi=0"
     return CheckResult("rho_inversion", worst, 1e-12, detail)
 
 

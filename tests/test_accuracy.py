@@ -27,6 +27,14 @@ cos α by that much near α = ±π/2.  Worst measured on 10,200 random rows,
 in units of EPS·(1 + that condition number): 0.64 for cos, 1.62 for sin.
 arctan t - arctan t0 in floats fails it at large, close times, by 11% at
 t0 = 1e8, t = 1e8 + 10.
+
+`braid.rho_printed_formula`, the source's printed scalar q² + q⁻² - t - 1/t,
+is checked against 40 digits near t = 1, φ = 0, where it goes to 0 as
+(t - 1)² + 4φ².  The bound is relative, 4·EPS, plus 4 subnormal steps where
+sin²φ underflows; worst measured on 20,000
+random points with |t - 1| and φ from 1e-16 to 0.1: 1.47.  The sum as
+printed, which the function took before, is 2.3e-11 relative off at
+t = 1.001, φ = 0.001 and 0.11 at t = 1, φ = 1e-8.
 """
 
 import contextlib
@@ -39,6 +47,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kaonbraid.braid import SIGNS, BraidSpec, rho_printed_formula
 from kaonbraid.cli import main
 from kaonbraid.oscillation import FLAVORS, KaonParams, oscillation_curve, transition_probability
 
@@ -213,3 +222,20 @@ def test_evolve_amplitudes_from_a_basis_state(k, sign, phi, times):
         else:
             assert amplitudes[j] == (0.0, 0.0)
         assert all(amplitudes[i] == (0.0, 0.0) for i in range(4) if i not in (k, j))
+
+
+@settings(deadline=None)
+@given(sign=st.sampled_from(SIGNS), t=st.floats(0.9, 1.1), phi=st.floats(0.0, 0.1))
+@example(sign="plus", t=1.0, phi=0.0)
+@example(sign="plus", t=1.0 + 2.0 ** -20, phi=0.0)
+@example(sign="minus", t=1.0, phi=1e-8)
+def test_printed_formula_near_its_zero(sign, t, phi):
+    """rho-report's printed_formula column at t and φ near 1 and 0, where the
+    printed sum cancels: 2·cos 2φ - t - 1/t = -((t - 1)²/t + 4·sin²φ)."""
+    spec = BraidSpec(sign, phi)
+    value = float(np.real(rho_printed_formula(spec, t)))
+    with mpmath.workdps(40):
+        t_, phi_ = mpmath.mpf(t), mpmath.mpf(spec.phi)
+        reference = -((t_ - 1) ** 2 / t_ + 4 * mpmath.sin(phi_) ** 2)
+        # plus a few of the smallest steps, for a sin²φ that underflows
+        assert abs(value - reference) <= 4 * EPS * abs(reference) + 4 * 2.0 ** -1074, (t, phi)
