@@ -64,9 +64,9 @@ HASHED = {
     "evolve --steps 5000 --format json":
         "50d728da51b7292b27adbf86e0ba4a97a90158488cffe07c57a5cd49469ce1ba",
     "rho-report --steps 5000 --format csv":
-        "0dac5b46cada133ea8bdcfb245074f693b5c8efe99e8cfd917b1ad8c71370181",
+        "df6a1c8844f4235fd1ccec7a0828d076247dafd38a3945332c0785ba4a91fa3f",
     "rho-report --steps 5000 --format json":
-        "26ce04a6f3116dd0b4217469e24654c8ce1f46362440f66183f0dd4ef37817ab",
+        "7d0e3036ef914dcd6378fd056db50e194ec681e7819b61e7435efcc7213a0c64",
 }
 
 # the metrics are the worst residuals over the node grids and the seeded
