@@ -19,17 +19,20 @@ is written cell by cell.  main first has glibc's malloc
 keep freed memory for reuse, so that the temporaries of one block or command
 do not page-fault in fresh memory for the next.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration/validation error,
-130 interrupted (Ctrl-C), 141 stdout closed by its reader (as in `| head`).
+Exit codes: 0 success, 1 verification failure, 2 configuration/validation error
+or an OSError on output, 130 interrupted (Ctrl-C), 141 stdout closed by its
+reader (as in `| head`).  --out leaves a regular file whole or as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import math
 import os
+import stat
 import sys
 from typing import Callable, NamedTuple
 
@@ -521,12 +524,46 @@ def _meta(cfg, command):
     return meta
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text stream to the file `path` that leaves it whole or as it was.  A
+    regular or missing file (a symlink followed to its target, as open()
+    does) is written to a new file beside it, which replaces it at the end
+    and keeps its mode (a new file gets 0o666 less the umask); on any
+    exception the new file is deleted.  A device or FIFO, such as /dev/full,
+    is written in place."""
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named by the path the user gave
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _emit(cfg, command, columns, rows, extra_meta=None):
     meta = _meta(cfg, command)
     if extra_meta:
         meta.update(extra_meta)
     if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
+        with _replacing(cfg["out"]) as fh:
             write_table(fh, columns, rows, meta, cfg["format"])
     else:
         write_table(sys.stdout, columns, rows, meta, cfg["format"])

@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import platform
 import subprocess
 import sys
@@ -779,6 +781,70 @@ def test_interrupt_exits_quietly(tmp_path, monkeypatch, capsys):
                              "--out", str(tmp_path / "f.csv"))
     assert code == cli.EXIT_INTERRUPTED == 130
     assert out == "" and err == "error: interrupted\n"
+
+
+class TestOut:
+    """--out leaves its file whole or as it was."""
+
+    @pytest.mark.parametrize("exc, code", [
+        (OSError(errno.ENOSPC, "No space left on device"), cli.EXIT_CONFIG),
+        (KeyboardInterrupt(), cli.EXIT_INTERRUPTED),
+    ], ids=["oserror", "interrupt"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, capsys, exc, code):
+        out = tmp_path / "f.csv"
+        out.write_bytes(b"old table\n")
+        real, writes = cli.write_table, []
+
+        class Failing:
+            """A stream that fails once the header and the first block are written."""
+
+            def __init__(self, stream):
+                self.stream = stream
+
+            def write(self, text):
+                writes.append(len(text))
+                if len(writes) > 2:
+                    raise exc
+                self.stream.write(text)
+
+        monkeypatch.setattr(cli, "write_table", lambda stream, *args: real(Failing(stream), *args))
+        # 24,000 cells: three blocks
+        assert run_cli(capsys, "oscillate", "--steps", "6000", "--out", str(out))[0] == code
+        assert len(writes) == 3 and writes[1] > 100_000
+        assert out.read_bytes() == b"old table\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
+    def test_modes_and_symlinks(self, tmp_path, capsys):
+        umask = os.umask(0o027)
+        try:
+            run_cli(capsys, "oscillate", "--steps", "3", "--out", str(tmp_path / "new.csv"))
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o640
+        old = tmp_path / "old.csv"
+        old.write_text("old table\n")
+        old.chmod(0o604)
+        (tmp_path / "link.csv").symlink_to("old.csv")
+        (tmp_path / "dangling.csv").symlink_to("target.csv")
+        for name in ("link.csv", "dangling.csv"):
+            assert run_cli(capsys, "oscillate", "--steps", "3", "--out", str(tmp_path / name))[0] == 0
+            assert (tmp_path / name).is_symlink()
+        assert old.stat().st_mode & 0o777 == 0o604
+        assert old.read_bytes() == (tmp_path / "target.csv").read_bytes() == \
+            (tmp_path / "new.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["dangling.csv", "link.csv", "new.csv", "old.csv", "target.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_device_is_written_in_place(self, capsys):
+        assert run_cli(capsys, "oscillate", "--steps", "3", "--out", os.devnull)[0] == 0
+        code, _, err = run_cli(capsys, "oscillate", "--steps", "3", "--out", "/dev/full")
+        assert code == cli.EXIT_CONFIG and err == "error: [Errno 28] No space left on device\n"
+
+    def test_unwritable_place_is_named_as_given(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "oscillate", "--out", str(tmp_path / "no" / "f.csv"))
+        assert code == cli.EXIT_CONFIG
+        assert err == f"error: [Errno 2] No such file or directory: '{tmp_path / 'no' / 'f.csv'}'\n"
 
 
 def test_cli_import_does_not_load_scipy():

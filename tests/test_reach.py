@@ -78,6 +78,12 @@ UNREACHED = {
         "off Linux, or a C library without mallopt",
     ("cli._cells", 'return b""'):
         "library API: the text of an empty array; every command's table has rows",
+    ("cli._replacing", "except BaseException:"):
+        "a write that fails midway: test_cli.py's TestOut patches write_table to fail",
+    ("cli._replacing", "os.unlink(tmp)"):
+        "a write that fails midway: test_cli.py's TestOut patches write_table to fail",
+    ("cli._replacing", "raise"):
+        "a write that fails midway: test_cli.py's TestOut patches write_table to fail",
     ("cli.main", "devnull = os.open(os.devnull, os.O_WRONLY)"):
         "a closed stdout: test_cli.py's test_closed_stdout_exits_quietly closes the pipe",
     ("cli.main", "os.dup2(devnull, sys.stdout.fileno())"):
@@ -115,6 +121,10 @@ def argvs(tmp_path):
             yield [*line.split(), f"--format={fmt}"], 0
         for argv in CASES.values():
             yield [*argv, f"--format={fmt}"], 0
+    # --out over a file verify wrote, onto a device, and where no file can be made
+    yield ["oscillate", "--steps", "3", f"--out={tmp_path / 'report.csv'}"], 0
+    yield ["oscillate", "--steps", "3", f"--out={os.devnull}"], 0
+    yield ["oscillate", "--steps", "3", f"--out={tmp_path / 'no' / 'f.csv'}"], 2
     yield ["verify", "--uncorrected-b", "--tol", "1"], 1
     for argv, _ in BOUNDARY_INPUTS:
         yield argv, 2
