@@ -203,8 +203,9 @@ def _rho_factors(spec: BraidSpec, t):
         raise DomainError(f"t = {float(t[huge].flat[0])!r} is out of range: "
                           "the trace of ϱ = 2(t + 1/t)·I overflows")
     # the stack's axis goes ahead of the spec's
-    x = np.stack([t, t_inv, 1.0 / t_inv]).reshape(3, *[1] * (np.ndim(spec.q) - t.ndim), *t.shape)
-    return np.moveaxis(_pattern_rows(yang_baxterize(spec, x)), 2, 0)
+    x = np.array([t, t_inv, 1.0 / t_inv]).reshape(3, *[1] * (np.ndim(spec.q) - t.ndim), *t.shape)
+    rows = _pattern_rows(yang_baxterize(spec, x))
+    return rows[:, :, 0], rows[:, :, 1], rows[:, :, 2]
 
 
 # R₁ = R(t) and R₂ = R(1/t) are zero off their diagonal and anti-diagonal, so

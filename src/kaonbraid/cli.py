@@ -517,32 +517,20 @@ def linear_grid(lo, hi, n, lo_is_t0=False) -> np.ndarray:
     raise KaonbraidError(f"{ends} for {n} steps: (t1 - {start})·(steps - 1) overflows")
 
 
-def _meta(cfg, command):
-    """Command, version and every resolved flag but `out`, so the file says how it was made."""
-    meta = {"command": command, "version": __version__}
-    meta.update({k: cfg[k] for k in FLAGS if k != "out"})
-    return meta
-
-
 @contextlib.contextmanager
 def _replacing(path):
     """A text stream to the file `path` that leaves it whole or as it was.  A
-    regular or missing file (a symlink followed to its target, as open()
-    does) is written to a new file beside it, which replaces it at the end
-    and keeps its mode (a new file gets 0o666 less the umask); on any
-    exception the new file is deleted.  A device or FIFO, such as /dev/full,
-    is written in place."""
+    regular or missing file (a symlink followed, as open() follows it) is
+    written to a new file beside it, which keeps its mode (0o666 less the
+    umask if new), replaces it at the end and is deleted on any exception.
+    A device or FIFO, such as /dev/full, is written in place."""
     target = os.path.realpath(path)
-    try:
-        mode = os.stat(target).st_mode
-    except FileNotFoundError:
-        mode = None
+    mode = os.stat(target).st_mode if os.path.exists(target) else None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
-    head, tail = os.path.split(target)
-    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # named by the path the user gave
@@ -559,14 +547,13 @@ def _replacing(path):
 
 
 def _emit(cfg, command, columns, rows, extra_meta=None):
-    meta = _meta(cfg, command)
-    if extra_meta:
-        meta.update(extra_meta)
-    if cfg["out"]:
-        with _replacing(cfg["out"]) as fh:
-            write_table(fh, columns, rows, meta, cfg["format"])
-    else:
-        write_table(sys.stdout, columns, rows, meta, cfg["format"])
+    """Write the table to --out or stdout.  Its meta is the command, the
+    version and every resolved flag but `out`, so the file says how it was
+    made, then extra_meta."""
+    meta = {"command": command, "version": __version__,
+            **{k: cfg[k] for k in FLAGS if k != "out"}, **(extra_meta or {})}
+    with _replacing(cfg["out"]) if cfg["out"] else contextlib.nullcontext(sys.stdout) as fh:
+        write_table(fh, columns, rows, meta, cfg["format"])
 
 
 def cmd_verify(cfg) -> int:
