@@ -5,9 +5,11 @@ Numeric serialization is decimal with 17 significant digits ('%.17g'), so
 every value round-trips bit-exactly through the emitted files.  A table
 command computes its table as one (N, k) float array, and write_table writes
 it KERNEL_CELLS // k rows at a time, one fmt call per block, straight to the
-stream; fmt's numpy kernel writes a block's '%.17g' text byte for byte, as a
-(words, cells) grid of ASCII from which the words NUL in every cell are
-dropped before it is transposed to text a slice at a time.  A cell's column
+stream: the header, the blocks with the row separator ('\n' in CSV, '], ['
+in JSON) between them, and the closer.  fmt's numpy kernel writes a block's
+'%.17g' text byte for byte, separators only between cells, as a (words,
+cells) grid of ASCII from which the words NUL in every cell are dropped
+before it is transposed to text a slice at a time.  A cell's column
 starts with the separator before it, whose last byte shares word 0 with the
 sign, the first digit and the point: a cell 0.ddd of an oscillate table
 takes 6 words (24 bytes) of the grid for its 20 bytes of text.  A block is
@@ -15,7 +17,7 @@ takes 6 words (24 bytes) of the grid for its 20 bytes of text.  A block is
 temporary once it is dead, so a block peaks at about 90 B a cell, and a
 table pays the kernel's fixed cost (about 0.1 ms, some 100 numpy calls)
 once per 10,240 cells.  Only verify's report, whose rows start with a name,
-is written cell by cell.  main first has glibc's malloc
+is written cell by cell, as one block.  main first has glibc's malloc
 keep freed memory for reuse, so that the temporaries of one block or command
 do not page-fault in fresh memory for the next.
 
@@ -65,9 +67,9 @@ KERNEL_CELLS = 10240
 
 def fmt(x, sep=",", end="\n") -> str:
     """'%.17g' text: of a lone float, or of an (n, k) float array as n lines of
-    k cells, each cell followed by `sep`, or by `end` at the end of its line.
-    A numpy kernel (_cells) writes an array's text, the same bytes as '%.17g'
-    per cell."""
+    k cells, with `sep` between the cells of a line and `end` between lines,
+    and none after the last.  A numpy kernel (_cells) writes an array's text,
+    the same bytes as '%.17g' per cell."""
     if not isinstance(x, np.ndarray):
         return format(float(x), ".17g")
     flat = np.ascontiguousarray(x, dtype=np.float64).ravel()
@@ -231,8 +233,9 @@ _SLICE = 1024
 
 
 def _cells(x, cols, sep, end) -> bytes:
-    """'%.17g' text of the flat cells x, each followed by `end` where it
-    closes a row of `cols` cells, and by `sep` elsewhere.
+    """'%.17g' text of the flat cells x, with separators only between cells:
+    `end` after a cell that closes a row of `cols` cells, `sep` after any
+    other, and none after the last.
 
     A cell x = ±n·10**(X-16), with n of 17 digits, is one column of a
     (words, cells) uint32 grid, NUL wherever a character is absent.  It
@@ -246,9 +249,8 @@ def _cells(x, cols, sep, end) -> bytes:
     and bytes 24…43 '000' and n's 17 digits, ANDed with a mask for the cell's
     layout, so deleting the NULs shifts each into place.  Words NUL in every
     cell are left out, and the grid is transposed to text _SLICE cells at a
-    time; the last cell's own separator follows.  Cells within 1e-6 of a
-    rounding tie, inf and nan take '%.17g' itself in the 6 rows after word 0,
-    also _SLICE at a time."""
+    time.  Cells within 1e-6 of a rounding tie, inf and nan take '%.17g'
+    itself in the 6 rows after word 0, also _SLICE at a time."""
     if not len(x):
         return b""
     n, frac, X, special = _digits(x)
@@ -345,7 +347,6 @@ def _cells(x, cols, sep, end) -> bytes:
     pieces = [g[:, i:i + _SLICE].T.tobytes().translate(None, b"\0")
               for i in range(0, len(x), _SLICE)]
     del g
-    pieces.append(end if len(x) % cols == 0 else sep)
     return b"".join(pieces)
 
 
@@ -365,41 +366,31 @@ def _json_value(v) -> str:
 
 
 def write_table(stream, columns, rows, meta, fmt_name):
-    """Write a table in CSV or JSON.  `rows` is an (N, k) float array, written
-    KERNEL_CELLS // k rows at a time, or, for verify's report, whose rows start
-    with the check's name, a list of rows written cell by cell: a number's CSV
-    text is its JSON text."""
+    """Write a table in CSV or JSON: the header, the text of each block of rows
+    with the row separator `end` between blocks, and the closer.  `rows` is an
+    (N, k) float array, whose blocks of KERNEL_CELLS // k rows fmt writes, or,
+    for verify's report, whose rows start with the check's name, a list of
+    rows written cell by cell as one block: a number's CSV text is its JSON
+    text."""
     csv = fmt_name == "csv"
+    sep, end = (",", "\n") if csv else (", ", "], [")
     if isinstance(rows, np.ndarray):
         step = max(1, KERNEL_CELLS // rows.shape[1])
-        blocks = (rows[i:i + step] for i in range(0, len(rows), step))
-        chunks = (fmt(b) for b in blocks) if csv else _json_rows(blocks)
-    elif csv:
-        chunks = ["".join(",".join([name, *map(_json_value, cells)]) + "\n"
-                          for name, *cells in rows)]
+        blocks = (fmt(rows[i:i + step], sep, end) for i in range(0, len(rows), step))
     else:
-        chunks = [", ".join("[" + ", ".join(map(_json_value, row)) + "]" for row in rows)]
+        blocks = [end.join(sep.join([name if csv else _json_value(name), *map(_json_value, cells)])
+                           for name, *cells in rows)]
     if csv:
         stream.write(",".join(columns) + "\n")
     else:
         items = ", ".join(f"{_json_value(k)}: {_json_value(v)}" for k, v in meta.items())
         stream.write(f'{{"meta": {{{items}}}, "columns": [{", ".join(map(_json_value, columns))}], '
-                     '"rows": [')
-    for chunk in chunks:
-        stream.write(chunk)
-    if not csv:
-        stream.write("]}\n")
-
-
-def _json_rows(blocks):
-    """The JSON rows "[a, b], [c, d]" of (n, k) float blocks, as pieces to
-    write in turn: "[" (", [" from the second block on), then the block's
-    text with "], [" after each row, decoded without its last ", [" and not
-    copied again."""
-    for i, b in enumerate(blocks):
-        yield ", [" if i else "["
-        text = _cells(np.ascontiguousarray(b, dtype=np.float64).ravel(), b.shape[1], ", ", "], [")
-        yield str(memoryview(text)[:-3], "ascii")
+                     '"rows": [[')
+    for i, block in enumerate(blocks):
+        if i:
+            stream.write(end)
+        stream.write(block)
+    stream.write("\n" if csv else "]]}\n")
 
 
 def load_config_file(path) -> dict:

@@ -100,8 +100,9 @@ class TestFormatting:
 
 
 def per_cell(block, sep=",", end="\n") -> str:
-    """The '%.17g'-per-cell text that fmt's array kernel must reproduce."""
-    return "".join(sep.join(format(v, ".17g") for v in row) + end for row in block.tolist())
+    """The '%.17g'-per-cell text that fmt's array kernel must reproduce: `sep`
+    between the cells of a row and `end` between rows."""
+    return end.join(sep.join(format(v, ".17g") for v in row) for row in block.tolist())
 
 
 # exact ties of the 17th digit, which the kernel leaves to '%.17g': the exact
@@ -195,7 +196,7 @@ class TestKernel:
         x = rng.normal(size=cells) * 10.0 ** rng.integers(-30, 30, size=cells)
         x[rng.permutation(cells)[:len(KERNEL_CASES)]] = KERNEL_CASES
         expected = "".join(format(v, ".17g") + ("\n" if i % k == k - 1 else ",")
-                           for i, v in enumerate(x.tolist()))
+                           for i, v in enumerate(x.tolist()))[:-1]
         assert cli._cells(x, k, ",", "\n").decode() == expected
 
     def test_random_bit_patterns(self):
@@ -252,6 +253,7 @@ def test_kernel_matches_per_cell_on_drawn_blocks(cols, cells, kinds, X, seed, fi
         assert fmt(rows, sep, end) == per_cell(rows, sep, end)
         expected = "".join(format(v, ".17g") + (end if i % cols == cols - 1 else sep)
                            for i, v in enumerate(block.tolist()))
+        expected = expected.removesuffix(end if cells % cols == 0 else sep)
         assert cli._cells(block, cols, sep, end).decode() == expected
 
 
@@ -339,6 +341,21 @@ class TestWriteTable:
             write_table(chunked, columns, table, meta, fmt_name)
             reference_write_table(per_cell, columns, table.tolist(), meta, fmt_name)
             assert chunked.getvalue() == per_cell.getvalue()
+
+    @pytest.mark.parametrize("fmt_name", ["csv", "json"])
+    def test_every_block_goes_through_fmt(self, monkeypatch, capsys, fmt_name):
+        # evolve --steps 2500 is 25,000 cells of 10 columns: blocks of 1,024,
+        # 1,024 and 452 rows, each one fmt call in either format
+        blocks = []
+
+        def counting(x, *args):
+            if isinstance(x, np.ndarray):
+                blocks.append(len(x))
+            return fmt(x, *args)
+
+        monkeypatch.setattr(cli, "fmt", counting)
+        assert run_cli(capsys, "evolve", "--steps", "2500", f"--format={fmt_name}")[0] == 0
+        assert blocks == [1024, 1024, 452]
 
 
 # each valued flag with a value that starts with '-' but that argparse does not

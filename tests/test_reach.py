@@ -114,7 +114,9 @@ def argvs(tmp_path):
     yield ["oscillate", "--t1", "1.00000762939453125", "--steps", "2"], 0
     table = ["bell", "evolve --steps 5", "evolve --state KbarK --steps 5",
              "evolve --state 0.5,0,0,0.5,0.5,0,0,-0.5 --steps 5", "sweep-phi --grid 5",
-             "oscillate --steps 5", "rho-report --steps 5", f"oscillate --config {config}"]
+             "oscillate --steps 5", "rho-report --steps 5", f"oscillate --config {config}",
+             # 10,244 cells: two kernel blocks, with the row separator between them
+             "oscillate --steps 2561"]
     for fmt in ("csv", "json"):
         yield ["verify", f"--format={fmt}", f"--out={tmp_path / ('report.' + fmt)}"], 0
         for line in table:
