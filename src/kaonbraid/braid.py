@@ -165,11 +165,24 @@ def unitary_r(spec: BraidSpec, x) -> np.ndarray:
     return rot.real * bt + rot.imag * bt.conj().swapaxes(-1, -2)
 
 
-def _positive_t(t) -> np.ndarray:
+def _checked_t(t):
+    """t as a float array and 1/t, once every t is > 0 and both 1/t and
+    8·max(t, 1/t) are finite (else DomainError): each entry of R(t)·R(1/t),
+    and the trace of ϱ, is at most 8·max(t, 1/t).  1/t then passes the same
+    checks."""
     t = np.asarray(t, dtype=float)
     if not (t > 0).all():
         raise DomainError(f"t must be > 0, got t = {float(t[~(t > 0)].flat[0])!r}")
-    return t
+    with np.errstate(over="ignore"):
+        t_inv = 1.0 / t
+        huge = np.isinf(8.0 * np.maximum(t, t_inv))
+    if np.isinf(t_inv).any():
+        tiny = float(t[np.isinf(t_inv)].flat[0])
+        raise DomainError(f"t = {tiny!r} is too small: 1/t overflows")
+    if huge.any():
+        raise DomainError(f"t = {float(t[huge].flat[0])!r} is out of range: "
+                          "the trace of ϱ = 2(t + 1/t)·I overflows")
+    return t, t_inv
 
 
 # The diagonal (i, i) and anti-diagonal (i, 3 - i) of a 4x4 matrix, i = 0..3,
@@ -189,19 +202,8 @@ def _pattern_rows(r) -> np.ndarray:
 
 def _rho_factors(spec: BraidSpec, t):
     """The pattern rows of R(t), R(1/t) and R(1/(1/t)), from one yang_baxterize
-    stack, once every t is > 0 and both 1/t and the trace of ϱ = R(t)·R(1/t)
-    are finite (else DomainError); then 1/t passes the same checks."""
-    t = _positive_t(t)
-    with np.errstate(over="ignore"):
-        t_inv = 1.0 / t
-        # each entry of R(t)·R(1/t), and the trace of ϱ, is at most 8·max(t, 1/t)
-        huge = np.isinf(8.0 * np.maximum(t, t_inv))
-    if np.isinf(t_inv).any():
-        tiny = float(t[np.isinf(t_inv)].flat[0])
-        raise DomainError(f"t = {tiny!r} is too small: 1/t overflows")
-    if huge.any():
-        raise DomainError(f"t = {float(t[huge].flat[0])!r} is out of range: "
-                          "the trace of ϱ = 2(t + 1/t)·I overflows")
+    stack, for a t that _checked_t accepts."""
+    t, t_inv = _checked_t(t)
     # the stack's axis goes ahead of the spec's
     x = np.array([t, t_inv, 1.0 / t_inv]).reshape(3, *[1] * (np.ndim(spec.q) - t.ndim), *t.shape)
     rows = _pattern_rows(yang_baxterize(spec, x))
@@ -258,7 +260,8 @@ def rho_check(spec: BraidSpec, t):
     residual / |scalar| is below 1e-12, at any t accepted here; scalar_inv is
     rho_check(spec, 1/t)'s scalar, bit for bit, from the R(1/t) built here.
     The closed form is ϱ = 2(t + 1/t)·I, independent of φ.  An array of t
-    gives four arrays of its shape (0-d for a number), and any t <= 0 raises.
+    gives four arrays of its shape (0-d for a number); a t that _checked_t
+    rejects raises DomainError.
 
     ϱ is the product of R's actual entries, taken on the 8 entries where it
     can be nonzero, in fixed-order real arithmetic with no BLAS call, so its
@@ -289,8 +292,9 @@ def rho_printed_formula(spec: BraidSpec, t):
     side-by-side discrepancy report (direct computation gives 2(t + 1/t)).
     It is real, 2·cos 2φ - t - 1/t, and taken as 0.0 - ((t - 1)²/t + 4·sin²φ):
     two terms >= 0, with no cancellation near t = 1, φ = 0, and +0.0 there.
-    An array of t gives an array of its shape (0-d for a number)."""
-    t = _positive_t(t)
+    An array of t gives an array of its shape (0-d for a number); a t that
+    rho_check rejects raises the same DomainError."""
+    t = _checked_t(t)[0]
     d, s = t - 1.0, spec.q.imag
     # (t - 1)·((t - 1)/t), as (t - 1)² would overflow from t ~ 1e154
     return 0.0 - (d * (d / t) + 4.0 * (s * s))

@@ -262,6 +262,16 @@ class TestRhoCheck:
         with pytest.raises(DomainError):
             rho_check(BraidSpec("plus", 0.0), 0.0)
 
+    @pytest.mark.parametrize("t, message", [(5e-324, "1/t overflows"),
+                                            (math.inf, "out of range"), (1e308, "out of range")])
+    @pytest.mark.parametrize("kernel", [rho_check, rho_printed_formula])
+    def test_both_kernels_reject_t_out_of_range(self, kernel, t, message):
+        # under filterwarnings = error a numpy RuntimeWarning would surface instead
+        spec = BraidSpec("plus", 0.3)
+        for ts in (t, np.array([1.0, t])):
+            with pytest.raises(DomainError, match=message):
+                kernel(spec, ts)
+
     @pytest.mark.parametrize("edge", [np.finfo(float).max / 8.0, 8.0 / np.finfo(float).max])
     def test_an_accepted_t_makes_its_inverse_accepted(self, edge):
         # scalar_inv is of ϱ(1/t), which rho_check does not validate apart:

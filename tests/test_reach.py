@@ -38,7 +38,7 @@ UNREACHED = {
     ("braid.check_qybe",
      'raise DomainError("x·y must be finite: the product of the spectral parameters overflows")'):
         "library API guard (README): verify's nodes are x, y in {0, 1, 2}",
-    ("braid._positive_t",
+    ("braid._checked_t",
      'raise DomainError(f"t must be > 0, got t = {float(t[~(t > 0)].flat[0])!r}")'):
         "library API guard (README): rho-report moves a --t0 <= 0 to 0.5 and the CLI "
         "rejects a grid that reaches t <= 0 first, naming the flags",
