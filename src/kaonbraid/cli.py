@@ -12,14 +12,19 @@ cells) grid of ASCII from which the words NUL in every cell are dropped
 before it is transposed to text a slice at a time.  A cell's column
 starts with the separator before it, whose last byte shares word 0 with the
 sign, the first digit and the point: a cell 0.ddd of an oscillate table
-takes 6 words (24 bytes) of the grid for its 20 bytes of text.  A block is
-10,240 cells: the kernel works in place where it can and frees each
-temporary once it is dead, so a block peaks at about 90 B a cell, and a
-table pays the kernel's fixed cost (about 0.1 ms, some 100 numpy calls)
-once per 10,240 cells.  Only verify's report, whose rows start with a name,
-is written cell by cell, as one block.  main first has glibc's malloc
-keep freed memory for reuse, so that the temporaries of one block or command
-do not page-fault in fresh memory for the next.
+takes 6 words (24 bytes) of the grid for its 20 bytes of text.  A constant
+column, with the bits of its first row on every row of the block (6 of
+evolve's 10 from a basis state, which mixes with one partner only), is
+formatted once and skipped by the kernel: its text joins the separators
+around it, and a separator longer than '\n' or '], [' goes through the grid
+as one code byte, replaced in the joined text, so that no column of the
+grid grows.  A block is 10,240 cells: the kernel works in place where it
+can and frees each temporary once it is dead, so a block peaks at about
+90 B a cell, and a table pays the kernel's fixed cost (about 0.1 ms, some
+100 numpy calls) once per 10,240 cells.  Only verify's report, whose rows
+start with a name, is written cell by cell, as one block.  main first has
+glibc's malloc keep freed memory for reuse, so that the temporaries of one
+block or command do not page-fault in fresh memory for the next.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration/validation error
 or an OSError on output, 130 interrupted (Ctrl-C), 141 stdout closed by its
@@ -69,11 +74,54 @@ def fmt(x, sep=",", end="\n") -> str:
     """'%.17g' text: of a lone float, or of an (n, k) float array as n lines of
     k cells, with `sep` between the cells of a line and `end` between lines,
     and none after the last.  A numpy kernel (_cells) writes an array's text,
-    the same bytes as '%.17g' per cell."""
+    the same bytes as '%.17g' per cell, but for its constant columns, whose
+    cells all have the bits of the first row (as uint64, so that -0.0, +0.0
+    and nan payloads stay apart): _fold writes those."""
     if not isinstance(x, np.ndarray):
         return format(float(x), ".17g")
-    flat = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    return _cells(flat, x.shape[1], sep, end).decode("ascii")
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    bits = x.view(np.uint64)
+    # the first row against the second (not the last, which sweep-phi's
+    # periodic columns repeat), nearly free where no column is constant,
+    # then the columns left against the first row, by their bytes; each
+    # column the kernel writes may take a code
+    if len(x) and any(same := (bits[0] == bits[1 % len(x)]).tolist()):
+        cols = [j for j, c in enumerate(same)
+                if not c or bits[:, j].tobytes() != bits[0, j].tobytes() * len(x)]
+        if len(cols) <= len(_CODES):
+            return _fold(x, cols, sep, end)
+    seps = [end.encode()] + [sep.encode()] * (x.shape[1] - 1)
+    return _cells(x.ravel(), seps).decode("ascii")
+
+
+def _fold(x, cols, sep, end) -> str:
+    """fmt's text of the (n, k) array x, whose columns but `cols` are
+    constant, with ASCII separators.  A constant is formatted once by
+    '%.17g', and its text joins the separators of the kernel's columns; one
+    that is then longer than `sep` and `end` goes through the kernel as a
+    code, a byte of _CODES, and is put in its place after, so that no column
+    of the grid grows.  With no column left, the text is the first row's
+    repeated."""
+    sep, end = sep.encode(), end.encode()
+    row = [b"%.17g" % v for v in x[0].tolist()]
+    if not cols:
+        return end.join([sep.join(row)] * len(x)).decode("ascii")
+    # the row's text around the kernel's cells, each marked by a byte that
+    # no ASCII text holds: before the first, between two, and after the last
+    for j in cols:
+        row[j] = b"\x80"
+    lead, *between, tail = sep.join(row).split(b"\x80")
+    seps = [tail + end + lead, *between]
+    wide = dict.fromkeys(s for s in seps if len(s) > max(len(sep), len(end)))
+    codes = {s: bytes([c]) for s, c in zip(wide, _CODES)}
+    text = _cells(x[:, cols].ravel(), [codes.get(s, s) for s in seps])
+    for s, code in codes.items():
+        text = text.replace(code, s)
+    return (lead + text + tail).decode("ascii")
+
+
+# the codes of _fold's separators: bytes that no ASCII text holds
+_CODES = range(0x80, 0x100)
 
 
 @functools.cache
@@ -232,25 +280,27 @@ def _digits(x):
 _SLICE = 1024
 
 
-def _cells(x, cols, sep, end) -> bytes:
-    """'%.17g' text of the flat cells x, with separators only between cells:
-    `end` after a cell that closes a row of `cols` cells, `sep` after any
-    other, and none after the last.
+def _cells(x, seps) -> bytes:
+    """'%.17g' text of the flat cells x, in rows of len(seps) cells, with the
+    bytes seps[j] before each cell of column j but the block's first, and
+    none after the last: [end, sep, …, sep] writes `sep` within a row and
+    `end` between rows.
 
     A cell x = ±n·10**(X-16), with n of 17 digits, is one column of a
     (words, cells) uint32 grid, NUL wherever a character is absent.  It
     starts with the separator before it (none before the block's first
-    cell): all but its last byte in words of their own, none for a 1-byte
-    separator, then word 0: that last byte (byte 0), the sign (1), the first
-    digit or '0' (2) and the point after a lone integer digit (3).  The other
-    integer digits follow (bytes 4…19), then their point (20), the leading
-    zeros of 0.000ddd (24…26), the fraction digits (27…43), and 'e', the
-    exponent's sign and digits (44…48).  Bytes 4…19 are n's last 16 digits
-    and bytes 24…43 '000' and n's 17 digits, ANDed with a mask for the cell's
-    layout, so deleting the NULs shifts each into place.  Words NUL in every
-    cell are left out, and the grid is transposed to text _SLICE cells at a
-    time.  Cells within 1e-6 of a rounding tie, inf and nan take '%.17g'
-    itself in the 6 rows after word 0, also _SLICE at a time."""
+    cell): all but its last byte in words of their own, as many as the
+    longest separator needs (none for 1 byte), then word 0: that last byte
+    (byte 0), the sign (1), the first digit or '0' (2) and the point after
+    a lone integer digit (3).  The other integer digits follow (bytes
+    4…19), then their point (20), the leading zeros of 0.000ddd (24…26),
+    the fraction digits (27…43), and 'e', the exponent's sign and digits
+    (44…48).  Bytes 4…19 are n's last 16 digits and bytes 24…43 '000' and
+    n's 17 digits, ANDed with a mask for the cell's layout, so deleting the
+    NULs shifts each into place.  Words NUL in every cell are left out, and
+    the grid is transposed to text _SLICE cells at a time.  Cells within
+    1e-6 of a rounding tie, inf and nan take '%.17g' itself in the 6 rows
+    after word 0, also _SLICE at a time."""
     if not len(x):
         return b""
     n, frac, X, special = _digits(x)
@@ -311,9 +361,8 @@ def _cells(x, cols, sep, end) -> bytes:
         short = 6 - np.count_nonzero(keep[1:]) - len(exponents)
         keep[np.flatnonzero(~keep)[:max(short, 0)]] = True
     words = np.flatnonzero(keep)
-    sep, end = sep.encode(), end.encode()
     # all but the last byte of a separator go in words ahead of word 0
-    p, r = -(-max(len(sep) - 1, len(end) - 1, 0) // 4), len(words)
+    p, r = (max(map(len, seps)) + 2) // 4, len(words)
     g = np.empty((p + r + len(exponents), len(x)), np.uint32)
     np.take(masks[words], m, axis=1, out=g[p:p + r], mode="clip")
     del m
@@ -321,23 +370,29 @@ def _cells(x, cols, sep, end) -> bytes:
     del X
     # words 1…4 take digit rows 1…4 and words 6…10 rows 0…4, one word at a
     # time, so that no row is copied; then row 0, '000' and the first digit,
-    # becomes word 0's [separator's last byte]['0'][first digit]['.'] in place
+    # becomes word 0's [separator's last byte]['0'][first digit]['.'] in place,
+    # with the last column's separator
     for i, word in enumerate(words.tolist()):
         if word not in (0, 5):
             g[p + i] &= digits[word % 6]
-    sep_byte, end_byte = (sep[-1:] or b"\0")[0], (end[-1:] or b"\0")[0]
+    cols, base = len(seps), seps[-1]
+    byte = (base[-1:] or b"\0")[0]
     head = np.right_shift(digits[0], 8, out=digits[0])
-    head ^= np.uint32((sep_byte ^ ord("0")) | ord(".") << 24)
+    head ^= np.uint32((byte ^ ord("0")) | ord(".") << 24)
     g[p] &= head
     del digits, head
     g[p] |= np.signbit(x) * np.uint32(ord("-") << 8)
-    # the separator before each cell: `end` before a row's first cell, none
-    # before the block's first
-    g[p, cols::cols] ^= sep_byte ^ end_byte
+    # then each other column's own separator, and none before the block's
+    # first cell: its last byte XORed over the last column's in word 0, and
+    # the rest in the p words ahead
+    others = [(slice(j, None, cols), sep) for j, sep in enumerate(seps) if sep != base]
+    for column, sep in others:
+        g[p, column] ^= byte ^ (sep[-1:] or b"\0")[0]
     g[p, 0] &= 0xFFFFFF00
-    g[:p] = np.frombuffer(sep[:-1].ljust(4 * p, b"\0"), np.uint32)[:, None]
-    g[:p, cols::cols] = np.frombuffer(end[:-1].ljust(4 * p, b"\0"), np.uint32)[:, None]
-    g[:p, 0] = 0
+    if p:
+        for column, sep in [(slice(None), base), *others]:
+            g[:p, column] = np.frombuffer(sep[:-1].ljust(4 * p, b"\0"), np.uint32)[:, None]
+        g[:p, 0] = 0
     for i in range(0, back.size, _SLICE):
         part = back[i:i + _SLICE]
         text = [b"%.17g" % c for c in x[part].tolist()]
@@ -367,11 +422,11 @@ def _json_value(v) -> str:
 
 def write_table(stream, columns, rows, meta, fmt_name):
     """Write a table in CSV or JSON: the header, the text of each block of rows
-    with the row separator `end` between blocks, and the closer.  `rows` is an
-    (N, k) float array, whose blocks of KERNEL_CELLS // k rows fmt writes, or,
-    for verify's report, whose rows start with the check's name, a list of
-    rows written cell by cell as one block: a number's CSV text is its JSON
-    text."""
+    with the row separator `end` between blocks, and the closer; a table of
+    no rows is its header and the closer.  `rows` is an (N, k) float array,
+    whose blocks of KERNEL_CELLS // k rows fmt writes, or, for verify's
+    report, whose rows start with the check's name, a list of rows written
+    cell by cell as one block: a number's CSV text is its JSON text."""
     csv = fmt_name == "csv"
     sep, end = (",", "\n") if csv else (", ", "], [")
     if isinstance(rows, np.ndarray):
@@ -380,17 +435,20 @@ def write_table(stream, columns, rows, meta, fmt_name):
     else:
         blocks = [end.join(sep.join([name if csv else _json_value(name), *map(_json_value, cells)])
                            for name, *cells in rows)]
+    # a JSON row opens with '[' and ends with ']', a CSV row with '\n': in
+    # the header and the closer, where there are rows
+    framed = len(rows) > 0
     if csv:
         stream.write(",".join(columns) + "\n")
     else:
         items = ", ".join(f"{_json_value(k)}: {_json_value(v)}" for k, v in meta.items())
         stream.write(f'{{"meta": {{{items}}}, "columns": [{", ".join(map(_json_value, columns))}], '
-                     '"rows": [[')
+                     '"rows": [' + "[" * framed)
     for i, block in enumerate(blocks):
         if i:
             stream.write(end)
         stream.write(block)
-    stream.write("\n" if csv else "]]}\n")
+    stream.write("\n" * framed if csv else "]" * framed + "]}\n")
 
 
 def load_config_file(path) -> dict:

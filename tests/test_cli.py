@@ -197,7 +197,7 @@ class TestKernel:
         x[rng.permutation(cells)[:len(KERNEL_CASES)]] = KERNEL_CASES
         expected = "".join(format(v, ".17g") + ("\n" if i % k == k - 1 else ",")
                            for i, v in enumerate(x.tolist()))[:-1]
-        assert cli._cells(x, k, ",", "\n").decode() == expected
+        assert cli._cells(x, [b"\n"] + [b","] * (k - 1)).decode() == expected
 
     def test_random_bit_patterns(self):
         # every exponent, subnormals and nan payloads
@@ -254,19 +254,90 @@ def test_kernel_matches_per_cell_on_drawn_blocks(cols, cells, kinds, X, seed, fi
         expected = "".join(format(v, ".17g") + (end if i % cols == cols - 1 else sep)
                            for i, v in enumerate(block.tolist()))
         expected = expected.removesuffix(end if cells % cols == 0 else sep)
-        assert cli._cells(block, cols, sep, end).decode() == expected
+        assert cli._cells(block, [end.encode()] + [sep.encode()] * (cols - 1)).decode() == expected
+
+
+# the constants a column of a drawn block holds on every row: ±0, 1, the
+# 0.99999999999999978 of sweep-phi's concurrences, nan, ±inf, a subnormal and
+# a tie that '%.17g' itself writes
+CONSTANTS = [0.0, -0.0, 1.0, 0.99999999999999978, math.nan, math.inf, -math.inf, 5e-324,
+             float(TIES[0])]
+
+
+@settings(max_examples=100, deadline=None)
+# no constant column, the first, a middle one, the last, adjacent runs (as in
+# evolve from a basis state), all of them, and a block of one row
+@example(cols=5, rows=40, const=[False] * 12, values=[0.0] * 12, spoil=[False] * 12, seed=0)
+@example(cols=5, rows=40, const=[True] + [False] * 11, values=[1.0] * 12, spoil=[False] * 12,
+         seed=0)
+@example(cols=5, rows=40, const=[False, False, True] + [False] * 9, values=[math.nan] * 12,
+         spoil=[False] * 12, seed=0)
+@example(cols=5, rows=40, const=[False] * 4 + [True] * 8, values=[-0.0] * 12, spoil=[False] * 12,
+         seed=0)
+@example(cols=10, rows=40, const=[False, False, *[True] * 5, False, True, False, False, False],
+         values=[0.0] * 12, spoil=[False] * 12, seed=0)
+@example(cols=12, rows=40, const=[True] * 12, values=CONSTANTS + CONSTANTS[:3],
+         spoil=[False] * 12, seed=0)
+@example(cols=7, rows=1, const=[False] * 12, values=[0.0] * 12, spoil=[False] * 12, seed=0)
+@given(cols=st.integers(1, 12), rows=st.integers(1, 300),
+       const=st.lists(st.booleans(), min_size=12, max_size=12),
+       values=st.lists(st.sampled_from(CONSTANTS), min_size=12, max_size=12),
+       spoil=st.lists(st.booleans(), min_size=12, max_size=12), seed=st.integers(0, 2**32 - 1))
+def test_fmt_folds_constant_columns(cols, rows, const, values, spoil, seed):
+    # a column with the bits of its first row on every row is formatted once;
+    # a spoiled one differs only in the sign bit of a middle row (-0.0 for
+    # 0.0, nan of another sign), so its first and last rows agree, but it is
+    # not constant
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-30, 30, size=(rows, cols))
+    for j in np.flatnonzero(const[:cols]):
+        block[:, j] = values[j]
+        if spoil[j]:
+            block[rows // 2, j] = -block[rows // 2, j]
+    for sep, end in ((",", "\n"), (", ", "], [")):
+        assert fmt(block, sep, end) == per_cell(block, sep, end)
+
+
+@pytest.mark.parametrize("kernel_cols", [len(cli._CODES), len(cli._CODES) + 1])
+def test_fmt_folds_while_it_has_codes(monkeypatch, kernel_cols):
+    # between two constants of their own, each column the kernel writes has a
+    # separator of its own, longer than `sep` and `end`, which takes a code:
+    # with more such columns than codes, no column folds
+    rng = np.random.default_rng(kernel_cols)
+    block = np.empty((3, 2 * kernel_cols))
+    block[:, ::2] = rng.normal(size=(3, kernel_cols))
+    block[:, 1::2] = np.arange(kernel_cols) + 0.5
+    written = []
+
+    def counting(x, seps):
+        written.append(len(seps))
+        return cells(x, seps)
+
+    cells = cli._cells
+    monkeypatch.setattr(cli, "_cells", counting)
+    for sep, end in ((",", "\n"), (", ", "], [")):
+        assert fmt(block, sep, end) == per_cell(block, sep, end)
+    folds = kernel_cols <= len(cli._CODES)
+    assert written == [kernel_cols if folds else 2 * kernel_cols] * 2
 
 
 def test_block_memory_stays_bounded():
     # the block size rests on the kernel's footprint, which works in place and
     # frees each temporary once it is dead: one KERNEL_CELLS-cell fmt call on
-    # random bits peaked at 923,500-925,000 traced bytes with CSV's separators
-    # and 925,700-927,300 with JSON's (90 B per cell, numpy 2.4.6); on nan,
-    # which '%.17g' itself writes, at 874,100-875,500
+    # random bits peaked at 889,100 traced bytes with CSV's separators and
+    # 932,400 with JSON's (87-91 B per cell, numpy 2.4.6).  A block of nan is
+    # constant in every column and never reaches the kernel (267,000 and
+    # 282,500: its text); back path cells drawn cell by cell ('%.17g' writes
+    # them) reach it in every column (797,300 and 837,300).  A constant
+    # column's text takes a code, and so widens no column of the grid
     rng = np.random.default_rng(0)
     bits = np.frombuffer(rng.bytes(8 * KERNEL_CELLS), np.float64).reshape(-1, 4)
-    blocks = {"random bits": bits, "nan": np.full(bits.shape, math.nan)}
-    fmt(bits[:1])  # the kernel's tables are built on first use
+    back = rng.choice(BACK_CELLS, bits.shape)
+    assert not (back.view(np.uint64) == back.view(np.uint64)[0]).all(axis=0).any()
+    blocks = {"random bits": bits, "nan": np.full(bits.shape, math.nan), "back": back}
+    # the kernel's tables are built on first use, by a block that reaches
+    # it: one of two rows whose cells differ (one row is constant)
+    fmt(bits[:2])
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -341,6 +412,41 @@ class TestWriteTable:
             write_table(chunked, columns, table, meta, fmt_name)
             reference_write_table(per_cell, columns, table.tolist(), meta, fmt_name)
             assert chunked.getvalue() == per_cell.getvalue()
+
+    @pytest.mark.parametrize("fmt_name", ["csv", "json"])
+    @pytest.mark.parametrize("rows", [np.empty((0, 2)), []])
+    def test_table_of_no_rows(self, fmt_name, rows):
+        # the header and the closer: no empty row
+        table, per_cell = io.StringIO(), io.StringIO()
+        write_table(table, ["a", "b"], rows, {"x": 1}, fmt_name)
+        reference_write_table(per_cell, ["a", "b"], [], {"x": 1}, fmt_name)
+        assert table.getvalue() == per_cell.getvalue()
+
+    @pytest.mark.parametrize("fmt_name", ["csv", "json"])
+    @pytest.mark.parametrize("argv, constant", [
+        (["evolve", "--state", "KK"], 6),
+        (["evolve", "--state", "KKbar"], 6),
+        (["evolve", "--t0", "2", "--t1", "2", "--steps", "5"], 10),
+    ])
+    def test_constant_columns_match_per_cell(self, monkeypatch, capsys, argv, constant,
+                                             fmt_name):
+        # a basis state mixes with one partner only, so 6 of evolve's 10
+        # columns hold 0.0 on every row; at t0 = t1 every column is constant
+        tables = []
+
+        def recording(stream, columns, rows, meta, name):
+            tables.append((columns, rows, meta))
+            write_table(stream, columns, rows, meta, name)
+
+        monkeypatch.setattr(cli, "write_table", recording)
+        code, out, _ = run_cli(capsys, *argv, f"--format={fmt_name}")
+        assert code == 0
+        [(columns, rows, meta)] = tables
+        bits = rows.view(np.uint64)
+        assert np.count_nonzero((bits == bits[0]).all(axis=0)) == constant
+        per_cell = io.StringIO()
+        reference_write_table(per_cell, columns, rows.tolist(), meta, fmt_name)
+        assert out == per_cell.getvalue()
 
     @pytest.mark.parametrize("fmt_name", ["csv", "json"])
     def test_every_block_goes_through_fmt(self, monkeypatch, capsys, fmt_name):

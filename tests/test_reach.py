@@ -116,7 +116,9 @@ def argvs(tmp_path):
              "evolve --state 0.5,0,0,0.5,0.5,0,0,-0.5 --steps 5", "sweep-phi --grid 5",
              "oscillate --steps 5", "rho-report --steps 5", f"oscillate --config {config}",
              # 10,244 cells: two kernel blocks, with the row separator between them
-             "oscillate --steps 2561"]
+             "oscillate --steps 2561",
+             # every column constant: each row is the first row's text
+             "evolve --t0 2 --t1 2 --steps 3"]
     for fmt in ("csv", "json"):
         yield ["verify", f"--format={fmt}", f"--out={tmp_path / ('report.' + fmt)}"], 0
         for line in table:
