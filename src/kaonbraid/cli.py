@@ -48,7 +48,7 @@ import numpy as np
 from . import __version__, braid, dynamics, oscillation, states, verify
 from .braid import BraidSpec
 from .errors import KaonbraidError
-from .linalg import norm4
+from .linalg import norm
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -505,7 +505,7 @@ FLAGS = {
                     "γ_L"),
     "dm": Flag(0.474, float, _finite, "a finite number", "mass difference Δm = m_L - m_S"),
     "format": Flag("csv", str, ("csv", "json").__contains__, "one of csv, json", "table format"),
-    "out": Flag(None, str, None, "a path", "file for the table (None: stdout)"),
+    "out": Flag(None, str, bool, "a non-empty path", "file for the table (None: stdout)"),
     "seed": Flag(0, int, lambda v: v >= 0, "an integer >= 0", "seed of the verify inputs"),
     "tol": Flag(None, float, lambda v: _finite(v) and v > 0, "a finite number > 0",
                 "one tolerance for every verify check (None: each check's own)"),
@@ -660,13 +660,13 @@ def cmd_evolve(cfg) -> int:
     t = linear_grid(t0, t1, steps, lo_is_t0=True)
     psi = dynamics.evolve_state(psi0, spec, t0, t)
     # a complex (N, 4) array read as float is (N, 8): re_a0, im_a0, re_a1, ...
-    table = np.column_stack([t, psi.view(float), norm4(psi)])
+    table = np.column_stack([t, psi.view(float), norm(psi)])
     # the grid ends at t1 itself, and a row has the bits of its time taken alone
     final = psi[-1]
     round_trip = dynamics.evolve_state(final, spec, t1, t0)
     extra = {
-        "norm_drift": abs(float(norm4(final)) - 1.0),
-        "round_trip_error": float(norm4(round_trip - psi0)),
+        "norm_drift": abs(float(norm(final)) - 1.0),
+        "round_trip_error": float(norm(round_trip - psi0)),
         "schrodinger_residual": float(dynamics.schrodinger_residual(
             psi0, spec, (t0 + t1) / 2.0 if t0 != t1 else t0
         )[0]),

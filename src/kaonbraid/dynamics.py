@@ -28,7 +28,7 @@ import numpy as np
 from . import braid
 from .braid import BraidSpec, unitary_r
 from .errors import DomainError
-from .linalg import _nonnegative, cexp, elementwise, frobenius
+from .linalg import _nonnegative, cexp, elementwise, frobenius, norm
 from .states import state_stack
 
 
@@ -155,7 +155,7 @@ def schrodinger_residual(state0, spec: BraidSpec, t):
                           @ psi[:, :, None])[..., 0]
     deriv = 1j * (ahead - behind) / (2.0 * dt)
     drift = deriv - (hamiltonian_at(spec, t)[..., None, :, :] @ now[..., None])[..., 0]
-    return np.moveaxis(frobenius(drift[..., None, :]), -1, 0)
+    return np.moveaxis(norm(drift), -1, 0)
 
 
 def r_vs_hamiltonian_consistency(spec: BraidSpec, t):

@@ -1,6 +1,6 @@
-"""Small-dimension complex linear algebra: tensor products, Frobenius
-residuals and state norms, and the per-element functions that keep math's
-bits.
+"""Small-dimension complex linear algebra: tensor products, one fixed-order
+Euclidean norm (of states, and of matrices as Frobenius residuals) with no
+BLAS call, and the per-element functions that keep math's bits.
 
 Everything here works on plain numpy arrays of shape (d, d) or (4,), or on
 (N, d, d) or (N, 4) stacks of them, whose shapes the callers know; nothing
@@ -72,31 +72,29 @@ def _nonnegative(a, name: str) -> np.ndarray:
     return a
 
 
+def norm(z):
+    """Euclidean norm over the last axis of a complex array (0-d for a vector).
+
+    The squared parts re₀², im₀², re₁², ..., padded with exact zeros to a
+    power of two, are summed in neighbouring pairs level by level, with no
+    BLAS call: for 4 amplitudes sqrt(((re₀² + im₀²) + (re₁² + im₁²)) + ...).
+    So a stack gets the bits of its rows taken one by one under any BLAS
+    kernel.  Nothing is rescaled: squares must neither overflow nor all
+    underflow."""
+    parts = np.ascontiguousarray(z, dtype=complex).view(float)
+    sq = parts * parts
+    n = sq.shape[-1]
+    if n & (n - 1):
+        sq = np.concatenate([sq, np.zeros(sq.shape[:-1] + ((1 << n.bit_length()) - n,))], -1)
+    while sq.shape[-1] > 1:
+        sq = sq[..., 0::2] + sq[..., 1::2]
+    return np.sqrt(sq[..., 0])
+
+
 def frobenius(m):
     """Frobenius norm of a matrix (0-d), or an (N,) array of them for an
-    (N, d, d) stack.
-
-    sqrt(re·re + im·im) from one BLAS dot per part, as np.linalg.norm sums it,
-    so a stack gets the bits of its matrices taken one by one."""
-    a = np.asarray(m, dtype=complex)
-    rows = a.reshape(a.shape[:-2] + (1, -1))
-    re, im = rows.real, rows.imag
-    return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
-
-
-def norm4(psi):
-    """Euclidean norm of 4 complex amplitudes (0-d), or of each row of an
-    (N, 4) stack of them.
-
-    The 8 squared parts are summed in one fixed order, with no BLAS,
-    sqrt(((re₀² + im₀²) + (re₁² + im₁²)) + ((re₂² + im₂²) + (re₃² + im₃²))),
-    so the bits depend on no BLAS kernel and a stack gets those of its rows
-    taken one by one.  Nothing is rescaled: for amplitudes of states, whose
-    squares neither overflow nor all underflow."""
-    parts = np.ascontiguousarray(psi, dtype=complex).view(float)
-    sq = parts * parts
-    mod2 = sq[..., 0::2] + sq[..., 1::2]
-    return np.sqrt((mod2[..., 0] + mod2[..., 1]) + (mod2[..., 2] + mod2[..., 3]))
+    (N, d, d) stack: the norm of its entries read row by row."""
+    return norm(np.reshape(m, np.shape(m)[:-2] + (-1,)))
 
 
 def tensor_product(a, b) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import cexp, hermiticity_residual, norm4, tensor_product
+from .linalg import cexp, hermiticity_residual, norm, tensor_product
 
 BASIS_LABELS = ("KK", "KKbar", "KbarK", "KbarKbar")
 
@@ -31,7 +31,7 @@ def state_stack(psi) -> np.ndarray:
     a = a.reshape(-1, 4)
     # an amplitude past ~1e154 squares to inf, and the norm check below fails it
     with np.errstate(over="ignore"):
-        norms = norm4(a)
+        norms = norm(a)
     off = np.abs(norms - 1.0)
     if not off.max(initial=0.0) <= NORM_TOL:  # a NaN or inf amplitude fails here too
         if not np.isfinite(a).all():

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import braid, dynamics, oscillation, states
 from .braid import BraidSpec
-from .linalg import elementwise, frobenius, hermiticity_residual, unitarity_residual
+from .linalg import elementwise, frobenius, hermiticity_residual, norm, unitarity_residual
 
 # The identities checked over a spectral parameter and φ are polynomial ones.
 # R(x) = b + x·b† is affine in x, and every entry of b lies in span{1, q, 1/q}
@@ -120,7 +120,7 @@ def check_schrodinger(seed: int) -> CheckResult:
     # 10 seeded unit states from one draw of 8 normals each: 4 real parts, then 4 imaginary
     d = np.random.default_rng(seed).normal(size=(10, 8))
     v = d[:, :4] + 1j * d[:, 4:]
-    psi = v / frobenius(v[:, None, :])[:, None]
+    psi = v / norm(v)[:, None]
     t = np.array([0.2, 0.5, 1.0, 2.0, 5.0])
     worst = max(float(dynamics.schrodinger_residual(psi, spec, t).max())
                 for spec in (BraidSpec("plus", 0.0), BraidSpec("minus", 1.0)))
@@ -162,7 +162,7 @@ def separability_states(rng, pairs: int) -> np.ndarray:
     d = rng.normal(size=(pairs, 16))
     u, v = d[:, 0:2] + 1j * d[:, 2:4], d[:, 4:6] + 1j * d[:, 6:8]
     amp = d[:, 8:12] + 1j * d[:, 12:16]
-    u, v, amp = (z / frobenius(z[:, None, :])[:, None] for z in (u, v, amp))
+    u, v, amp = (z / norm(z)[:, None] for z in (u, v, amp))
     psi = np.empty((2 * pairs, 4), dtype=complex)
     psi[0::2] = (u[:, :, None] * v[:, None, :]).reshape(pairs, 4)
     psi[1::2] = amp

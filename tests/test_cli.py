@@ -77,6 +77,8 @@ BOUNDARY_INPUTS = [
      ["state must be a basis label, 4 real amplitudes, or 8 re,im values"]),
     (["evolve", "--state", "1,1,0,0"], ["not normalized", "1.41421356237"]),
     (["evolve", "--state", "nan,0,0,0"], ["amplitudes must be finite"]),
+    # an empty path is not "no --out": the table would go to stdout
+    (["evolve", "--out", ""], ["--out", "''", "a non-empty path"]),
 ]
 
 
@@ -575,6 +577,13 @@ class TestConfig:
         code, out, err = run_cli(capsys, "oscillate", "--config", str(cfg))
         assert code == 2 and out == ""
         assert "byte 0xff at offset 5" in err
+
+    def test_empty_out_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out =\n")
+        code, out, err = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "config key 'out'" in err and "a non-empty path" in err
 
     def test_malformed_number_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -3,7 +3,8 @@
 files under tests/golden/.
 
 Regenerate the files (only after an output change that CHANGES.md explains)
-with `PYTHONPATH=src python tests/test_golden.py`.
+with `PYTHONPATH=src python tests/test_golden.py`.  A failed comparison names
+the host: the goldens pin the bits of one numpy, OpenBLAS kernel and libm.
 """
 
 import contextlib
@@ -12,11 +13,13 @@ import io
 import json
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import tempfile
 import textwrap
 
+import numpy as np
 import pytest
 
 import kaonbraid
@@ -74,6 +77,15 @@ HASHED = {
 VERIFY = ["verify", "--seed", "0"]
 
 
+def host(env=os.environ) -> str:
+    """The numpy version, machine, C library and, if set in `env`, the
+    OpenBLAS kernel that a process with that environment computes on."""
+    libc = " ".join(filter(None, platform.libc_ver())) or "unknown libc"
+    coretype = env.get("OPENBLAS_CORETYPE")
+    return ", ".join([f"numpy {np.__version__}", platform.machine(), libc]
+                     + ([f"OPENBLAS_CORETYPE={coretype}"] if coretype else []))
+
+
 def render(argv, report=None) -> tuple[bytes, bytes | None]:
     """stdout of the command, which must exit 0, and the bytes it wrote to
     the --out file `report`, if one is given."""
@@ -87,19 +99,19 @@ def render(argv, report=None) -> tuple[bytes, bytes | None]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, fmt_name):
     expected = (GOLDEN_DIR / f"{name}.{fmt_name}").read_bytes()
-    assert render([*CASES[name], "--format", fmt_name])[0] == expected
+    assert render([*CASES[name], "--format", fmt_name])[0] == expected, host()
 
 
 @pytest.mark.parametrize("argv", sorted(HASHED))
 def test_output_matches_hashed_pin(argv):
-    assert hashlib.sha256(render(argv.split())[0]).hexdigest() == HASHED[argv]
+    assert hashlib.sha256(render(argv.split())[0]).hexdigest() == HASHED[argv], host()
 
 
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
 def test_verify_matches_golden(fmt_name, tmp_path):
     stdout, report = render([*VERIFY, "--format", fmt_name], tmp_path / f"report.{fmt_name}")
-    assert stdout == (GOLDEN_DIR / "verify-seed0.txt").read_bytes()
-    assert report == (GOLDEN_DIR / f"verify-seed0.{fmt_name}").read_bytes()
+    assert stdout == (GOLDEN_DIR / "verify-seed0.txt").read_bytes(), host()
+    assert report == (GOLDEN_DIR / f"verify-seed0.{fmt_name}").read_bytes(), host()
 
 
 # OpenBLAS kernel sets a child process can be made to use, with the CPU
@@ -154,7 +166,7 @@ def test_evolve_and_rho_report_bytes_do_not_depend_on_the_blas_kernel(coretype):
     assert proc.returncode == 0, proc.stderr
     expected = [f"0 {hashlib.sha256((GOLDEN_DIR / file).read_bytes()).hexdigest()}"
                 for file in files] + [f"0 {HASHED[argv]}" for argv in pins]
-    assert proc.stdout.splitlines() == expected
+    assert proc.stdout.splitlines() == expected, host(env)
 
 
 if __name__ == "__main__":

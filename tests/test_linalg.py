@@ -19,8 +19,9 @@ from kaonbraid.linalg import (
     cexp,
     elementwise,
     expm1,
+    frobenius,
     hermiticity_residual,
-    norm4,
+    norm,
     tensor_product,
     unitarity_residual,
 )
@@ -220,36 +221,73 @@ def test_expm1_identity_holds_on_another_libm_variant():
     assert mismatches_on_libm_variant(EXPM1_CHECK) == ["0"]
 
 
-def norm4_reference(psi):
-    """The norm of 4 amplitudes in Python floats, in norm4's order."""
-    m = [z.real * z.real + z.imag * z.imag for z in psi]
-    return math.sqrt((m[0] + m[1]) + (m[2] + m[3]))
+def norm_reference(values):
+    """The Euclidean norm of complex values in Python floats, in norm's order:
+    the squared parts re₀², im₀², re₁², ..., padded with zeros to a power of
+    two, summed in neighbouring pairs level by level."""
+    sums = [p * p for z in values for p in (z.real, z.imag)]
+    sums += [0.0] * ((1 << (len(sums) - 1).bit_length()) - len(sums))
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[0::2], sums[1::2])]
+    return math.sqrt(sums[0])
+
+
+UNIT_COMPLEX = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 
 
 @settings(deadline=None)
-@given(hnp.arrays(complex, st.tuples(st.integers(1, 20), st.just(4)),
-                  elements=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
-def test_norm4_rows_are_their_points(psi):
-    stacked = norm4(psi)
+@given(hnp.arrays(complex, st.tuples(st.integers(1, 20), st.just(4)), elements=UNIT_COMPLEX))
+def test_norm_rows_are_their_points(psi):
+    """For 4 amplitudes the tree is sqrt(((|a₀|² + |a₁|²) + (|a₂|² + |a₃|²)))."""
+    stacked = norm(psi)
     assert stacked.shape == (len(psi),)
     for row, n in zip(psi, stacked.tolist()):
-        assert n == norm4(row) == norm4_reference(row.tolist())
+        m = [z.real * z.real + z.imag * z.imag for z in row.tolist()]
+        assert n == norm(row) == norm_reference(row.tolist())
+        assert n == math.sqrt((m[0] + m[1]) + (m[2] + m[3]))
         assert abs(n - np.linalg.norm(row)) <= 4 * np.finfo(float).eps * max(n, 1e-300)
 
 
+@settings(deadline=None)
+@given(data=st.data(), n=st.integers(1, 20))
+def test_norm_pads_lengths_that_are_not_a_power_of_two(data, n):
+    """3 amplitudes are 6 parts and a 3x3 matrix 18: both are padded with
+    zeros, to 8 and 32 parts."""
+    psi = data.draw(hnp.arrays(complex, (n, 3), elements=UNIT_COMPLEX))
+    m = data.draw(hnp.arrays(complex, (n, 3, 3), elements=UNIT_COMPLEX))
+    eps = np.finfo(float).eps
+    for stacked, rows, single in ((norm(psi), psi, norm), (frobenius(m), m, frobenius)):
+        assert stacked.shape == (n,)
+        for row, value in zip(rows, stacked.tolist()):
+            assert value == single(row) == norm_reference(row.ravel().tolist())
+            assert abs(value - np.linalg.norm(row)) <= 4 * eps * max(value, 1e-300)
+
+
 # numpy functions whose bits are not math's, or whose sums are not in a fixed
-# order; linalg wraps the ones the package needs
-LINALG_ONLY = {"cos", "sin", "exp", "expm1", "arctan", "einsum"}
+# order (the dots and np.linalg.norm sum in the BLAS kernel's order); linalg
+# wraps the ones the package needs.  np.linalg.svd and np.linalg.eigvals stay
+# allowed: they are the independent oracles of two checks
+LINALG_ONLY = {"np.cos", "np.sin", "np.exp", "np.expm1", "np.arctan", "np.einsum",
+               "np.dot", "np.vdot", "np.inner", "np.linalg.norm"}
+
+
+def dotted_name(node) -> str:
+    """'np.linalg.norm' for the attribute chain np.linalg.norm, '' for one
+    that does not start at a plain name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
 
 
 def test_only_linalg_calls_numpy_transcendentals():
     """Every exp, cos and sin goes through linalg.cexp, expm1 through
-    linalg.expm1, atan through elementwise and every state norm through
-    norm4: no module but linalg names np.cos, np.sin, np.exp, np.expm1,
-    np.arctan or np.einsum."""
-    found = [f"{path.name}:{node.lineno} np.{node.attr}"
+    linalg.expm1, atan through elementwise and every norm through linalg.norm:
+    no module but linalg names np.cos, np.sin, np.exp, np.expm1, np.arctan,
+    np.einsum, np.dot, np.vdot, np.inner or np.linalg.norm."""
+    found = [f"{path.name}:{node.lineno} {dotted_name(node)}"
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Attribute) and node.attr in LINALG_ONLY
-             and isinstance(node.value, ast.Name) and node.value.id == "np"]
+             if isinstance(node, ast.Attribute) and dotted_name(node) in LINALG_ONLY]
     assert found == []

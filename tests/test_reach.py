@@ -47,6 +47,9 @@ UNREACHED = {
         "library API guard (README): the CLI's times are finite",
     ("dynamics._angle_of_floats", "return math.atan(1.0 / t0 - 1.0 / t1)"):
         "library API branch (README: infinite times are allowed); the CLI's times are finite",
+    ("linalg.norm",
+     "sq = np.concatenate([sq, np.zeros(sq.shape[:-1] + ((1 << n.bit_length()) - n,))], -1)"):
+        "library API: every norm the commands take has 2, 4, 16 or 64 entries, a power of two",
     ("linalg._nonnegative",
      'raise DomainError(f"{name} must be finite and >= 0, got {float(a[bad].flat[0])!r}")'):
         "library API guard (README): the CLI passes only its own x and t grids",

@@ -3,11 +3,12 @@
 A stack of N states, spectral parameters, times or phases must give, row by
 row and bit for bit (compared with ==), what N single-point calls give, and
 the single-point calls must give what per-row formulas in Python scalars
-(np.kron, np.vdot, np.linalg.norm, math's and cmath's functions, complex
-scalar arithmetic) give.  The stack validator must reject a
-stack in which one row is bad.  The algebra's own laws (QYBE, the braid
-relation, the propagator's group law, P_same + P_flip = survival) are
-checked over generated inputs to a tolerance.
+(np.kron, np.vdot, math's and cmath's functions, complex scalar arithmetic,
+and every norm as test_linalg.norm_reference sums it in Python floats) give.
+The stack validator must reject a stack in which one row is bad.  The
+algebra's own laws (QYBE, the braid relation, the propagator's group law,
+P_same + P_flip = survival) are checked over generated inputs to a
+tolerance.
 """
 
 import cmath
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from test_linalg import norm_reference
 
 from kaonbraid import dynamics
 from kaonbraid.braid import (
@@ -122,14 +124,15 @@ def complex_stacks(n, d):
 
 
 def qybe_reference(spec, x, y):
-    """The per-point QYBE residual as the library formed it before stacks."""
+    """The per-point QYBE residual as the library formed it before stacks,
+    its norm in norm_reference's order."""
     def r1(z):
         return np.kron(yang_baxterize(spec, z), _I2)
 
     def r2(z):
         return np.kron(_I2, yang_baxterize(spec, z))
 
-    return float(np.linalg.norm(r1(x) @ r2(x * y) @ r1(y) - r2(y) @ r1(x * y) @ r2(x)))
+    return norm_reference((r1(x) @ r2(x * y) @ r1(y) - r2(y) @ r1(x * y) @ r2(x)).ravel().tolist())
 
 
 def rho_reference(spec, t):
@@ -185,16 +188,18 @@ def evolve_state_reference(psi0, spec, t0, t1):
 
 
 def separability_reference(rng, n):
-    """The per-row draws check_separability made before stacks."""
+    """The per-row draws check_separability made before stacks, each
+    normalized by its norm_reference."""
     psi = np.empty((n, 4), dtype=complex)
     for i in range(n):
         if i % 2 == 0:
             u = rng.normal(size=2) + 1j * rng.normal(size=2)
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            psi[i] = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v)).reshape(4)
+            psi[i] = np.outer(u / norm_reference(u.tolist()),
+                              v / norm_reference(v.tolist())).reshape(4)
         else:
             amp = rng.normal(size=4) + 1j * rng.normal(size=4)
-            psi[i] = amp / np.linalg.norm(amp)
+            psi[i] = amp / norm_reference(amp.tolist())
     return psi
 
 
@@ -228,26 +233,28 @@ def oscillation_curve_reference(params, t_max, steps):
 
 def schrodinger_reference(state0, spec, t, dt):
     """The per-point Schrödinger residual of the 4 amplitudes state0 as
-    schrodinger_residual formed it before it took stacks."""
+    schrodinger_residual formed it before it took stacks, its norm in
+    norm_reference's order."""
     ahead, behind, now = propagator(spec, 0.0, [t + dt, t - dt, t]) @ state0
     deriv = 1j * (ahead - behind) / (2.0 * dt)
     h = envelope(t) * hamiltonian_generator(spec)
-    return float(np.linalg.norm(deriv - h @ now))
+    return norm_reference((deriv - h @ now).tolist())
 
 
 def r_vs_hamiltonian_reference(spec, t):
-    """The per-point consistency residual, from one two-row unitary_r call."""
+    """The per-point consistency residual, from one two-row unitary_r call,
+    its norm in norm_reference's order."""
     r_t, r_0 = unitary_r(spec, [t, 0.0])
-    return float(np.linalg.norm(r_t @ r_0.conj().T - propagator(spec, 0.0, t)))
+    return norm_reference((r_t @ r_0.conj().T - propagator(spec, 0.0, t)).ravel().tolist())
 
 
 def random_states_reference(rng, n):
     """The per-state draws check_schrodinger made before stacks (the deleted
-    verify.random_states)."""
+    verify.random_states), each normalized by its norm_reference."""
     out = []
     for _ in range(n):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        out.append(v / np.linalg.norm(v))
+        out.append(v / norm_reference(v.tolist()))
     return out
 
 
@@ -396,7 +403,8 @@ class TestStackEqualsRows:
                         .map(lambda s: (s[0], s[1], s[1])),
                         elements=st.complex_numbers(max_magnitude=1e3)))
     def test_frobenius(self, m):
-        assert np.array_equal(frobenius(m), [float(np.linalg.norm(x)) for x in m])
+        reference = [norm_reference(x.ravel().tolist()) for x in m]
+        assert frobenius(m).tolist() == [float(frobenius(x)) for x in m] == reference
 
     @settings(deadline=None)
     @given(data=st.data(), n=st.integers(1, 20), dims=st.sampled_from([(2, 2), (2, 4), (4, 2)]))
@@ -417,7 +425,7 @@ class TestStackEqualsRows:
         m = data.draw(complex_stacks(n, d))
         stacked = unitarity_residual(m)
         for row, value in zip(m, stacked):
-            reference = float(np.linalg.norm(row @ row.conj().T - np.eye(d)))
+            reference = norm_reference((row @ row.conj().T - np.eye(d)).ravel().tolist())
             assert value == unitarity_residual(row) == reference
 
     @settings(deadline=None)
