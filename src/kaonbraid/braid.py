@@ -222,33 +222,27 @@ def _rho(r1, r2, halves: int) -> np.ndarray:
     halves, 4) + S: [0] the real parts, [1] the imaginary.  Each product is
     Python's complex product, (ar·br − ai·bi) + i(ar·bi + ai·br) unfused
     (numpy's complex * fuses them and differs in the last bit), and the two
-    are summed part by part."""
+    are summed part by part, in place: the result is a view of p's buffer."""
     shape = (2, 2, 4) + r2.shape[2:]
     y, w = r2.reshape(shape)[:, :halves], r2[:, ::-1].reshape(shape)[:, :halves]
-    # p[j, k] is part j of R₁ᵢᵢ times part k of its second factor
+    # m[j, k] is part j of R₁'s entry times part k of its second factor
     p = r1[:, None, None, :4] * y
     q = r1[:, None, None, 4:] * w
-    rho = np.empty(p.shape[1:])
-    np.subtract(p[0, 0], p[1, 1], out=rho[0])
-    rho[0] += q[0, 0] - q[1, 1]
-    np.add(p[0, 1], p[1, 0], out=rho[1])
-    rho[1] += q[0, 1] + q[1, 0]
-    return rho
+    for m in (p, q):
+        m[0, 0] -= m[1, 1]
+        m[0, 1] += m[1, 0]
+    p[0] += q[0]
+    return p[0]
 
 
-def _mean(d) -> np.ndarray:
-    """tr ϱ/4 in each part from ϱ's (2, 4) + S diagonal rows d, summed as
-    np.trace sums a complex 4x4 matrix: +0.0 + ((d₀ + d₁) + (d₂ + d₃)).
-    Without the leading 0.0 a part whose four entries are −0.0 would sum to
-    −0.0."""
-    return (0.0 + ((d[:, 0] + d[:, 1]) + (d[:, 2] + d[:, 3]))) / 4.0
-
-
-def _complex(parts):
-    """The complex array, or numpy scalar for shape (), with real part
-    parts[0] and imaginary part parts[1]."""
-    z = np.empty(parts.shape[1:], complex)
-    z.real, z.imag = parts
+def _mean(d):
+    """tr ϱ/4 from ϱ's (2, 4) + S diagonal rows d, as a complex array of shape
+    S, or a numpy scalar for S = (); each part summed as np.trace sums a
+    complex 4x4 matrix: +0.0 + ((d₀ + d₁) + (d₂ + d₃)).  Without the leading
+    0.0 a part whose four entries are −0.0 would sum to −0.0.  The parts are
+    set one by one: re + 1j·im would turn a −0.0 imaginary part into 0.0."""
+    z = np.empty(d.shape[2:], complex)
+    z.real, z.imag = (0.0 + ((d[:, 0] + d[:, 1]) + (d[:, 2] + d[:, 3]))) / 4.0
     return z[()]
 
 
@@ -265,17 +259,17 @@ def rho_check(spec: BraidSpec, t):
 
     ϱ is the product of R's actual entries, taken on the 8 entries where it
     can be nonzero, in fixed-order real arithmetic with no BLAS call, so its
-    bits depend on no BLAS kernel.
+    bits depend on no BLAS kernel; scalar·I comes off ϱ's rows in place.
     """
     r_t, r_inv, r_back = _rho_factors(spec, t)
     rho = _rho(r_t, r_inv, 2)
-    parts = _mean(rho[:, 0])
-    scalar = _complex(parts)
+    scalar = _mean(rho[:, 0])
     magnitude = np.abs(scalar)
     # ϱ − scalar·I, scaled by 2^-k ~ 1/|scalar| so that no square overflows,
     # then back: exact
     k = np.frexp(magnitude)[1]
-    rho[:, 0] -= parts[:, None]
+    rho[0, 0] -= scalar.real
+    rho[1, 0] -= scalar.imag
     rho *= np.ldexp(1.0, -k)
     rho *= rho
     # row i's two squared moduli, then the rows summed: linalg.norm's order, but here, as
@@ -285,7 +279,7 @@ def rho_check(spec: BraidSpec, t):
     residual = np.ldexp(scaled, k)
     # relative to |ϱ| >= 4, which grows like t + 1/t, as does its rounding error
     ok = scaled < 1e-12 * np.ldexp(magnitude, -k)
-    return ok, scalar, residual, _complex(_mean(_rho(r_inv, r_back, 1)[:, 0]))
+    return ok, scalar, residual, _mean(_rho(r_inv, r_back, 1)[:, 0])
 
 
 def rho_printed_formula(spec: BraidSpec, t):

@@ -80,11 +80,11 @@ def norm(z):
     BLAS call: for 4 amplitudes sqrt(((re₀² + im₀²) + (re₁² + im₁²)) + ...).
     So a stack gets the bits of its rows taken one by one under any BLAS
     kernel.  Nothing is rescaled: squares must neither overflow nor all
-    underflow."""
+    underflow.  An empty last axis is one zero part: its norm is 0.0."""
     parts = np.ascontiguousarray(z, dtype=complex).view(float)
     sq = parts * parts
     n = sq.shape[-1]
-    if n & (n - 1):
+    if n & (n - 1) or not n:
         sq = np.concatenate([sq, np.zeros(sq.shape[:-1] + ((1 << n.bit_length()) - n,))], -1)
     while sq.shape[-1] > 1:
         sq = sq[..., 0::2] + sq[..., 1::2]

@@ -198,8 +198,9 @@ def check_deformation_sweep() -> CheckResult:
 
 def check_rho() -> CheckResult:
     t = np.array([0.5, 1.0, 2.0, 5.0])[:, None, None]  # t > 0, and 4 nodes for degree 2
-    ok, scalar, residual, _ = braid.rho_check(SPEC, t)
-    gap = scalar - 2.0 * (t + 1.0 / t)
+    ok, scalar, residual, scalar_inv = braid.rho_check(SPEC, t)
+    # ϱ(1/t)'s scalar has the same closed form: 2(t + 1/t) is even under t → 1/t
+    gap = np.stack([scalar, scalar_inv]) - 2.0 * (t + 1.0 / t)
     worst = max(residual.max(), np.hypot(gap.real, gap.imag).max(), 0.0 if ok.all() else 1.0)
     printed = braid.rho_printed_formula(BraidSpec("plus", 0.0), 1.0)
     detail = f"computed 2(t+1/t); printed formula gives {printed:g} at t=1, phi=0"

@@ -188,6 +188,18 @@ class TestQybe:
             check_braid_relation(spec), abs=1e-12
         )
 
+    @settings(deadline=None)
+    @given(phis=st.lists(ANGLE, min_size=1, max_size=8))
+    @example(phis=[0.0, -0.0, 1e-300, math.pi, np.nextafter(2 * math.pi, 0.0)])
+    def test_zero_is_the_braid_relation_bit_for_bit(self, phis):
+        # R(0) = b to the bit, so the QYBE at x = y = 0 is the braid relation
+        spec = BraidSpec(np.array(SIGNS)[:, None], phis)
+        r0, b = yang_baxterize(spec, 0.0), braid_matrix(spec)
+        assert (r0.view(np.uint64) == b.view(np.uint64)).all()
+        qybe, relation = check_qybe(spec, 0.0, 0.0), check_braid_relation(spec)
+        assert qybe.shape == relation.shape == (2, len(phis))
+        assert (qybe.view(np.uint64) == relation.view(np.uint64)).all()
+
 
 class TestUnitaryR:
     @settings(deadline=None)

@@ -263,6 +263,13 @@ def test_norm_pads_lengths_that_are_not_a_power_of_two(data, n):
             assert abs(value - np.linalg.norm(row)) <= 4 * eps * max(value, 1e-300)
 
 
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_norm_of_an_empty_axis_is_zero(shape):
+    """An empty last axis is one zero part: its norm is 0.0, as np.linalg.norm gives."""
+    assert norm(np.zeros(shape, complex)).tolist() == np.zeros(shape[:-1]).tolist()
+    assert frobenius(np.zeros((2, 0, 0), complex)).tolist() == [0.0, 0.0]
+
+
 # numpy functions whose bits are not math's, or whose sums are not in a fixed
 # order (the dots and np.linalg.norm sum in the BLAS kernel's order); linalg
 # wraps the ones the package needs.  np.linalg.svd and np.linalg.eigvals stay

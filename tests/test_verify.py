@@ -23,8 +23,9 @@ def node_specs():
 
 
 def rho_point(spec, t):
-    _, scalar, residual, _ = braid.rho_check(spec, t)
-    return max(residual, abs(scalar - 2.0 * (t + 1.0 / t)))
+    _, scalar, residual, scalar_inv = braid.rho_check(spec, t)
+    closed_form = 2.0 * (t + 1.0 / t)
+    return max(residual, abs(scalar - closed_form), abs(scalar_inv - closed_form))
 
 
 # check -> its metric as the max of the kernel's calls at each node taken alone
@@ -74,6 +75,19 @@ def test_nodes_detect_a_perturbed_entry(monkeypatch, check):
 
     monkeypatch.setattr(braid, "braid_matrix", perturbed)
     result = check()
+    assert result.metric > result.tol
+
+
+def test_rho_checks_the_scalar_at_inverse_times(monkeypatch):
+    # R(1/t)·R(1/(1/t))'s scalar off by one part in a billion, all else exact
+    exact = braid.rho_check
+
+    def perturbed(spec, t):
+        ok, scalar, residual, scalar_inv = exact(spec, t)
+        return ok, scalar, residual, scalar_inv * (1 + 1e-9)
+
+    monkeypatch.setattr(braid, "rho_check", perturbed)
+    result = verify.check_rho()
     assert result.metric > result.tol
 
 
