@@ -146,15 +146,20 @@ def schrodinger_residual(state0, spec: BraidSpec, t):
     """Central-difference check, with step dt = 1e-5, of i·dΨ/dt = H(t)·Ψ(t)
     along the propagated trajectory starting from state0 at time 0.
 
-    One residual per row of state_stack(state0) and per time: an array of
-    shape (N,) + t.shape."""
+    One residual per row of state_stack(state0) and per point of t broadcast
+    against an array-φ spec, as in propagator: an array of shape (N,) +
+    broadcast(t, φ).  H(t) = f(t)·H₀ takes hamiltonian_at's products, one f
+    per point."""
     dt = 1e-5
     psi, t = state_stack(state0), np.asarray(t, dtype=float)
+    # the axis of the three times goes ahead of the spec's axes
+    t = t.reshape((1,) * (np.ndim(spec.q) - t.ndim) + t.shape)
     # U @ (4, 1) column: numpy's matrix-vector path, as for one state vector
     ahead, behind, now = (propagator(spec, 0.0, [t + dt, t - dt, t])[..., None, :, :]
                           @ psi[:, :, None])[..., 0]
     deriv = 1j * (ahead - behind) / (2.0 * dt)
-    drift = deriv - (hamiltonian_at(spec, t)[..., None, :, :] @ now[..., None])[..., 0]
+    h = envelope(t)[..., None, None] * hamiltonian_generator(spec)
+    drift = deriv - (h[..., None, :, :] @ now[..., None])[..., 0]
     return np.moveaxis(norm(drift), -1, 0)
 
 
@@ -163,5 +168,8 @@ def r_vs_hamiltonian_consistency(spec: BraidSpec, t):
     against the Hamiltonian propagator, for a finite t >= 0; an array of t
     that broadcasts against an array-φ spec gives an array of that shape."""
     t = _nonnegative(t, "time t")
-    relative = unitary_r(spec, t) @ unitary_r(spec, 0.0).conj().swapaxes(-1, -2)
+    # R̃(t) and R̃(0) from one call: their axis goes ahead of the spec's axes
+    x = np.stack([t, np.zeros(t.shape)])
+    r_t, r_0 = unitary_r(spec, x.reshape((2,) + (1,) * (np.ndim(spec.q) - t.ndim) + t.shape))
+    relative = r_t @ r_0.conj().swapaxes(-1, -2)
     return frobenius(relative - propagator(spec, 0.0, t))

@@ -42,9 +42,10 @@ def cexp(re, im) -> np.ndarray:
     re ≈ 708.4 the two rescale by e at different points (CPython above
     log(DBL_MAX/4), glibc above 709), so there the bits may differ.  The
     parts are set one by one: re + 1j·im would turn a -0.0 imaginary part
-    into 0.0."""
-    re, im = np.broadcast_arrays(re, im)
-    z = np.empty(re.shape, complex)
+    into 0.0.  np.broadcast gives the shape without broadcast_arrays' views
+    (a ValueError for shapes that do not broadcast), and the two assignments
+    broadcast each part themselves."""
+    z = np.empty(np.broadcast(re, im).shape, complex)
     z.real, z.imag = re, im
     return np.exp(z, out=z)
 

@@ -8,7 +8,9 @@ individual check functions directly.
 The checks of b±, R(x), R̃, H and ϱ run on SPEC, one stack of both signs at
 the 7 φ nodes, built once: each makes one call per kernel, whose every
 element has the bits of its sign and φ taken alone.  The Schrödinger check
-keeps one spec per sign, as its residuals have shape (N,) + t.shape.
+makes one call on SCHRODINGER_SPEC, a stack of ("plus", 0.0) and ("minus",
+1.0), with its times on an axis in front; the Bell check stacks the quartet
+and both φ = 0 b̃'s, and the oscillation check its two parameter sets.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ PHI_NODES = 2 * math.pi * np.arange(7) / 7
 # both signs at every φ node, shape (2, 7); a node array of x, y or t takes
 # an axis in front of it, as X_NODES[:, None, None] does
 SPEC = BraidSpec(np.array(braid.SIGNS)[:, None], PHI_NODES)
+SCHRODINGER_SPEC = BraidSpec(np.array(braid.SIGNS), np.array([0.0, 1.0]))
 
 
 @dataclass(frozen=True)
@@ -55,10 +58,9 @@ def check_uncorrected_diagnostic() -> CheckResult:
     """The misprinted matrix must clearly fail the braid relation."""
     least = float(braid.check_braid_relation(SPEC, corrected=False).min())
     # pass iff the minimum residual exceeds 0.1
-    metric = 0.0 if least > 0.1 else 1.0
-    return CheckResult(
-        "uncorrected_braid_fails", metric, 0.0, f"min residual {least:.3g} > 0.1"
-    )
+    fails = least > 0.1
+    return CheckResult("uncorrected_braid_fails", 0.0 if fails else 1.0, 0.0,
+                       f"min residual {least:.3g} {'>' if fails else '<='} 0.1")
 
 
 def check_eigenvalues() -> CheckResult:
@@ -94,8 +96,8 @@ def check_hamiltonian_hermitian() -> CheckResult:
 
 def check_hamiltonian_even() -> CheckResult:
     t = np.array([0.5, 1.0, 10.0])
-    h = dynamics.hamiltonian_at
-    worst = float(np.max(np.abs(h(SPEC, t) - h(SPEC, -t))))
+    h = dynamics.hamiltonian_at(SPEC, [t, -t])
+    worst = float(np.max(np.abs(h[0] - h[1])))
     return CheckResult("hamiltonian_even_in_t", worst, 0.0, "H(t) = H(-t) exactly")
 
 
@@ -121,9 +123,8 @@ def check_schrodinger(seed: int) -> CheckResult:
     d = np.random.default_rng(seed).normal(size=(10, 8))
     v = d[:, :4] + 1j * d[:, 4:]
     psi = v / norm(v)[:, None]
-    t = np.array([0.2, 0.5, 1.0, 2.0, 5.0])
-    worst = max(float(dynamics.schrodinger_residual(psi, spec, t).max())
-                for spec in (BraidSpec("plus", 0.0), BraidSpec("minus", 1.0)))
+    t = np.array([0.2, 0.5, 1.0, 2.0, 5.0])[:, None]
+    worst = float(dynamics.schrodinger_residual(psi, SCHRODINGER_SPEC, t).max())
     return CheckResult("schrodinger_residual", worst, 1e-6, "dt = 1e-5, 10 states x 5 times")
 
 
@@ -134,15 +135,15 @@ def check_r_hamiltonian_consistency() -> CheckResult:
 
 def check_bell_structure() -> CheckResult:
     quartet = states.bell_quartet()
-    worst = 0.0
-    # row i of b̃ is the image of basis state i
-    for rows in [quartet] + [braid.unitary_braid(BraidSpec(s, 0.0)) for s in braid.SIGNS]:
-        # overlaps[i, j] = ⟨row i|Φ_j⟩ and gram[i, j] = ⟨row i|row j⟩
-        overlaps, gram = (rows.conj() @ other.T for other in (quartet, rows))
-        # each φ = 0 image must coincide with a Bell state up to phase
-        best = np.hypot(overlaps.real, overlaps.imag).max(axis=1)
-        worst = max(worst, frobenius(gram - np.eye(4)), np.abs(best - 1.0).max(),
-                    np.abs(states.concurrence(rows) - 1.0).max())
+    # the quartet, then b̃± at φ = 0 (SPEC's first φ node); row i of b̃ is the
+    # image of basis state i
+    rows = np.concatenate([quartet[None], braid.unitary_braid(SPEC)[:, 0]])
+    # overlaps[k, i, j] = ⟨row i|Φ_j⟩ and gram[k, i, j] = ⟨row i|row j⟩ of matrix k
+    overlaps, gram = (rows.conj() @ other.swapaxes(-1, -2) for other in (quartet, rows))
+    # each φ = 0 image must coincide with a Bell state up to phase
+    best = np.hypot(overlaps.real, overlaps.imag).max(axis=-1)
+    worst = max(frobenius(gram - np.eye(4)).max(), np.abs(best - 1.0).max(),
+                np.abs(states.concurrence(rows.reshape(-1, 4)) - 1.0).max())
     return CheckResult("bell_structure", float(worst), 1e-12)
 
 
@@ -231,14 +232,21 @@ def amplitude_residuals(seed: int) -> np.ndarray:
 
 
 def check_oscillation(seed: int) -> CheckResult:
+    pure = oscillation.KaonParams(gamma_s=0.0, gamma_l=0.0, m_s=0.0, m_l=0.474)
+    params = oscillation.KaonParams()
+    t_pure, t = 12.0 * np.arange(500) / 499, 12.0 * np.arange(200) / 199
+    # both sets as one stack of 700 per-point sets, each point with the bits
+    # of its set taken alone: the pure limit at its 500 times, then the defaults
+    fields = np.repeat([[p.gamma_s, p.gamma_l, p.m_s, p.m_l] for p in (pure, params)],
+                       [500, 200], axis=0).T
+    flavors = oscillation.transition_probability(
+        oscillation.KaonParams(*fields), np.concatenate([t_pure, t]), "K", oscillation.FLAVORS)
     # pure-oscillation limit, against (1 - cos Δm·t)/2: at γ = 0 the closed
     # form is the square of math.sin(Δm·t/2) itself, which would read 0
-    pure = oscillation.KaonParams(gamma_s=0.0, gamma_l=0.0, m_s=0.0, m_l=0.474)
-    t, _, p_flip, _ = oscillation.oscillation_curve(pure, 12.0 * np.arange(500) / 499).T
-    worst = float(np.max(np.abs(p_flip - (1.0 - elementwise(math.cos, pure.delta_m * t)) / 2.0)))
+    closed = (1.0 - elementwise(math.cos, pure.delta_m * t_pure)) / 2.0
+    worst = float(np.max(np.abs(flavors[:500, 1] - closed)))
     # decaying defaults
-    params = oscillation.KaonParams()
-    t, p_same, p_flip, _ = oscillation.oscillation_curve(params, 12.0 * np.arange(200) / 199).T
+    p_same, p_flip = flavors[500:].T
     flip_back = oscillation.transition_probability(params, t, "Kbar", "K")
     ok = ((0.0 <= p_same) & (p_same <= 1.0) & (0.0 <= p_flip) & (p_flip <= 1.0)).all()
     total = np.abs(p_same + p_flip - oscillation.survival_probability(params, t)).max()

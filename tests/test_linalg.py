@@ -118,6 +118,25 @@ class TestCexp:
         assert z.shape == () and z.dtype == complex
         assert bits(z) == bits(cmath.exp(complex(-1.5, -0.0)))
 
+    @pytest.mark.parametrize("re, im", [
+        (-1.5, -0.0),
+        (np.array([-math.inf, -0.0, -2.0]), -0.0),
+        (-math.inf, np.array([0.0, -0.0, 1e300, -3.0])),
+        (np.array([[-0.0], [-1.0], [-math.inf]]), np.array([-0.0, 1e300, -1e300, 2.5])),
+    ], ids=["number-number", "array-number", "number-array", "column-row"])
+    def test_broadcasts_its_parts(self, re, im):
+        """A result of the parts' broadcast shape, each element cmath.exp of
+        its own pair of parts."""
+        z = cexp(re, im)
+        shape = np.broadcast_shapes(np.shape(re), np.shape(im))
+        assert z.shape == shape and z.dtype == complex
+        pairs = zip(*(np.broadcast_to(part, shape).ravel().tolist() for part in (re, im)))
+        assert bits(z.ravel()) == bits(np.array([cmath.exp(complex(x, y)) for x, y in pairs]))
+
+    def test_parts_that_do_not_broadcast_raise(self):
+        with pytest.raises(ValueError):
+            cexp(np.zeros(3), np.zeros(4))
+
     @settings(deadline=None)
     @given(st.lists(RE, min_size=1, max_size=50))
     # the last three are points where numpy's SIMD float exp is not math.exp

@@ -322,6 +322,7 @@ class TestPassCounts:
         passes = self.counted(monkeypatch, "expm1")
         exps = self.counted(monkeypatch, "cexp")
         check_oscillation(0)
-        # two curves (3 cexp + 1 expm1 each), flip_back (2 + 1), survival (2)
-        # and the stacked draws: u_factors (2) and one flavor stack (2 + 1)
-        assert (len(exps), len(passes)) == (14, 4)
+        # one flavor stack of both parameter sets (2 cexp + 1 expm1),
+        # flip_back (2 + 1), survival (2) and the stacked draws: u_factors (2)
+        # and one flavor stack (2 + 1)
+        assert (len(exps), len(passes)) == (10, 3)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from test_linalg import norm_reference
 
-from kaonbraid import dynamics
+from kaonbraid import dynamics, oscillation
 from kaonbraid.braid import (
     SIGNS,
     BraidSpec,
@@ -66,6 +66,7 @@ from kaonbraid.states import (
 from kaonbraid.verify import (
     CheckResult,
     amplitude_residuals,
+    SCHRODINGER_SPEC,
     check_oscillation,
     check_schrodinger,
     separability_states,
@@ -568,6 +569,23 @@ class TestStackEqualsRows:
             assert bits(amplitude_residuals(seed)) == bits(gaps)
             assert check_oscillation(seed) == reference
 
+    def test_check_oscillation_flavor_stack(self):
+        """check_oscillation's one flavor stack of both parameter sets holds
+        the bits of each set's p_same and p_flip columns of oscillation_curve."""
+        results = []
+
+        def spy(*args):
+            results.append(transition_probability(*args))
+            return results[-1]
+
+        with mock.patch.object(oscillation, "transition_probability", spy):
+            check_oscillation(0)
+        pure = KaonParams(gamma_s=0.0, gamma_l=0.0, m_s=0.0, m_l=0.474)
+        sets = [(pure, 500), (KaonParams(), 200)]
+        curves = [oscillation_curve(p, 12.0 * np.arange(n) / (n - 1))[:, 1:3] for p, n in sets]
+        assert results[0].shape == (700, 2)
+        assert bits(results[0]) == bits(np.concatenate(curves))
+
     @settings(deadline=None)
     @given(params=kaon_params(), t_max=st.floats(1e-3, 100.0), steps=st.integers(2, 300))
     def test_oscillation_curve(self, params, t_max, steps):
@@ -588,6 +606,23 @@ class TestStackEqualsRows:
             for i, row in enumerate(psi):
                 reference = schrodinger_reference(row, spec, tj, 1e-5)
                 assert stacked[i, j] == schrodinger_residual(row, spec, tj)[0] == reference
+
+    @settings(deadline=None)
+    @given(data=st.data(), psi=state_stacks(), m=st.integers(1, 3), k=st.integers(1, 4))
+    def test_schrodinger_residual_on_a_spec_stack(self, data, psi, m, k):
+        """A stack of m (sign, φ) specs, with t of shape (), (k, 1) or (k, m)
+        broadcast against it, gives the bits of each spec and time taken alone."""
+        signs = data.draw(hnp.arrays(np.dtype("U5"), m, elements=st.sampled_from(SIGNS)))
+        phi = data.draw(hnp.arrays(float, m, elements=ANGLE))
+        shape = data.draw(st.sampled_from([(), (k, 1), (k, m)]))
+        t = data.draw(hnp.arrays(float, shape, elements=st.floats(-50.0, 50.0)))
+        stacked = schrodinger_residual(psi, BraidSpec(signs, phi), t)
+        points = np.broadcast_shapes(shape, (m,))
+        assert stacked.shape == (len(psi),) + points
+        for index in np.ndindex(points):
+            spec = BraidSpec(str(signs[index[-1]]), float(phi[index[-1]]))
+            single = schrodinger_residual(psi, spec, float(np.broadcast_to(t, points)[index]))
+            assert bits(stacked[(slice(None),) + index]) == bits(single)
 
     @settings(deadline=None)
     @given(psi=state_stacks(), data=st.data(), op_a=hermitian_2x2(), op_b=hermitian_2x2(),
@@ -627,21 +662,23 @@ class TestStackEqualsRows:
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 2**63))
     def test_schrodinger_draws(self, seed):
-        """check_schrodinger hands one 10-state stack per spec to
-        schrodinger_residual: the states the old per-state loop drew, and a
-        worst residual equal to the per-point calls' worst."""
-        stacks = []
+        """check_schrodinger makes one schrodinger_residual call, on the
+        10-state stack the old per-state loop drew, both specs and the times
+        on an axis in front of them, and its worst residual is the per-point
+        calls' worst."""
+        calls = []
 
-        def spy(psi, *args, **kwargs):
-            stacks.append(psi)
-            return schrodinger_residual(psi, *args, **kwargs)
+        def spy(psi, spec, t):
+            calls.append((psi, spec, t))
+            return schrodinger_residual(psi, spec, t)
 
         with mock.patch.object(dynamics, "schrodinger_residual", spy):
             metric = check_schrodinger(seed).metric
         reference = random_states_reference(np.random.default_rng(seed), 10)
-        assert len(stacks) == len(SCHRODINGER_SPECS)
-        for psi in stacks:
-            assert np.array_equal(psi, reference)
+        [(psi, spec, t)] = calls
+        assert np.array_equal(psi, reference)
+        assert spec is SCHRODINGER_SPEC and t.tolist() == [[ti] for ti in SCHRODINGER_T]
+        assert [(s.sign, s.phi) for s in SCHRODINGER_SPECS] == list(zip(spec.sign, spec.phi))
         assert metric == max(schrodinger_residual(state, spec, t)[0]
                              for state in reference for t in SCHRODINGER_T
                              for spec in SCHRODINGER_SPECS)

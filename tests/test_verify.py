@@ -7,12 +7,13 @@ import functools
 import io
 import itertools
 
+import numpy as np
 import pytest
 
-from kaonbraid import braid, dynamics, verify
+from kaonbraid import braid, dynamics, states, verify
 from kaonbraid.braid import SIGNS, BraidSpec
 from kaonbraid.cli import main
-from kaonbraid.linalg import hermiticity_residual, unitarity_residual
+from kaonbraid.linalg import frobenius, hermiticity_residual, unitarity_residual
 
 
 X = verify.X_NODES.tolist()
@@ -26,6 +27,15 @@ def rho_point(spec, t):
     _, scalar, residual, scalar_inv = braid.rho_check(spec, t)
     closed_form = 2.0 * (t + 1.0 / t)
     return max(residual, abs(scalar - closed_form), abs(scalar_inv - closed_form))
+
+
+def bell_rows(rows):
+    """check_bell_structure's metric on one 4x4 set of rows."""
+    quartet = states.bell_quartet()
+    overlaps, gram = (rows.conj() @ other.T for other in (quartet, rows))
+    best = np.hypot(overlaps.real, overlaps.imag).max(axis=1)
+    return max(frobenius(gram - np.eye(4)), np.abs(best - 1.0).max(),
+               np.abs(states.concurrence(rows) - 1.0).max())
 
 
 # check -> its metric as the max of the kernel's calls at each node taken alone
@@ -42,6 +52,9 @@ POINTWISE = {
         dynamics.r_vs_hamiltonian_consistency(s, t) for s in node_specs() for t in X),
     verify.check_rho: lambda: max(rho_point(s, t)
                                   for s in node_specs() for t in (0.5, 1.0, 2.0, 5.0)),
+    verify.check_bell_structure: lambda: max(
+        bell_rows(rows) for rows in [states.bell_quartet()]
+        + [braid.unitary_braid(BraidSpec(s, 0.0)) for s in SIGNS]),
 }
 
 
@@ -76,6 +89,15 @@ def test_nodes_detect_a_perturbed_entry(monkeypatch, check):
     monkeypatch.setattr(braid, "braid_matrix", perturbed)
     result = check()
     assert result.metric > result.tol
+
+
+def test_uncorrected_diagnostic_fails_on_small_residuals(monkeypatch):
+    # a misprinted matrix that came within 0.1 of the braid relation
+    monkeypatch.setattr(braid, "check_braid_relation",
+                        lambda spec, corrected=True: np.full(np.shape(spec.q), 0.05))
+    result = verify.check_uncorrected_diagnostic()
+    assert result.metric == 1.0 > result.tol
+    assert result.detail == "min residual 0.05 <= 0.1"
 
 
 def test_rho_checks_the_scalar_at_inverse_times(monkeypatch):
