@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .linalg import _nonnegative, cexp, elementwise, frobenius, tensor_product
+from .linalg import _nonnegative, cexp, frobenius, rotation, tensor_product
 
 SIGNS = ("plus", "minus")
 
@@ -153,16 +153,16 @@ def check_qybe(spec: BraidSpec, x, y):
 
 def unitary_r(spec: BraidSpec, x) -> np.ndarray:
     """R̃±(θ, φ) = cosθ·b̃ + sinθ·b̃⁻¹ with θ = arctan x, built from the unitary
-    b̃ (b̃⁻¹ = b̃†).
+    b̃ (b̃⁻¹ = b̃†); cos θ and sin θ are linalg.rotation(0.0, x), in closed
+    form: 1/√(1 + x²) and x/√(1 + x²), with no arctan.
 
     Unitary for all x >= 0 and φ; equals b̃ at x = 0.  An array of x that
     broadcasts against an array-φ spec gives the stack of shape
     broadcast(x, φ) + (4, 4), from one b̃ per φ.
     """
-    theta = elementwise(math.atan, _nonnegative(x, "spectral parameter x"))
+    c, s = np.expand_dims(rotation(0.0, _nonnegative(x, "spectral parameter x")), (-2, -1))
     bt = unitary_braid(spec)
-    rot = cexp(0.0, theta)[..., None, None]
-    return rot.real * bt + rot.imag * bt.conj().swapaxes(-1, -2)
+    return c * bt + s * bt.conj().swapaxes(-1, -2)
 
 
 def _checked_t(t):

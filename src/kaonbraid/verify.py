@@ -64,11 +64,12 @@ def check_uncorrected_diagnostic() -> CheckResult:
 
 
 def check_eigenvalues() -> CheckResult:
-    expected = np.array([1 - 1j, 1 - 1j, 1 + 1j, 1 + 1j])
-    ev = np.linalg.eigvals(braid.braid_matrix(SPEC))
-    ev = np.take_along_axis(ev, np.argsort(ev.imag), axis=-1)
-    worst = float(np.max(np.abs(ev - expected)))
-    return CheckResult("braid_eigenvalues", worst, 1e-10, "multiset {1+i, 1-i} twice")
+    # b² - 2b + 2I = 0 puts every eigenvalue at a root 1 ± i of z² - 2z + 2,
+    # and tr b = 4 then puts two at each
+    b = braid.braid_matrix(SPEC)
+    worst = max(frobenius(b @ b - 2.0 * b + 2.0 * np.eye(4)).max(),
+                np.abs(np.trace(b, axis1=-2, axis2=-1) - 4.0).max())
+    return CheckResult("braid_eigenvalues", float(worst), 1e-10, "multiset {1+i, 1-i} twice")
 
 
 def check_qybe() -> CheckResult:

@@ -23,10 +23,10 @@ From a basis state e_k, `evolve` prints U(t0, t)·e_k = cos α·e_k - sin α·(b
 other is sin α times a unit-modulus constant, and the other two are 0.  The
 bound on their moduli is relative, 8·EPS times 1 plus the condition number
 of cos (|α·tan α|) or sin (|α/tan α|) at α: a rounding of α itself moves
-cos α by that much near α = ±π/2.  Worst measured on 10,200 random rows,
-in units of EPS·(1 + that condition number): 0.64 for cos, 1.62 for sin.
-arctan t - arctan t0 in floats fails it at large, close times, by 11% at
-t0 = 1e8, t = 1e8 + 10.
+cos α by that much near α = ±π/2.  Worst measured on this test's draws,
+two runs of 10,200 random rows, in units of EPS·(1 + that condition
+number): 0.92 for cos, 0.89 for sin.  arctan t - arctan t0 in floats fails
+it at large, close times, by 11% at t0 = 1e8, t = 1e8 + 10.
 
 `braid.rho_printed_formula`, the source's printed scalar q² + q⁻² - t - 1/t,
 is checked against 40 digits near t = 1, φ = 0, where it goes to 0 as

@@ -74,6 +74,11 @@ def test_minimal_polynomial(b):
     assert is_zero(b * b - 2 * b + 2 * I4)
 
 
+def test_trace(b):
+    # with the minimal polynomial, two eigenvalues are 1 + i and two 1 - i
+    assert sp.expand(b.trace()) == 4
+
+
 def test_unitary_braid_fourth_power_and_generator_square(b):
     # b̃ = b/√2: b̃⁴ = -I, and H₀ = -i·b̃² squares to I
     assert is_zero(b**4 + 4 * I4)

@@ -21,6 +21,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from test_linalg import LIBM_VARIANT, on_glibc
 
 import kaonbraid
 from kaonbraid.cli import main
@@ -33,8 +34,8 @@ CASES = {
                "--steps", "5", "--state", "KKbar"],
     "evolve-amplitudes": ["evolve", "--phi", "2", "--t1", "3", "--steps", "4",
                           "--state", "0.5,0,0,0.5,0.5,0,0,-0.5"],
-    # 300 rows of eight amplitudes, on a t grid where np.arctan and math.atan
-    # differ: a one-ulp drift in the propagator angles or U·ψ₀ changes the bytes
+    # 300 rows of eight amplitudes: a one-ulp drift in linalg.rotation's cos α
+    # and sin α, or in U·ψ₀, changes the bytes
     "evolve-300": ["evolve", "--sign", "minus", "--phi", "2.2", "--t0", "2", "--t1", "10",
                    "--steps", "300",
                    "--state", "0.1,-0.2,0.3,0.4,-0.5,0.1,0.2,0.6324555320336758"],
@@ -79,11 +80,12 @@ VERIFY = ["verify", "--seed", "0"]
 
 def host(env=os.environ) -> str:
     """The numpy version, machine, C library and, if set in `env`, the
-    OpenBLAS kernel that a process with that environment computes on."""
+    OpenBLAS kernel and glibc tunables that a process with that environment
+    computes on."""
     libc = " ".join(filter(None, platform.libc_ver())) or "unknown libc"
-    coretype = env.get("OPENBLAS_CORETYPE")
     return ", ".join([f"numpy {np.__version__}", platform.machine(), libc]
-                     + ([f"OPENBLAS_CORETYPE={coretype}"] if coretype else []))
+                     + [f"{var}={env[var]}" for var in ("OPENBLAS_CORETYPE", "GLIBC_TUNABLES")
+                        if env.get(var)])
 
 
 def render(argv, report=None) -> tuple[bytes, bytes | None]:
@@ -144,22 +146,16 @@ def cpu_flags() -> set:
             for f in line.partition(":")[2].split()}
 
 
-@pytest.mark.parametrize("coretype", sorted(CORETYPES))
-def test_evolve_and_rho_report_bytes_do_not_depend_on_the_blas_kernel(coretype):
-    # neither table takes a BLAS or LAPACK call (rho-report's ϱ is multiplied
-    # on its diagonal and anti-diagonal in numpy's float ufuncs), so every
-    # OpenBLAS kernel set writes the golden bytes; set for the child process alone
-    if not CORETYPES[coretype] <= cpu_flags():
-        pytest.skip(f"this CPU cannot run OpenBLAS's {coretype} kernels")
-    files = sorted([f"{name}.csv" for name in CASES if name.startswith("evolve")]
-                   + [f"{name}.{ext}" for name in CASES if name.startswith("rho-report")
-                      for ext in ("csv", "json")])
+def assert_golden_in_child(files, pins, **setting):
+    """The commands of the golden `files` and of the hashed `pins`, run in a
+    child process whose environment adds the variables `setting`, must exit
+    0 and write the golden and pinned bytes.  The setting holds for the
+    child alone."""
     argvs = [[*CASES[file.rpartition(".")[0]], "--format", file.rpartition(".")[2]]
              for file in files]
-    pins = sorted(argv for argv in HASHED if argv.startswith("rho-report"))
     argvs += [argv.split() for argv in pins]
     src = str(pathlib.Path(kaonbraid.__file__).resolve().parent.parent)
-    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+    env = {**os.environ, **setting,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", DIGESTS, json.dumps(argvs)],
                           capture_output=True, text=True, env=env)
@@ -167,6 +163,31 @@ def test_evolve_and_rho_report_bytes_do_not_depend_on_the_blas_kernel(coretype):
     expected = [f"0 {hashlib.sha256((GOLDEN_DIR / file).read_bytes()).hexdigest()}"
                 for file in files] + [f"0 {HASHED[argv]}" for argv in pins]
     assert proc.stdout.splitlines() == expected, host(env)
+
+
+@pytest.mark.parametrize("coretype", sorted(CORETYPES))
+def test_evolve_and_rho_report_bytes_do_not_depend_on_the_blas_kernel(coretype):
+    # neither table takes a BLAS or LAPACK call (rho-report's ϱ is multiplied
+    # on its diagonal and anti-diagonal in numpy's float ufuncs), so every
+    # OpenBLAS kernel set writes the golden bytes
+    if not CORETYPES[coretype] <= cpu_flags():
+        pytest.skip(f"this CPU cannot run OpenBLAS's {coretype} kernels")
+    files = sorted([f"{name}.csv" for name in CASES if name.startswith("evolve")]
+                   + [f"{name}.{ext}" for name in CASES if name.startswith("rho-report")
+                      for ext in ("csv", "json")])
+    pins = sorted(argv for argv in HASHED if argv.startswith("rho-report"))
+    assert_golden_in_child(files, pins, OPENBLAS_CORETYPE=coretype)
+
+
+@on_glibc
+def test_evolve_bytes_do_not_depend_on_the_libm_variant():
+    # evolve's only libm calls are the cos and sin of φ that BraidSpec takes
+    # for q, and linalg.rotation takes cos α and sin α with +, -, ·, / and √:
+    # glibc's variant without FMA and AVX writes the golden bytes, meta included
+    files = sorted(f"{name}.{ext}" for name in CASES if name.startswith("evolve")
+                   for ext in ("csv", "json"))
+    pins = sorted(argv for argv in HASHED if argv.startswith("evolve"))
+    assert_golden_in_child(files, pins, GLIBC_TUNABLES=LIBM_VARIANT)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from kaonbraid.linalg import (
     frobenius,
     hermiticity_residual,
     norm,
+    rotation,
     tensor_product,
     unitarity_residual,
 )
@@ -178,6 +180,37 @@ class TestExpm1:
         assert bits(e) == bits(math.expm1(-0.0))
 
 
+class TestRotation:
+    """rotation(t0, t1) is (cos α, sin α) of α = arctan t1 - arctan t0, in
+    closed form, at the values where it is exact."""
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 1.0, -3.5, 1e-310, 1e200, -1e308,
+                                   math.inf, -math.inf])
+    def test_equal_times_are_exactly_no_rotation(self, t):
+        for t1 in (t, np.array([t])):
+            c, s = rotation(t, t1)
+            assert bits(c) == bits(1.0) and bits(s) == bits(0.0)
+
+    def test_opposite_infinities_are_a_half_turn(self):
+        assert rotation(-math.inf, math.inf) == (-1.0, 0.0)
+
+    def test_from_a_finite_time_to_infinity(self):
+        # α = π/2 - arctan 3, so (cos α, sin α) = (3, 1)/√10
+        c, s = rotation(3.0, math.inf)
+        with mpmath.workdps(40):
+            root = mpmath.sqrt(10)
+            assert abs(c - 3 / root) <= math.ulp(c) and abs(s - 1 / root) <= math.ulp(s)
+
+    def test_large_close_times_do_not_cancel(self):
+        # tan α = 1e200/(1 + 2e400), and t0·t1 overflows
+        assert rotation(1e200, 2e200) == (1.0, 5e-201)
+
+    def test_a_number_gives_two_floats(self):
+        # α = π/4: n and d are the same float
+        c, s = rotation(0.0, 1.0)
+        assert type(c) is type(s) is float and c == s
+
+
 # glibc picks its exp, expm1, sin and cos variants by CPU feature; this tunable
 # masks those features in the child alone (glibc 2.36 silently ignores the
 # -AVX2_Usable,-FMA_Usable spelling).  On this variant math's bits themselves
@@ -291,10 +324,11 @@ def test_norm_of_an_empty_axis_is_zero(shape):
 
 # numpy functions whose bits are not math's, or whose sums are not in a fixed
 # order (the dots and np.linalg.norm sum in the BLAS kernel's order); linalg
-# wraps the ones the package needs.  np.linalg.svd and np.linalg.eigvals stay
-# allowed: they are the independent oracles of two checks
+# wraps the ones the package needs.  np.linalg.eigvals is not needed: b's
+# minimal polynomial and trace give its eigenvalues.  np.linalg.svd stays
+# allowed: it is the separability check's independent oracle
 LINALG_ONLY = {"np.cos", "np.sin", "np.exp", "np.expm1", "np.arctan", "np.einsum",
-               "np.dot", "np.vdot", "np.inner", "np.linalg.norm"}
+               "np.dot", "np.vdot", "np.inner", "np.linalg.norm", "np.linalg.eigvals"}
 
 
 def dotted_name(node) -> str:
@@ -309,9 +343,9 @@ def dotted_name(node) -> str:
 
 def test_only_linalg_calls_numpy_transcendentals():
     """Every exp, cos and sin goes through linalg.cexp, expm1 through
-    linalg.expm1, atan through elementwise and every norm through linalg.norm:
+    linalg.expm1 and every norm through linalg.norm, and no arctan is taken:
     no module but linalg names np.cos, np.sin, np.exp, np.expm1, np.arctan,
-    np.einsum, np.dot, np.vdot, np.inner or np.linalg.norm."""
+    np.einsum, np.dot, np.vdot, np.inner, np.linalg.norm or np.linalg.eigvals."""
     found = [f"{path.name}:{node.lineno} {dotted_name(node)}"
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

@@ -42,11 +42,9 @@ UNREACHED = {
      'raise DomainError(f"t must be > 0, got t = {float(t[~(t > 0)].flat[0])!r}")'):
         "library API guard (README): rho-report moves a --t0 <= 0 to 0.5 and the CLI "
         "rejects a grid that reaches t <= 0 first, naming the flags",
-    ("dynamics._rotation_angle",
+    ("linalg.rotation",
      'raise DomainError(f"times must not be NaN: t0={t0}, t1={float(t1.flat[nan.argmax()])}")'):
         "library API guard (README): the CLI's times are finite",
-    ("dynamics._angle_of_floats", "return math.atan(1.0 / t0 - 1.0 / t1)"):
-        "library API branch (README: infinite times are allowed); the CLI's times are finite",
     ("linalg.norm",
      "sq = np.concatenate([sq, np.zeros(sq.shape[:-1] + ((1 << n.bit_length()) - n,))], -1)"):
         "library API: every norm the commands take has 2, 4, 16 or 64 entries, a power of two",

@@ -44,7 +44,7 @@ from kaonbraid.dynamics import (
     schrodinger_residual,
 )
 from kaonbraid.errors import DomainError, ValidationError
-from kaonbraid.linalg import elementwise, frobenius, tensor_product, unitarity_residual
+from kaonbraid.linalg import elementwise, frobenius, rotation, tensor_product, unitarity_residual
 from kaonbraid.oscillation import (
     FLAVORS,
     KaonParams,
@@ -158,30 +158,32 @@ def rho_reference(spec, t):
     return scaled < 1e-12 * math.ldexp(abs(scalar), -k), scalar, math.ldexp(scaled, k)
 
 
-def rotation_angle_reference(t0, t1):
-    """α = arctan t1 - arctan t0 in Python floats, without the cancellation
-    where t0·t1 > 0."""
-    prod = t0 * t1
-    if not prod > 0:
-        return math.atan(t1) - math.atan(t0)
-    if math.isinf(t0) or math.isinf(t1):
-        return math.atan(1.0 / t0 - 1.0 / t1)
-    if math.isinf(prod):
-        return math.atan((t1 - t0) / t1 / t0)
-    return math.atan((t1 - t0) / (1.0 + prod))
+def rotation_reference(t0, t1):
+    """(cos α, sin α), α = arctan t1 - arctan t0, in Python floats: the parts
+    of z = (1 - i·t0)(1 + i·t1) over |z|, with each time scaled exactly to t
+    = u/e, |u| < 1, by a power of two (u = ±1 and e = 0 for t = ±∞)."""
+    def scaled(t):
+        if math.isinf(t):
+            return math.copysign(1.0, t), 0.0
+        k = max(0, math.frexp(t)[1])
+        return math.ldexp(t, -k), math.ldexp(1.0, -k)
+
+    (u0, e0), (u1, e1) = scaled(t0), scaled(t1)
+    n, d = e0 * e1 + u0 * u1, u1 * e0 - u0 * e1
+    h = math.sqrt(n * n + d * d)
+    return n / h, d / h
 
 
 def propagator_reference(spec, t0, t1):
     """The per-point propagator cos α·I - sin α·N, N = b - I, in Python floats."""
-    angle = rotation_angle_reference(t0, t1)
-    return math.cos(angle) * np.eye(4) - math.sin(angle) * (braid_matrix(spec) - np.eye(4))
+    c, s = rotation_reference(t0, t1)
+    return c * np.eye(4) - s * (braid_matrix(spec) - np.eye(4))
 
 
 def evolve_state_reference(psi0, spec, t0, t1):
     """U(t0, t1)·ψ₀ for one time in Python scalars: each part c·x - s·y + 0.0
     with y a part of N·ψ₀ = (q·ψ₃, σ·ψ₂, -σ·ψ₁, -ψ₀/q), N = b - I."""
-    angle = rotation_angle_reference(t0, t1)
-    c, s = math.cos(angle), math.sin(angle)
+    c, s = rotation_reference(t0, t1)
     n = (braid_matrix(spec) - np.eye(4)).tolist()
     n_psi0 = [n[k][3 - k] * psi0[3 - k] for k in range(4)]
     return [complex(c * p.real - s * w.real + 0.0, c * p.imag - s * w.imag + 0.0)
@@ -446,10 +448,11 @@ class TestStackEqualsRows:
         grid = unitary_r(BraidSpec(sign, phi), x[:, None])
         assert grid.shape == (len(x), len(phi), 4, 4)
         for i, xi in enumerate(x.tolist()):
-            theta = math.atan(xi)
+            # cos θ and sin θ of θ = arctan x
+            c, s = rotation_reference(0.0, xi)
             for j, pj in enumerate(phi.tolist()):
                 bt = unitary_braid(BraidSpec(sign, pj))
-                reference = math.cos(theta) * bt + math.sin(theta) * bt.conj().T
+                reference = c * bt + s * bt.conj().T
                 assert np.array_equal(grid[i, j], unitary_r(BraidSpec(sign, pj), xi))
                 assert np.array_equal(grid[i, j], reference)
 
@@ -683,13 +686,15 @@ class TestStackEqualsRows:
                              for state in reference for t in SCHRODINGER_T
                              for spec in SCHRODINGER_SPECS)
 
-    def test_propagator_angles_are_math_per_element(self):
-        # np.arctan differs from math.atan on 5 of these 5000 t (numpy 2.4.6)
-        t = np.random.default_rng(5).uniform(-10.0, 10.0, 5000)
-        spec = BraidSpec("plus", 0.3)
-        stacked = propagator(spec, 0.0, t)
-        assert all(np.array_equal(u, propagator_reference(spec, 0.0, ti))
-                   for ti, u in zip(t.tolist(), stacked))
+    @pytest.mark.parametrize("t0", [0.0, 1.0, -1.0, 1e8, math.inf, -math.inf])
+    def test_rotation_rows_are_their_points(self, t0):
+        # uniform draws, then signed zeros, infinities, subnormals and 1e308
+        edges = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 1e308, -1e308]
+        t = np.concatenate([np.random.default_rng(5).uniform(-10.0, 10.0, 5000), edges])
+        c, s = rotation(t0, t)
+        assert c.shape == s.shape == t.shape
+        for ti, point in zip(t.tolist(), zip(c.tolist(), s.tolist())):
+            assert bits(point) == bits(rotation(t0, ti)) == bits(rotation_reference(t0, ti))
 
     @settings(deadline=None)
     @given(seed=st.integers(0, 2**63), pairs=st.integers(1, 50))

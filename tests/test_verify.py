@@ -29,6 +29,12 @@ def rho_point(spec, t):
     return max(residual, abs(scalar - closed_form), abs(scalar_inv - closed_form))
 
 
+def minimal_polynomial_point(spec):
+    """check_eigenvalues' metric at one spec."""
+    b = braid.braid_matrix(spec)
+    return max(frobenius(b @ b - 2.0 * b + 2.0 * np.eye(4)), abs(np.trace(b) - 4.0))
+
+
 def bell_rows(rows):
     """check_bell_structure's metric on one 4x4 set of rows."""
     quartet = states.bell_quartet()
@@ -41,6 +47,7 @@ def bell_rows(rows):
 # check -> its metric as the max of the kernel's calls at each node taken alone
 POINTWISE = {
     verify.check_braid_relation: lambda: max(braid.check_braid_relation(s) for s in node_specs()),
+    verify.check_eigenvalues: lambda: max(minimal_polynomial_point(s) for s in node_specs()),
     verify.check_qybe: lambda: max(braid.check_qybe(s, x, y)
                                    for s in node_specs() for x, y in itertools.product(X, X)),
     verify.check_unitarity_grid: lambda: max(unitarity_residual(braid.unitary_r(s, x))
@@ -69,8 +76,19 @@ def test_misprinted_matrix_fails_qybe_at_the_nodes(monkeypatch):
     assert verify.check_qybe().metric == pytest.approx(92, rel=0.01)
 
 
+def test_misprinted_matrix_fails_the_minimal_polynomial(monkeypatch):
+    # the stray 1 keeps the eigenvalues 1 ± i, two each, but b is then not
+    # diagonalizable: b² - 2b + 2I has σ at (1, 3) and -1/q at (2, 0), where
+    # np.linalg.eigvals read the eigenvalues off by only 1.8e-8
+    monkeypatch.setattr(braid, "braid_matrix",
+                        functools.partial(braid.braid_matrix, corrected=False))
+    result = verify.check_eigenvalues()
+    assert result.metric == pytest.approx(2 ** 0.5, rel=1e-12) and result.metric > result.tol
+
+
 @pytest.mark.parametrize("check", [
     verify.check_braid_relation,
+    verify.check_eigenvalues,
     verify.check_qybe,
     verify.check_unitarity_grid,
     verify.check_r_hamiltonian_consistency,
