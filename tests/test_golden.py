@@ -66,7 +66,7 @@ HASHED = {
     "oscillate --steps 9000 --format json":
         "28ebce04eaa4b5ed9709f52688b2e77c7eb8e0a79a438c9a779340e1c47fc6e8",
     "evolve --steps 5000 --format json":
-        "50d728da51b7292b27adbf86e0ba4a97a90158488cffe07c57a5cd49469ce1ba",
+        "33a5057de3038efde42f30ed2e5055495109bcfe69c7d73ede0a3d7de46287ee",
     "rho-report --steps 5000 --format csv":
         "df6a1c8844f4235fd1ccec7a0828d076247dafd38a3945332c0785ba4a91fa3f",
     "rho-report --steps 5000 --format json":
