@@ -160,7 +160,7 @@ def unitary_r(spec: BraidSpec, x) -> np.ndarray:
     broadcasts against an array-φ spec gives the stack of shape
     broadcast(x, φ) + (4, 4), from one b̃ per φ.
     """
-    c, s = np.expand_dims(rotation(0.0, _nonnegative(x, "spectral parameter x")), (-2, -1))
+    c, s = np.asarray(rotation(0.0, _nonnegative(x, "spectral parameter x")))[..., None, None]
     bt = unitary_braid(spec)
     return c * bt + s * bt.conj().swapaxes(-1, -2)
 

@@ -62,7 +62,7 @@ def propagator(spec: BraidSpec, t0: float, t1) -> np.ndarray:
     shape broadcast(t1, φ) + (4, 4), from one N per φ.  Infinite times are
     allowed (arctan ±∞ = ±π/2); NaN raises DomainError.
     """
-    c, s = np.expand_dims(rotation(t0, t1), (-2, -1))
+    c, s = np.asarray(rotation(t0, t1))[..., None, None]
     return c * np.eye(4) - s * _generator(spec)
 
 
@@ -77,7 +77,7 @@ def evolve_state(state0, spec: BraidSpec, t0: float, t1) -> np.ndarray:
     cos α, sin α of linalg.rotation, plus 0.0 so that a zero is +0.0 and
     prints as 0.  A row has the bits of its time taken alone.
     """
-    c, s = np.expand_dims(rotation(t0, t1), -1)
+    c, s = np.asarray(rotation(t0, t1))[..., None]
     psi0 = np.ascontiguousarray(state0, dtype=complex)
     n, p = _generator(spec)[..., ::-1].diagonal(0, -2, -1), psi0[::-1]
     # part by part: numpy's complex multiply may fuse a·c - b·d (FMA)
